@@ -23,7 +23,6 @@ from .centroid import (
     Decomposition,
     Factor,
     OperatorSubspace,
-    centroid,
     decompose,
     is_irreducible,
     is_orthogonal_projection,

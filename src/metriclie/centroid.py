@@ -1,12 +1,16 @@
 """Centroid computation and the orthogonal decomposition into irreducible factors.
 
 The centroid of an algebra is the space of operators f with
-f([X,Y]) = [f(X),Y] for all X, Y.  Its symmetric part (with respect to the
-Gram matrix) is a commuting family of G-self-adjoint operators whose
-eigenprojections are orthogonal projections onto factors.  Decomposition
-proceeds by drawing a seeded generic symmetric-centroid element, splitting
-along its eigenprojections and recursing until every factor has a
-one-dimensional symmetric centroid, which is the irreducibility criterion.
+f([X,Y]) = [f(X),Y] for all X, Y.  Fixing Y = X_j, the condition reads
+f∘ad(X_j) = ad(X_j)∘f, so the centroid is the commutant of ad(g): its
+equations and its residual are the n commutators [ad(X_j), M], read off
+the nonzero entries of the ad matrices cached on the algebra.  Its
+symmetric part (with respect to the Gram matrix) is a commuting family of
+G-self-adjoint operators whose eigenprojections are orthogonal projections
+onto factors.  Decomposition proceeds by drawing a seeded generic
+symmetric-centroid element, splitting along its eigenprojections and
+recursing until every factor has a one-dimensional symmetric centroid,
+which is the irreducibility criterion.
 
 Eigenvalues are extracted exactly from the minimal polynomial when they are
 rational; otherwise the whole computation falls back to the float backend
@@ -23,11 +27,8 @@ import sympy
 
 from . import linalg
 from .core import (
-    EXACT,
-    NUMERIC,
     MetricLieAlgebra,
     Subspace,
-    bracket,
     has_abelian_factor,
     restrict,
     to_numeric,
@@ -72,28 +73,28 @@ def _canonical_operator_space(A: MetricLieAlgebra, vectors) -> OperatorSubspace:
     return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
 
 
-def _centroid_equations(A: MetricLieAlgebra):
-    """Sparse rows of the linear system cutting out the centroid.
+def _commutant_rows(A: MetricLieAlgebra):
+    """Sparse rows of the commutant equations (ad(X_j)·M − M·ad(X_j))[r][i] = 0.
 
-    Unknowns are the entries M[r][s] at index r*n + s.  For every ordered
-    basis pair (i, j), including i == j, the condition reads
-    M [X_i, X_j] + ad(X_j) M X_i = 0.
+    Unknowns are the entries M[r][s] at index r*n + s.  Rows come in the
+    order (i, j, r) and zero rows are dropped.
     """
     n = A.dim
-    ads = [A.algebra.ad_matrix(j) for j in range(n)]
-    cij = {(i, j): A.algebra.bracket_basis(i, j) for i in range(n) for j in range(n)}
+    per_j = []
+    for entries in A.algebra.ad_entries:
+        rows = {}
+        for a, b, c in entries:
+            for t in range(n):
+                # ad[a][b] * M[b][t] in entry (a, t); M[t][a] * ad[a][b] in entry (t, b)
+                row = rows.setdefault((a, t), {})
+                row[b * n + t] = row.get(b * n + t, 0) + c
+                row = rows.setdefault((t, b), {})
+                row[t * n + a] = row.get(t * n + a, 0) - c
+        per_j.append(rows)
     for i in range(n):
-        for j in range(n):
-            c = cij[(i, j)]
-            Aj = ads[j]
+        for rows in per_j:
             for r in range(n):
-                row = {}
-                for s in range(n):
-                    if not linalg.is_zero(c[s], A.tol):
-                        row[r * n + s] = row.get(r * n + s, 0) + c[s]
-                    if not linalg.is_zero(Aj[r][s], A.tol):
-                        row[s * n + i] = row.get(s * n + i, 0) + Aj[r][s]
-                row = {k: v for k, v in row.items() if not linalg.is_zero(v, A.tol)}
+                row = {k: v for k, v in rows.get((r, i), {}).items() if not linalg.is_zero(v, A.tol)}
                 if row:
                     yield row
 
@@ -115,39 +116,42 @@ def _adjoint_constraint_rows(A: MetricLieAlgebra, sign):
                 yield row
 
 
+def _centroid_space(A: MetricLieAlgebra, sign=0) -> OperatorSubspace:
+    """The commutant of ad(g), cut down to its G-symmetric (sign=+1) or
+    G-skew (sign=-1) part when sign is nonzero."""
+    eqs = list(_commutant_rows(A))
+    if sign:
+        eqs += _adjoint_constraint_rows(A, sign)
+    basis = linalg.nullspace_sparse(eqs, A.dim * A.dim, A.tol)
+    return _canonical_operator_space(A, basis)
+
+
 def centroid(A: MetricLieAlgebra) -> OperatorSubspace:
     """Solution space of f([X,Y]) = [f(X),Y]; always contains the identity."""
-    n = A.dim
-    basis = linalg.nullspace_sparse(list(_centroid_equations(A)), n * n, A.tol)
-    return _canonical_operator_space(A, basis)
+    return _centroid_space(A)
 
 
 def symmetric_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
-    eqs = list(_centroid_equations(A)) + list(_adjoint_constraint_rows(A, 1))
-    basis = linalg.nullspace_sparse(eqs, A.dim * A.dim, A.tol)
-    return _canonical_operator_space(A, basis)
+    return _centroid_space(A, 1)
 
 
 def skew_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
-    eqs = list(_centroid_equations(A)) + list(_adjoint_constraint_rows(A, -1))
-    basis = linalg.nullspace_sparse(eqs, A.dim * A.dim, A.tol)
-    return _canonical_operator_space(A, basis)
+    return _centroid_space(A, -1)
 
 
 def centroid_residual(A: MetricLieAlgebra, M) -> object:
-    """Max residual of M over the defining centroid condition."""
+    """Max over i, j of |M[X_i,X_j] − [MX_i,X_j]|, the largest entry of the
+    commutators ad(X_j)·M − M·ad(X_j)."""
     n = A.dim
     worst = 0
-    for i in range(n):
-        ei = linalg.basis_vec(n, i, numeric=A.backend == NUMERIC)
-        Mei = linalg.mat_vec(M, ei)
-        for j in range(n):
-            ej = linalg.basis_vec(n, j, numeric=A.backend == NUMERIC)
-            res = linalg.vec_sub(
-                linalg.mat_vec(M, A.algebra.bracket_basis(i, j)),
-                bracket(A, Mei, ej),
-            )
-            worst = max(worst, linalg.max_abs_vec(res))
+    for entries in A.algebra.ad_entries:
+        D = [[0] * n for _ in range(n)]
+        for a, b, c in entries:
+            Mb, Da = M[b], D[a]
+            for t in range(n):
+                Da[t] += c * Mb[t]
+                D[t][b] -= M[t][a] * c
+        worst = max(worst, linalg.max_abs(D))
     return worst
 
 
@@ -217,7 +221,7 @@ def split_by_projection(A: MetricLieAlgebra, P):
     n = A.dim
     im = _image_subspace(A, P)
     ker = _kernel_subspace(A, P)
-    Q = linalg.mat_sub(linalg.identity(n, numeric=A.backend == NUMERIC), P)
+    Q = linalg.mat_sub(linalg.identity(n, A.tol), P)
     f1 = Factor(im, P, restrict(A, im), {"projection": cert.residuals()})
     f2 = Factor(ker, Q, restrict(A, ker), {"projection": is_orthogonal_projection(A, Q).residuals()})
     return f1, f2
@@ -250,11 +254,11 @@ def _numeric_eigenvalues(M, tol):
     return [sum(c) / len(c) for c in clusters]
 
 
-def _eigenprojections(a, eigenvalues, numeric):
+def _eigenprojections(a, eigenvalues, tol):
     """Lagrange interpolation projections onto the eigenspaces of a."""
     n = len(a)
     projections = []
-    I = linalg.identity(n, numeric=numeric)
+    I = linalg.identity(n, tol)
     for lam in eigenvalues:
         P = I
         for mu in eigenvalues:
@@ -273,10 +277,10 @@ def _random_generic_element(S: OperatorSubspace, rng):
             c = rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
         coeffs.append(c)
     n = S.ambient.dim
-    numeric = S.ambient.backend == NUMERIC
-    a = linalg.zeros(n, n, numeric=numeric)
+    tol = S.ambient.tol
+    a = linalg.zeros(n, n, tol)
     for c, B in zip(coeffs, S.basis):
-        a = linalg.mat_add(a, linalg.mat_scale(float(c) if numeric else Fraction(c), B))
+        a = linalg.mat_add(a, linalg.mat_scale(float(c) if tol else Fraction(c), B))
     return a
 
 
@@ -291,20 +295,19 @@ def _irreducible_carriers(sub: MetricLieAlgebra, embed, rng, max_retries):
         raise InternalAssertionFailure("symmetric centroid lost the identity operator")
     if S.dim == 1:
         return [list(linalg.transpose(embed))]
-    numeric = sub.backend == NUMERIC
     for _ in range(max_retries):
         a = _random_generic_element(S, rng)
         mp = linalg.minimal_polynomial(a, sub.tol)
         if len(mp) <= 2:
             continue  # scalar element, resample
-        if numeric:
+        if sub.tol:
             eigenvalues = _numeric_eigenvalues(a, sub.tol)
         else:
             eigenvalues = _rational_roots(mp)
         if len(eigenvalues) < 2:
             continue
         carriers = []
-        for P in _eigenprojections(a, eigenvalues, numeric):
+        for P in _eigenprojections(a, eigenvalues, sub.tol):
             im = _image_subspace(sub, P)
             induced = restrict(sub, im)
             C = im.matrix_columns()
@@ -316,13 +319,17 @@ def _irreducible_carriers(sub: MetricLieAlgebra, embed, rng, max_retries):
     )
 
 
-def _orthogonal_projection_onto(A: MetricLieAlgebra, carrier: Subspace):
-    """G-orthogonal projection with image = carrier."""
+def _projection_factors(A: MetricLieAlgebra, carrier: Subspace):
+    """(C, R) with C·R the G-orthogonal projection onto the carrier.
+
+    C holds the carrier basis as columns and R = M·(CᵀG) with
+    M = (CᵀGC)⁻¹ gives coordinates along it.
+    """
     C = carrier.matrix_columns()
     Ct = linalg.transpose(C)
     G = A.gram
     M = linalg.inverse(linalg.mat_mul(Ct, linalg.mat_mul(G, C)), A.tol)
-    return linalg.mat_mul(C, linalg.mat_mul(M, linalg.mat_mul(Ct, G)))
+    return C, linalg.mat_mul(M, linalg.mat_mul(Ct, G))
 
 
 def _carrier_sort_key(f: Factor):
@@ -343,21 +350,18 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
             "algebra has a non-zero abelian factor; decomposition is not unique"
         )
     work = A
-    backend = A.backend
     rng = random.Random(seed)
-    embed0 = linalg.identity(A.dim, numeric=A.backend == NUMERIC)
     try:
-        spans = _irreducible_carriers(work, embed0, rng, max_retries)
+        spans = _irreducible_carriers(work, linalg.identity(A.dim, A.tol), rng, max_retries)
     except _NeedNumeric:
         work = to_numeric(A)
-        backend = NUMERIC
         rng = random.Random(seed)
-        spans = _irreducible_carriers(work, linalg.identity(work.dim, numeric=True), rng, max_retries)
+        spans = _irreducible_carriers(work, linalg.identity(work.dim, work.tol), rng, max_retries)
 
     factors = []
     for span in spans:
         carrier = Subspace.from_vectors(work.dim, span, work.tol)
-        P = _orthogonal_projection_onto(work, carrier)
+        P = linalg.mat_mul(*_projection_factors(work, carrier))
         cert = is_orthogonal_projection(work, P)
         if not cert.passed:
             raise InternalAssertionFailure(
@@ -377,14 +381,12 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
 
     # completeness: projections sum to the identity
     n = work.dim
-    total = linalg.zeros(n, n, numeric=work.backend == NUMERIC)
+    total = linalg.zeros(n, n, work.tol)
     for f in factors:
         total = linalg.mat_add(total, f.projection)
-    if not linalg.is_zero(
-        linalg.mat_max_diff(total, linalg.identity(n, numeric=work.backend == NUMERIC)), work.tol
-    ):
+    if not linalg.is_zero(linalg.mat_max_diff(total, linalg.identity(n, work.tol)), work.tol):
         raise InternalAssertionFailure("factor projections do not sum to the identity")
-    return Decomposition(work, tuple(factors), backend, seed)
+    return Decomposition(work, tuple(factors), work.backend, seed)
 
 
 def is_irreducible(A: MetricLieAlgebra) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .centroid import decompose, skew_centroid
+from .centroid import _projection_factors, centroid_residual, decompose, skew_centroid
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -65,22 +65,6 @@ class HermitianValue:
     im: object
 
 
-def _biinvariance_residual(A: MetricLieAlgebra, J):
-    n = A.dim
-    worst = 0
-    numeric = A.backend == NUMERIC
-    for i in range(n):
-        Jei = linalg.mat_vec(J, linalg.basis_vec(n, i, numeric=numeric))
-        for j in range(n):
-            ej = linalg.basis_vec(n, j, numeric=numeric)
-            res = linalg.vec_sub(
-                linalg.mat_vec(J, A.algebra.bracket_basis(i, j)),
-                bracket(A, Jei, ej),
-            )
-            worst = max(worst, linalg.max_abs_vec(res))
-    return worst
-
-
 def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructureCertificate:
     """Residuals for J^2 = -I, bi-invariance and skewness w.r.t. the Gram."""
     n = A.dim
@@ -90,11 +74,8 @@ def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructu
         tol = A.tol
         if any(isinstance(x, float) for row in J for x in row):
             tol = tol or DEFAULT_TOL
-    numeric = A.backend == NUMERIC
-    sq = linalg.mat_max_diff(
-        linalg.mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, numeric=numeric))
-    )
-    br = _biinvariance_residual(A, J)
+    sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
+    br = centroid_residual(A, J)
     G = A.gram
     sk = linalg.max_abs(
         linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
@@ -142,9 +123,7 @@ class ComplexifiedAlgebra:
 def complexify(A: MetricLieAlgebra) -> ComplexifiedAlgebra:
     """Real 2n-dim algebra with bracket [(a,b),(c,d)] = ([a,c]-[b,d], [a,d]+[b,c])."""
     n = A.dim
-    numeric = A.backend == NUMERIC
-    one = 1.0 if numeric else Fraction(1)
-    z = 0.0 if numeric else Fraction(0)
+    z, one = (0.0, 1.0) if A.tol else (Fraction(0), Fraction(1))
     brackets = {}
     for (i, j), terms in A.algebra.structure:
         brackets[(i, j)] = [(k, c) for k, c in terms]
@@ -188,8 +167,7 @@ def extend_operator(AC: ComplexifiedAlgebra, f) -> tuple:
     n = AC.base.dim
     if len(f) != n:
         raise DimensionMismatch("operator does not act on the base algebra")
-    numeric = AC.base.backend == NUMERIC
-    z = 0.0 if numeric else Fraction(0)
+    z = 0.0 if AC.base.tol else Fraction(0)
     return tuple(
         tuple(f[r % n][c % n] if (r < n) == (c < n) else z for c in range(2 * n))
         for r in range(2 * n)
@@ -203,11 +181,10 @@ def eigensplit(A: MetricLieAlgebra, J):
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
     AC = complexify(A)
     n2 = AC.dim
-    numeric = A.backend == NUMERIC
-    I = linalg.identity(n2, numeric=numeric)
+    I = linalg.identity(n2, A.tol)
     Jc = extend_operator(AC, J)
     iJ = linalg.mat_mul(AC.i_op, Jc)
-    half = 0.5 if numeric else Fraction(1, 2)
+    half = 0.5 if A.tol else Fraction(1, 2)
     Pplus = linalg.mat_scale(half, linalg.mat_sub(I, iJ))
     Pminus = linalg.mat_scale(half, linalg.mat_add(I, iJ))
     g1 = Subspace.from_vectors(n2, list(linalg.transpose(Pplus)), A.tol)
@@ -240,12 +217,12 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
     n = A.dim
-    numeric = A.backend == NUMERIC
+    tol = A.tol
     AC = complexify(A)
     n2 = AC.dim
     minusJ = linalg.mat_scale(-1, J)
     # Phi as a block matrix [[I, J], [I, -J]]
-    I = linalg.identity(n, numeric=numeric)
+    I = linalg.identity(n, tol)
     Phi = tuple(
         tuple(I[r % n][c] if c < n else (J if r < n else minusJ)[r % n][c - n] for c in range(n2))
         for r in range(n2)
@@ -254,15 +231,15 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
 
     worst_br = 0
     for p in range(n2):
-        ep = linalg.basis_vec(n2, p, numeric=numeric)
+        ep = linalg.basis_vec(n2, p, tol)
         for q in range(p + 1, n2):
-            eq = linalg.basis_vec(n2, q, numeric=numeric)
+            eq = linalg.basis_vec(n2, q, tol)
             lhs = linalg.mat_vec(Phi, bracket(AC.real_form, ep, eq))
             rhs = bracket(D, linalg.mat_vec(Phi, ep), linalg.mat_vec(Phi, eq))
             worst_br = max(worst_br, linalg.max_abs_vec(linalg.vec_sub(lhs, rhs)))
 
     JJ = tuple(
-        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else (0.0 if numeric else Fraction(0))
+        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else (0.0 if tol else Fraction(0))
               for c in range(n2))
         for r in range(n2)
     )
@@ -271,9 +248,9 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     # the embedded copy phi(X) = (X, X) recovers the original inner product
     worst_emb = 0
     for i in range(n):
-        ei = linalg.basis_vec(n, i, numeric=numeric)
+        ei = linalg.basis_vec(n, i, tol)
         for j in range(n):
-            ej = linalg.basis_vec(n, j, numeric=numeric)
+            ej = linalg.basis_vec(n, j, tol)
             h1 = _hermitian(A, J, ei, ej)
             h2 = _hermitian(A, minusJ, ei, ej)
             worst_emb = max(
@@ -285,10 +262,10 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     # full Hermitian isometry of Phi on basis pairs of the complexification
     worst_iso = 0
     for p in range(n2):
-        ep = linalg.basis_vec(n2, p, numeric=numeric)
+        ep = linalg.basis_vec(n2, p, tol)
         fp = linalg.mat_vec(Phi, ep)
         for q in range(n2):
-            eq = linalg.basis_vec(n2, q, numeric=numeric)
+            eq = linalg.basis_vec(n2, q, tol)
             fq = linalg.mat_vec(Phi, eq)
             h1 = _hermitian(A, J, fp[:n], fq[:n])
             h2 = _hermitian(A, minusJ, fp[n:], fq[n:])
@@ -299,8 +276,7 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
                 abs(h1.im + h2.im - hc.im),
             )
 
-    rk = linalg.rank(Phi, A.tol)
-    tol = A.tol
+    rk = linalg.rank(Phi, tol)
     passed = rk == n2 and all(
         linalg.is_zero(r, tol) for r in (worst_br, inter, worst_emb, worst_iso)
     )
@@ -382,18 +358,14 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
             f"basis dump: {K_space.basis}"
         )
     K = K_space.basis[0]
-    s = induced.dim
-    numeric = induced.backend == NUMERIC
     K2 = linalg.mat_mul(K, K)
     lam = K2[0][0]
-    scal_res = linalg.mat_max_diff(
-        K2, linalg.mat_scale(lam, linalg.identity(s, numeric=numeric))
-    )
+    scal_res = linalg.mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(induced.dim, induced.tol)))
     if not linalg.is_zero(scal_res, induced.tol) or not lam < 0:
         raise InternalAssertionFailure(
             f"skew centroid element has non-scalar or non-negative square (lam={lam})"
         )
-    if numeric:
+    if induced.tol:
         J = linalg.mat_scale(1.0 / math.sqrt(-lam), K)
         return _normalize_sign(J, induced.tol), True
     root = linalg.frac_sqrt(-lam)
@@ -411,40 +383,29 @@ def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):
     """
     dec = decompose(A, seed=seed)
     work = dec.algebra
+    tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
     pieces = []
-    any_numeric = dec.backend == NUMERIC
     for f in dec.factors:
         res = _factor_complex_structure(f.induced)
         if res is None:
             return []
         Jf, numeric = res
-        any_numeric = any_numeric or numeric
-        C = f.carrier.matrix_columns()
-        Ct = linalg.transpose(C)
-        G = work.gram
-        M = linalg.inverse(linalg.mat_mul(Ct, linalg.mat_mul(G, C)), work.tol)
-        R = linalg.mat_mul(M, linalg.mat_mul(Ct, G))
+        C, R = _projection_factors(work, f.carrier)
         if numeric:
             C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
+            tol = tol or DEFAULT_TOL
         pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
 
     n = work.dim
-    tol = work.tol or (DEFAULT_TOL if any_numeric else 0.0)
     out = []
     for signs in itertools.product((1, -1), repeat=len(pieces)):
-        numeric_out = any_numeric
-        J = linalg.zeros(n, n, numeric=numeric_out)
-        if numeric_out:
-            J = linalg.to_float_mat(J)
+        J = linalg.zeros(n, n, tol)
         for s, piece in zip(signs, pieces):
-            term = linalg.mat_scale(s, piece)
-            if numeric_out:
-                term = linalg.to_float_mat(term)
-            J = linalg.mat_add(J, term)
+            J = linalg.mat_add(J, linalg.mat_scale(s, piece))
         cert = verify_complex_structure(work, J, tol=tol)
         if not cert.passed:
             raise InternalAssertionFailure(
                 f"assembled structure failed verification: {cert.residuals()}"
             )
-        out.append(ComplexStructure(J, cert, NUMERIC if numeric_out else work.backend, signs))
+        out.append(ComplexStructure(J, cert, NUMERIC if tol else EXACT, signs))
     return out

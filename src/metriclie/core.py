@@ -8,8 +8,9 @@ rejected at parse time.  All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -100,34 +101,43 @@ class LieAlgebra:
     dim: int
     structure: tuple  # tuple of ((i, j), ((k, c), ...)) with 0-based i < j
     basis_labels: tuple = ()
-    backend: str = EXACT
     tol: float = 0.0
 
     def __post_init__(self):
         if not self.basis_labels:
             object.__setattr__(self, "basis_labels", tuple(f"X{i+1}" for i in range(self.dim)))
 
-    def bracket_table(self):
-        return {ij: terms for ij, terms in self.structure}
+    @property
+    def backend(self) -> str:
+        return NUMERIC if self.tol else EXACT
+
+    @cached_property
+    def _ad_matrices(self) -> tuple:
+        """ad(X_i) for every i, built once: column j of ad(X_i) is [X_i, X_j]."""
+        n = self.dim
+        z = 0.0 if self.tol else Fraction(0)
+        ads = [[[z] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), terms in self.structure:
+            for k, c in terms:
+                ads[i][k][j] += c
+                ads[j][k][i] -= c
+        return tuple(linalg.mat(ad) for ad in ads)
+
+    @cached_property
+    def ad_entries(self) -> tuple:
+        """Per i, the nonzero entries (r, s, c) of ad(X_i)."""
+        return tuple(
+            tuple((r, s, c) for r, row in enumerate(ad) for s, c in enumerate(row) if c)
+            for ad in self._ad_matrices
+        )
 
     def bracket_basis(self, i: int, j: int):
         """[X_i, X_j] as a coordinate vector (0-based indices)."""
-        v = list(linalg.zero_vec(self.dim, numeric=self.backend == NUMERIC))
-        if i == j:
-            return tuple(v)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for ij, terms in self.structure:
-            if ij == (i, j):
-                for k, c in terms:
-                    v[k] += sign * c
-        return tuple(v)
+        return tuple(row[j] for row in self._ad_matrices[i])
 
     def ad_matrix(self, i: int):
         """Matrix of ad(X_i): v -> [X_i, v]."""
-        cols = [self.bracket_basis(i, j) for j in range(self.dim)]
-        return linalg.transpose(linalg.mat(cols))
+        return self._ad_matrices[i]
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,14 @@ class MetricLieAlgebra:
         return MetricLieAlgebra(self.algebra, metric, name or self.name, self.j_marker)
 
 
+def _check_backend(backend, tol):
+    """tol decides the scalars (0: Fraction, > 0: float), so it must agree with backend."""
+    if backend == NUMERIC and not tol > 0:
+        raise ParseError(f"the numeric backend needs a positive tol, got {tol}")
+    if backend != NUMERIC and tol != 0:
+        raise ParseError(f"the exact backend needs tol 0, got {tol}")
+
+
 def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
                  labels=(), j_marker=None, check=True) -> MetricLieAlgebra:
     """Build a validated MetricLieAlgebra.
@@ -193,6 +211,7 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
     """
     if tol is None:
         tol = DEFAULT_TOL if backend == NUMERIC else 0.0
+    _check_backend(backend, tol)
     structure = []
     for (i, j), terms in sorted(brackets.items()):
         if i == j:
@@ -205,9 +224,9 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
                 raise ParseError(f"bracket target index {k+1} out of range")
         if clean:
             structure.append(((i, j), clean))
-    alg = LieAlgebra(dim, tuple(structure), tuple(labels), backend, tol)
+    alg = LieAlgebra(dim, tuple(structure), tuple(labels), tol)
     if gram is None:
-        gram = linalg.identity(dim, numeric=backend == NUMERIC)
+        gram = linalg.identity(dim, tol)
     metric = Metric(linalg.mat(gram))
     A = MetricLieAlgebra(alg, metric, name, j_marker)
     if check:
@@ -228,7 +247,7 @@ def bracket(A: MetricLieAlgebra, u, v):
     n = alg.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatch(f"expected vectors of length {n}")
-    out = list(linalg.zero_vec(n, numeric=A.backend == NUMERIC))
+    out = list(linalg.zero_vec(n, A.tol))
     for (i, j), terms in alg.structure:
         coef = u[i] * v[j] - u[j] * v[i]
         if coef:
@@ -252,7 +271,7 @@ def check_jacobi(A: MetricLieAlgebra) -> JacobiReport:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = (linalg.basis_vec(n, t, numeric=A.backend == NUMERIC) for t in (i, j, k))
+                ei, ej, ek = (linalg.basis_vec(n, t, A.tol) for t in (i, j, k))
                 res = linalg.vec_add(
                     bracket(A, ei, bracket(A, ej, ek)),
                     linalg.vec_add(
@@ -299,7 +318,7 @@ def direct_sum(A: MetricLieAlgebra, B: MetricLieAlgebra, name: str = "") -> Metr
         brackets[(i, j)] = list(terms)
     for (i, j), terms in B.algebra.structure:
         brackets[(i + n, j + n)] = [(k + n, c) for k, c in terms]
-    z = 0.0 if A.backend == NUMERIC else Fraction(0)
+    z = 0.0 if A.tol else Fraction(0)
     gram = [
         [A.gram[i][j] if i < n and j < n else (B.gram[i - n][j - n] if i >= n and j >= n else z)
          for j in range(n + m)]
@@ -339,6 +358,7 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
 
 def to_numeric(A: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     """Convert an exact algebra to the float backend."""
+    _check_backend(NUMERIC, tol)
     if A.backend == NUMERIC:
         return A
     brackets = {}

@@ -33,24 +33,25 @@ def mat(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-def zeros(n: int, m: int, numeric: bool = False) -> Mat:
-    z = 0.0 if numeric else Fraction(0)
-    return tuple((z,) * m for _ in range(n))
+def _zero_one(tol: float):
+    return (0.0, 1.0) if tol else (Fraction(0), Fraction(1))
 
 
-def identity(n: int, numeric: bool = False) -> Mat:
-    one = 1.0 if numeric else Fraction(1)
-    z = 0.0 if numeric else Fraction(0)
+def zeros(n: int, m: int, tol: float = 0.0) -> Mat:
+    return ((_zero_one(tol)[0],) * m,) * n
+
+
+def identity(n: int, tol: float = 0.0) -> Mat:
+    z, one = _zero_one(tol)
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
 
 
-def zero_vec(n: int, numeric: bool = False) -> Vec:
-    return (0.0 if numeric else Fraction(0),) * n
+def zero_vec(n: int, tol: float = 0.0) -> Vec:
+    return (_zero_one(tol)[0],) * n
 
 
-def basis_vec(n: int, i: int, numeric: bool = False) -> Vec:
-    one = 1.0 if numeric else Fraction(1)
-    z = 0.0 if numeric else Fraction(0)
+def basis_vec(n: int, i: int, tol: float = 0.0) -> Vec:
+    z, one = _zero_one(tol)
     return tuple(one if j == i else z for j in range(n))
 
 
@@ -65,10 +66,6 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def mat_vec(A: Mat, v: Sequence) -> Vec:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
-
-
-def vec_mat(v: Sequence, A: Mat) -> Vec:
-    return mat_vec(transpose(A), v)
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -184,12 +181,11 @@ def nullspace(A: Mat, tol: float = 0.0):
         return []
     ncols = len(A[0])
     rows, pivots = rref(A, tol)
-    return _nullspace_from_rref(rows, pivots, ncols, numeric=bool(tol))
+    return _nullspace_from_rref(rows, pivots, ncols, tol)
 
 
-def _nullspace_from_rref(rows, pivots, ncols, numeric=False):
-    one = 1.0 if numeric else Fraction(1)
-    z = 0.0 if numeric else Fraction(0)
+def _nullspace_from_rref(rows, pivots, ncols, tol=0.0):
+    z, one = _zero_one(tol)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
@@ -209,8 +205,7 @@ def solve(A: Mat, b: Sequence, tol: float = 0.0):
     ncols = len(A[0])
     aug = [list(row) + [bb] for row, bb in zip(A, b)]
     rows, pivots = rref(aug, tol)
-    z = 0.0 if tol else Fraction(0)
-    x = [z] * ncols
+    x = [_zero_one(tol)[0]] * ncols
     for row, p in zip(rows, pivots):
         if p == ncols:
             return None  # pivot in the constant column
@@ -220,7 +215,8 @@ def solve(A: Mat, b: Sequence, tol: float = 0.0):
 
 def inverse(A: Mat, tol: float = 0.0) -> Mat:
     n = len(A)
-    aug = [list(row) + list(identity(n, numeric=bool(tol))[i]) for i, row in enumerate(A)]
+    I = identity(n, tol)
+    aug = [list(row) + list(I[i]) for i, row in enumerate(A)]
     rows, pivots = rref(aug, tol)
     if pivots[:n] != list(range(n)) or len(rows) < n:
         raise ZeroDivisionError("matrix is singular")
@@ -231,7 +227,7 @@ def det(A: Mat, tol: float = 0.0):
     n = len(A)
     m = [list(r) for r in A]
     sign = 1
-    d = 1.0 if tol else Fraction(1)
+    d = _zero_one(tol)[1]
     for c in range(n):
         if tol:
             piv = max(range(c, n), key=lambda i: abs(m[i][c]))
@@ -289,7 +285,7 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
                 row[c] = float(v)
             dense.append(tuple(row))
         if not dense:
-            return [basis_vec(ncols, i, numeric=True) for i in range(ncols)]
+            return [basis_vec(ncols, i, tol) for i in range(ncols)]
         return nullspace(tuple(dense), tol)
 
     pivot_rows = {}  # leading col -> integer row dict
@@ -339,15 +335,15 @@ def unvectorize(v: Sequence, n: int) -> Mat:
 def minimal_polynomial(M: Mat, tol: float = 0.0):
     """Monic minimal polynomial of M as coefficients [c0, c1, ..., 1]."""
     n = len(M)
-    powers = [identity(n, numeric=bool(tol))]
-    P = identity(n, numeric=bool(tol))
+    P = identity(n, tol)
+    powers = [P]
     for _ in range(n + 1):
         P = mat_mul(P, M)
         target = vectorize(P)
         A = transpose(mat([vectorize(Q) for Q in powers]))
         coords = solve(A, target, tol)
         if coords is not None:
-            return list(vec_scale(-1, coords)) + [1.0 if tol else Fraction(1)]
+            return list(vec_scale(-1, coords)) + [_zero_one(tol)[1]]
         powers.append(P)
     raise AssertionError("minimal polynomial search exceeded dimension bound")
 
@@ -355,9 +351,8 @@ def minimal_polynomial(M: Mat, tol: float = 0.0):
 def poly_eval_matrix(coeffs, M: Mat) -> Mat:
     """Evaluate a polynomial (low-to-high coefficients) at a matrix."""
     n = len(M)
-    numeric = isinstance(coeffs[-1], float)
-    out = zeros(n, n, numeric=numeric)
-    P = identity(n, numeric=numeric)
+    P = identity(n, 1.0 if isinstance(coeffs[-1], float) else 0.0)
+    out = mat_scale(0, P)
     for c in coeffs:
         out = mat_add(out, mat_scale(c, P))
         P = mat_mul(P, M)

@@ -55,17 +55,14 @@ def skew_biinvariant_space(A: MetricLieAlgebra):
     """Basis matrices of the space {J : bi-invariant and G-skew}."""
     n = A.dim
     rows = list(_biinvariance_rows(A)) + list(_skew_rows(A))
-    if n <= 6:
-        M = sympy.zeros(len(rows), n * n)
-        for ri, row in enumerate(rows):
-            for col, v in row.items():
-                M[ri, col] = sympy.Rational(v.numerator, v.denominator)
-        basis = [
-            tuple(Fraction(int(x.p), int(x.q)) for x in ns)
-            for ns in M.nullspace()
-        ]
-    else:
-        basis = linalg.nullspace_sparse(rows, n * n)
+    M = sympy.SparseMatrix(len(rows), n * n, {
+        (ri, col): sympy.Rational(v.numerator, v.denominator)
+        for ri, row in enumerate(rows) for col, v in row.items()
+    })
+    basis = [
+        tuple(Fraction(int(x.p), int(x.q)) for x in ns)
+        for ns in M.nullspace()
+    ]
     return [linalg.unvectorize(b, n) for b in basis]
 
 
@@ -108,7 +105,7 @@ def oracle_complex_structures(A: MetricLieAlgebra, max_params: int = 3):
             J = linalg.zeros(n, n)
         else:
             coeffs = [float(v) for v in vals]
-            J = linalg.zeros(n, n, numeric=True)
+            J = linalg.zeros(n, n, tol=1e-9)
             ks_local = [linalg.to_float_mat(K) for K in ks]
         for idx, cf in enumerate(coeffs):
             K = ks[idx] if isinstance(cf, Fraction) else ks_local[idx]

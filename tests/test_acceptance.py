@@ -170,11 +170,11 @@ def test_acceptance_7_property_suites():
             dec = decompose(A)
             n = A.dim
             numeric = dec.backend == "numeric"
-            total = linalg.zeros(n, n, numeric=numeric)
+            total = linalg.zeros(n, n, tol=dec.algebra.tol)
             for f in dec.factors:
                 total = linalg.mat_add(total, f.projection)
             ok &= linalg.mat_max_diff(
-                total, linalg.identity(n, numeric=numeric)) <= (TOL if numeric else 0)
+                total, linalg.identity(n, tol=dec.algebra.tol)) <= (TOL if numeric else 0)
             G = dec.algebra.gram
             for i, fi in enumerate(dec.factors):
                 for fj in dec.factors[i + 1:]:

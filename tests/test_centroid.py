@@ -1,6 +1,10 @@
+import inspect
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclie import linalg
 from metriclie.centroid import (
@@ -15,7 +19,7 @@ from metriclie.centroid import (
     split_by_projection,
     symmetric_centroid,
 )
-from metriclie.core import direct_sum, has_abelian_factor, restrict, to_numeric
+from metriclie.core import bracket, direct_sum, has_abelian_factor, restrict, to_numeric
 from metriclie.errors import AbelianFactorPresent, NotAProjection
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
@@ -217,3 +221,54 @@ def test_every_bundled_example_validates(bundled):
     for A in bundled.values():
         assert check_jacobi(A).passed
         A.metric.validate(A.tol)
+
+
+def test_centroid_submodule_is_the_module():
+    import metriclie.centroid as m
+
+    assert inspect.ismodule(m)
+    assert callable(m.centroid)
+
+
+RESIDUAL_ALGEBRAS = {key: get_example(key) for key in example_keys()}
+RESIDUAL_ALGEBRAS["h3c+h3c"] = direct_sum(get_example("h3c"), get_example("h3c"))
+
+
+def _bracket_residual(A, M):
+    """max over i, j of |M[X_i,X_j] - [MX_i,X_j]|, entrywise, from core.bracket."""
+    n = A.dim
+    e = [linalg.basis_vec(n, i, A.tol) for i in range(n)]
+    worst = 0
+    for i in range(n):
+        for j in range(n):
+            lhs = linalg.mat_vec(M, bracket(A, e[i], e[j]))
+            rhs = bracket(A, linalg.mat_vec(M, e[i]), e[j])
+            worst = max([worst] + [abs(x - y) for x, y in zip(lhs, rhs)])
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RESIDUAL_ALGEBRAS)), st.data())
+def test_centroid_residual_value(key, data):
+    A = RESIDUAL_ALGEBRAS[key]
+    n = A.dim
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    M = tuple(tuple(data.draw(st.lists(small, min_size=n, max_size=n))) for _ in range(n))
+    assert centroid_residual(A, M) == _bracket_residual(A, M)
+    B = to_numeric(A)
+    Mf = linalg.to_float_mat(M)
+    got, want = centroid_residual(B, Mf), _bracket_residual(B, Mf)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(RESIDUAL_ALGEBRAS))
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
+def test_bracket_basis_matches_bracket(key, numeric):
+    A = RESIDUAL_ALGEBRAS[key]
+    if numeric:
+        A = to_numeric(A)
+    n = A.dim
+    e = [linalg.basis_vec(n, i, A.tol) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            assert A.algebra.bracket_basis(i, j) == bracket(A, e[i], e[j])

@@ -67,6 +67,11 @@ def test_check_parse_failure(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_numeric_backend_with_zero_tol_is_a_parse_error(algfile, capsys):
+    assert main(["--backend", "numeric", "--tol", "0", "decompose", algfile("h3c")]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_check_jacobi_failure(algfile, capsys):
     doc = {
         "dim": 3,

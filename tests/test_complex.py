@@ -218,7 +218,7 @@ def test_jlambda_irrational_normalizer():
         jlambda(F(1))
     J = jlambda(1, backend="numeric")
     sq = linalg.mat_mul(J, J)
-    assert linalg.mat_max_diff(sq, linalg.mat_scale(-1.0, linalg.identity(4, numeric=True))) < 1e-12
+    assert linalg.mat_max_diff(sq, linalg.mat_scale(-1.0, linalg.identity(4, tol=1e-9))) < 1e-12
 
 
 def test_distinct_jlambda_values_differ():

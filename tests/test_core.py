@@ -215,3 +215,28 @@ def test_abelian_factor_is_metric_independent(seed):
         A = get_example(key)
         B = A.with_metric(random_gram(A.dim, seed))
         assert has_abelian_factor(A) == has_abelian_factor(B)
+
+
+@pytest.mark.parametrize("backend,tol", [
+    ("numeric", 0.0), ("numeric", -1e-9), ("exact", 1e-9),
+], ids=["numeric-zero", "numeric-negative", "exact-positive"])
+def test_make_algebra_rejects_backend_contradicting_tol(backend, tol):
+    with pytest.raises(ParseError, match="backend needs"):
+        make_algebra(3, {(0, 1): [(2, 1)]}, backend=backend, tol=tol)
+
+
+def test_to_numeric_rejects_nonpositive_tol():
+    for A in (get_example("h3"), to_numeric(get_example("h3"))):
+        for tol in (0.0, -1.0):
+            with pytest.raises(ParseError, match="positive tol"):
+                to_numeric(A, tol)
+
+
+def test_backend_is_derived_from_tol():
+    from dataclasses import fields
+
+    from metriclie.core import LieAlgebra
+
+    assert "backend" not in {f.name for f in fields(LieAlgebra)}
+    assert get_example("h3").algebra.backend == "exact"
+    assert to_numeric(get_example("h3"), 1e-6).algebra.backend == "numeric"
