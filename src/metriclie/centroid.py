@@ -4,13 +4,14 @@ The centroid of an algebra is the space of operators f with
 f([X,Y]) = [f(X),Y] for all X, Y.  Fixing Y = X_j, the condition reads
 f∘ad(X_j) = ad(X_j)∘f, so the centroid is the commutant of ad(g): its
 equations and its residual are the n commutators [ad(X_j), M], read off
-the nonzero entries of the ad matrices cached on the algebra.  Its
-symmetric part (with respect to the Gram matrix) is a commuting family of
-G-self-adjoint operators whose eigenprojections are orthogonal projections
-onto factors.  Decomposition proceeds by drawing a seeded generic
-symmetric-centroid element, splitting along its eigenprojections and
-recursing until every factor has a one-dimensional symmetric centroid,
-which is the irreducibility criterion.
+the nonzero entries of the ad matrices cached on the algebra.  Every
+eigenspace of an element of its symmetric part S (the G-self-adjoint
+elements) is an orthogonal ideal; with no abelian factor the decomposition
+is unique, so that ideal is a sum of irreducible factors.  Hence S is
+spanned by the projections onto the k irreducible factors, and dim S = k.
+Decomposition draws one seeded generic element of S with a minimal
+polynomial of degree dim S; its k eigenprojections are the factor
+projections.
 
 Eigenvalues are extracted exactly from the minimal polynomial when they are
 rational; otherwise the whole computation falls back to the float backend
@@ -60,7 +61,6 @@ class OperatorSubspace:
         return len(self.basis)
 
     def contains(self, M) -> bool:
-        n = self.ambient.dim
         if not self.basis:
             return linalg.is_zero(linalg.max_abs(M), self.ambient.tol)
         A = linalg.transpose(linalg.mat([linalg.vectorize(B) for B in self.basis]))
@@ -243,11 +243,14 @@ def _rational_roots(coeffs):
 def _numeric_eigenvalues(M, tol):
     import numpy as np
 
+    gap = max(tol, 1e-8) * 100
     vals = np.linalg.eigvals(np.array(M, dtype=float))
+    if np.abs(vals.imag).max() > gap:
+        raise InternalAssertionFailure(f"self-adjoint operator has complex eigenvalues {vals}")
     vals = sorted(float(v.real) for v in vals)
     clusters = []
     for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= max(tol, 1e-8) * 100:
+        if clusters and abs(v - clusters[-1][-1]) <= gap:
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -284,52 +287,27 @@ def _random_generic_element(S: OperatorSubspace, rng):
     return a
 
 
-def _irreducible_carriers(sub: MetricLieAlgebra, embed, rng, max_retries):
-    """Recursively split ``sub`` and return ambient carrier spanning sets.
-
-    ``embed`` is an (ambient_dim x sub_dim) matrix mapping sub coordinates
-    into ambient coordinates.
-    """
-    S = symmetric_centroid(sub)
+def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
+    """The projections onto the irreducible factors of A: the eigenprojections
+    of a symmetric-centroid element with dim S eigenvalues, one per factor.
+    Raises _NeedNumeric when those eigenvalues are irrational."""
+    S = symmetric_centroid(A)
     if S.dim == 0:
         raise InternalAssertionFailure("symmetric centroid lost the identity operator")
     if S.dim == 1:
-        return [list(linalg.transpose(embed))]
+        return [linalg.identity(A.dim, A.tol)]
+    rng = random.Random(seed)
     for _ in range(max_retries):
         a = _random_generic_element(S, rng)
-        mp = linalg.minimal_polynomial(a, sub.tol)
-        if len(mp) <= 2:
-            continue  # scalar element, resample
-        if sub.tol:
-            eigenvalues = _numeric_eigenvalues(a, sub.tol)
-        else:
-            eigenvalues = _rational_roots(mp)
-        if len(eigenvalues) < 2:
-            continue
-        carriers = []
-        for P in _eigenprojections(a, eigenvalues, sub.tol):
-            im = _image_subspace(sub, P)
-            induced = restrict(sub, im)
-            C = im.matrix_columns()
-            embed2 = linalg.mat_mul(embed, C)
-            carriers.extend(_irreducible_carriers(induced, embed2, rng, max_retries))
-        return carriers
+        mp = linalg.minimal_polynomial(a, A.tol)
+        if len(mp) - 1 != S.dim:
+            continue  # two factors share an eigenvalue, resample
+        eigenvalues = _numeric_eigenvalues(a, A.tol) if A.tol else _rational_roots(mp)
+        if len(eigenvalues) == S.dim:
+            return _eigenprojections(a, eigenvalues, A.tol)
     raise GenericityFailure(
         f"no separating symmetric centroid element found in {max_retries} draws"
     )
-
-
-def _projection_factors(A: MetricLieAlgebra, carrier: Subspace):
-    """(C, R) with C·R the G-orthogonal projection onto the carrier.
-
-    C holds the carrier basis as columns and R = M·(CᵀG) with
-    M = (CᵀGC)⁻¹ gives coordinates along it.
-    """
-    C = carrier.matrix_columns()
-    Ct = linalg.transpose(C)
-    G = A.gram
-    M = linalg.inverse(linalg.mat_mul(Ct, linalg.mat_mul(G, C)), A.tol)
-    return C, linalg.mat_mul(M, linalg.mat_mul(Ct, G))
 
 
 def _carrier_sort_key(f: Factor):
@@ -339,9 +317,12 @@ def _carrier_sort_key(f: Factor):
 def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES) -> Decomposition:
     """Unique orthogonal decomposition into irreducible factors.
 
-    Refuses algebras with a non-zero abelian factor, for which uniqueness
-    fails.  The result is canonically ordered by (dim, carrier basis), so
-    different seeds produce identical output.
+    One generic symmetric-centroid element separates the factors; each
+    carrier is the canonical image of its certified projection, and its own
+    symmetric centroid must be one-dimensional.  Refuses algebras with a
+    non-zero abelian factor, for which uniqueness fails.  Factors are
+    ordered by (dim, carrier basis): exact output is bit-identical across
+    seeds, numeric output agrees to within ``tol``.
     """
     if A.dim == 0:
         return Decomposition(A, (), A.backend, seed)
@@ -350,23 +331,20 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
             "algebra has a non-zero abelian factor; decomposition is not unique"
         )
     work = A
-    rng = random.Random(seed)
     try:
-        spans = _irreducible_carriers(work, linalg.identity(A.dim, A.tol), rng, max_retries)
+        projections = _factor_projections(work, seed, max_retries)
     except _NeedNumeric:
         work = to_numeric(A)
-        rng = random.Random(seed)
-        spans = _irreducible_carriers(work, linalg.identity(work.dim, work.tol), rng, max_retries)
+        projections = _factor_projections(work, seed, max_retries)
 
     factors = []
-    for span in spans:
-        carrier = Subspace.from_vectors(work.dim, span, work.tol)
-        P = linalg.mat_mul(*_projection_factors(work, carrier))
+    for P in projections:
         cert = is_orthogonal_projection(work, P)
         if not cert.passed:
             raise InternalAssertionFailure(
                 f"factor projection failed verification: {cert.residuals()}"
             )
+        carrier = _image_subspace(work, P)
         induced = restrict(work, carrier)
         sdim = symmetric_centroid(induced).dim
         if sdim != 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .centroid import _projection_factors, centroid_residual, decompose, skew_centroid
+from .centroid import Decomposition, centroid_residual, decompose, skew_centroid
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -375,13 +375,13 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
     return _normalize_sign(linalg.mat_scale(1 / root, K), 0.0), False
 
 
-def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):
+def complex_structures(dec: Decomposition):
     """All orthogonal bi-invariant complex structures, assembled factor-wise.
 
     Returns the empty list or exactly 2^k verified structures, ordered by
-    sign vector (+1 before -1).  Refuses algebras with an abelian factor.
+    sign vector (+1 before -1).  A factor's piece is C·J_f·R, where P = C·R:
+    C has the echelon carrier basis as columns, so R is P's pivot rows.
     """
-    dec = decompose(A, seed=seed)
     work = dec.algebra
     tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
     pieces = []
@@ -390,7 +390,9 @@ def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):
         if res is None:
             return []
         Jf, numeric = res
-        C, R = _projection_factors(work, f.carrier)
+        C = f.carrier.matrix_columns()
+        # a row's pivot is its first entry equal to 1 (before it: 0, or float dust)
+        R = tuple(f.projection[next(c for c, x in enumerate(b) if x == 1)] for b in f.carrier.basis)
         if numeric:
             C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
             tol = tol or DEFAULT_TOL
@@ -409,3 +411,8 @@ def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):
             )
         out.append(ComplexStructure(J, cert, NUMERIC if tol else EXACT, signs))
     return out
+
+
+def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):
+    """complex_structures of A; refuses algebras with an abelian factor."""
+    return complex_structures(decompose(A, seed=seed))

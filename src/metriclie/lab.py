@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .centroid import decompose
-from .complexstruct import enumerate_complex_structures, verify_complex_structure
+from .centroid import decompose, symmetric_centroid
+from .complexstruct import complex_structures, enumerate_complex_structures, verify_complex_structure
 from .core import Metric, MetricLieAlgebra, direct_sum, has_abelian_factor
 from .errors import (
     AbelianBlock,
@@ -81,7 +81,8 @@ def _glued(spec: BlockSpec) -> MetricLieAlgebra:
 def make_irreducible_metric(spec: BlockSpec, hermitian_for=None) -> Metric:
     """A metric making the direct sum of the blocks irreducible.
 
-    Sampled generically and verified through decompose; when
+    Sampled generically and verified by a one-dimensional symmetric
+    centroid, the irreducibility criterion; when
     ``hermitian_for`` is an almost complex structure, the sampled Gram is
     averaged so that the structure stays an isometry.
     """
@@ -96,8 +97,7 @@ def make_irreducible_metric(spec: BlockSpec, hermitian_for=None) -> Metric:
             G = _hermitize(G, hermitian_for)
         metric = Metric(G)
         metric.validate(A.tol)
-        dec = decompose(A.with_metric(metric), seed=spec.seed)
-        if dec.k == 1:
+        if symmetric_centroid(A.with_metric(metric)).dim == 1:
             return metric
     raise GenericityFailure(
         f"no irreducible metric found in {MAX_METRIC_RETRIES} samples"
@@ -132,10 +132,12 @@ def make_metric_with_factor_count(spec: BlockSpec, l: int, hermitian_for=None) -
                 G[off + i][off + j] = g[i][j]
         off += len(g)
     metric = Metric(linalg.mat(G))
-    A = _glued(spec).with_metric(metric)
-    dec = decompose(A, seed=spec.seed)
-    if dec.k != l:
-        raise GenericityFailure(f"constructed metric has {dec.k} factors, wanted {l}")
+    A = _glued(spec)
+    if has_abelian_factor(A):
+        raise AbelianFactorPresent("the direct sum has an abelian factor")
+    factors = symmetric_centroid(A.with_metric(metric)).dim
+    if factors != l:
+        raise GenericityFailure(f"constructed metric has {factors} factors, wanted {l}")
     return metric
 
 
@@ -204,7 +206,7 @@ def metric_scan(A: MetricLieAlgebra, trials: int, seed: int = 0,
             continue
         try:
             dec = decompose(cand, seed=tseed)
-            structures = enumerate_complex_structures(cand, seed=tseed)
+            structures = complex_structures(dec)
         except AbelianFactorPresent:
             skipped += 1
             continue

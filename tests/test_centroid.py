@@ -19,8 +19,16 @@ from metriclie.centroid import (
     split_by_projection,
     symmetric_centroid,
 )
-from metriclie.core import bracket, direct_sum, has_abelian_factor, restrict, to_numeric
-from metriclie.errors import AbelianFactorPresent, NotAProjection
+from metriclie.complexstruct import enumerate_complex_structures
+from metriclie.core import (
+    bracket,
+    direct_sum,
+    has_abelian_factor,
+    make_algebra,
+    restrict,
+    to_numeric,
+)
+from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, NotAProjection
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
 
@@ -272,3 +280,102 @@ def test_bracket_basis_matches_bracket(key, numeric):
     for i in range(n):
         for j in range(n):
             assert A.algebra.bracket_basis(i, j) == bracket(A, e[i], e[j])
+
+
+def test_numeric_eigenvalues_reject_complex_eigenvalues():
+    # a rotation has eigenvalues +-i; its real parts alone would read [0.0]
+    with pytest.raises(InternalAssertionFailure):
+        _numeric_eigenvalues([[0.0, -1.0], [1.0, 0.0]], 1e-9)
+
+
+FACTOR_COUNT_ALGEBRAS = {key: get_example(key) for key in NONABELIAN}
+FACTOR_COUNT_ALGEBRAS["h3c+h3c"] = direct_sum(get_example("h3c"), get_example("h3c"))
+FACTOR_COUNT_ALGEBRAS["h3^3"] = direct_sum(direct_sum(get_example("h3"), get_example("h3")),
+                                           get_example("h3"))
+
+
+@pytest.mark.parametrize("metric_seed", [None, 1, 2], ids=["standard", "random1", "random2"])
+@pytest.mark.parametrize("key", sorted(FACTOR_COUNT_ALGEBRAS))
+def test_factor_count_is_symmetric_centroid_dim(key, metric_seed):
+    """The symmetric centroid is spanned by the factor projections, so its
+    dimension is the number of irreducible factors."""
+    A = FACTOR_COUNT_ALGEBRAS[key]
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
+    assert decompose(A).k == symmetric_centroid(A).dim
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("key", sorted(FACTOR_COUNT_ALGEBRAS))
+def test_projection_is_carrier_times_its_pivot_rows(key, numeric):
+    """P = C·R, where C holds the echelon carrier basis as columns and R is
+    the rows of P at the pivot columns; complex_structures relies on it."""
+    A = FACTOR_COUNT_ALGEBRAS[key]
+    if numeric:
+        A = to_numeric(A)
+    for f in decompose(A).factors:
+        pivots = [next(c for c, x in enumerate(b) if x == 1) for b in f.carrier.basis]
+        for i, b in enumerate(f.carrier.basis):
+            assert all(linalg.is_zero(x, A.tol) for x in b[:pivots[i]])
+            assert [b[p] for p in pivots] == [int(i == j) for j in range(len(pivots))]
+        R = tuple(f.projection[p] for p in pivots)
+        CR = linalg.mat_mul(f.carrier.matrix_columns(), R)
+        assert linalg.mat_max_diff(CR, f.projection) <= A.tol
+
+
+def _h3_over_sqrt2():
+    """h3 over Q(sqrt 2) as a 6-dim rational algebra, basis X1, r X1, X2, r X2,
+    X3, r X3 with r = sqrt 2, and the trace form of Q(sqrt 2) as its Gram.
+    Multiplication by r lies in its symmetric centroid and has eigenvalues
+    +-sqrt 2, so no exact split exists."""
+    brackets = {
+        (0, 2): [(4, F(1))],  # [X1, X2] = X3
+        (0, 3): [(5, F(1))],  # [X1, r X2] = r X3
+        (1, 2): [(5, F(1))],  # [r X1, X2] = r X3
+        (1, 3): [(4, F(2))],  # [r X1, r X2] = 2 X3
+    }
+    gram = [[F(0)] * 6 for _ in range(6)]
+    for i in range(6):
+        gram[i][i] = F(2) if i % 2 == 0 else F(4)
+    return make_algebra(6, brackets, gram, "h3(Q(sqrt2))")
+
+
+def test_decompose_falls_back_to_numeric_on_irrational_eigenvalues():
+    A = _h3_over_sqrt2()
+    assert A.backend == "exact"
+    base = decompose(A, seed=0)
+    tol = base.algebra.tol
+    assert base.backend == "numeric" and tol > 0
+    assert base.k == 2
+    assert [f.carrier.dim for f in base.factors] == [3, 3]
+    for f in base.factors:
+        assert all(r <= tol for r in f.certificate["projection"].values())
+        assert f.certificate["symmetric_centroid_dim"] == 1
+    assert enumerate_complex_structures(A) == []
+    for seed in range(1, 5):
+        dec = decompose(A, seed=seed)
+        assert dec.backend == "numeric" and dec.k == 2
+        for f, g in zip(dec.factors, base.factors):
+            # float carriers differ in low bits across seeds
+            assert linalg.mat_max_diff(f.carrier.basis, g.carrier.basis) <= tol
+
+
+def _scaled(A, s):
+    brackets = {(i, j): [(k, c * s) for k, c in terms] for (i, j), terms in A.algebra.structure}
+    gram = linalg.mat_scale(s, A.gram)
+    return make_algebra(A.dim, brackets, gram, A.name)
+
+
+@pytest.mark.parametrize("scale", [
+    F(10**10),
+    pytest.param(F(1, 10**10), marks=pytest.mark.xfail(
+        strict=True, raises=AbelianFactorPresent,
+        reason="ROADMAP item 5: absolute float tolerances refuse h3c scaled by 1e-10")),
+])
+def test_numeric_decompose_of_scaled_h3c(scale):
+    """Scaling brackets and Gram changes neither the factors nor the J set."""
+    A = to_numeric(_scaled(get_example("h3c"), scale))
+    dec = decompose(A)
+    assert dec.k == 1
+    assert dec.factors[0].projection == linalg.identity(6, A.tol)
+    assert len(enumerate_complex_structures(A)) == 2

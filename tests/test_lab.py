@@ -6,6 +6,7 @@ from metriclie import linalg
 from metriclie.centroid import decompose
 from metriclie.errors import (
     AbelianBlock,
+    AbelianFactorPresent,
     InvalidL,
     NoComplexStructureOnBlock,
 )
@@ -74,6 +75,15 @@ def test_factor_count_on_three_blocks(l):
     metric.validate()
     glued = direct_sum(direct_sum(h3, h3), h3).with_metric(metric)
     assert decompose(glued, seed=11).k == l
+
+
+def test_factor_count_refuses_a_block_with_an_abelian_factor():
+    from metriclie.core import direct_sum
+
+    h3 = get_example("h3")
+    spec = BlockSpec((direct_sum(h3, get_example("abelian2n")), h3), 0)
+    with pytest.raises(AbelianFactorPresent):
+        make_metric_with_factor_count(spec, 2)
 
 
 def test_factor_count_invalid_l():
