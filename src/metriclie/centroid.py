@@ -4,11 +4,15 @@ The centroid of an algebra is the space of operators f with
 f([X,Y]) = [f(X),Y] for all X, Y.  Fixing Y = X_j, the condition reads
 f∘ad(X_j) = ad(X_j)∘f, so the centroid is the commutant of ad(g): its
 equations and its residual are the n commutators [ad(X_j), M], read off
-the nonzero entries of the ad matrices cached on the algebra.  Every
-eigenspace of an element of its symmetric part S (the G-self-adjoint
-elements) is an orthogonal ideal; with no abelian factor the decomposition
-is unique, so that ideal is a sum of irreducible factors.  Hence S is
-spanned by the projections onto the k irreducible factors, and dim S = k.
+the nonzero entries of the ad matrices cached on the algebra.  It does not
+depend on the metric, so it is solved once per Lie algebra and cached with
+the ad matrices.  The metric enters only as a system in d = dim(centroid)
+unknowns, the coordinates on the centroid basis, that selects the
+symmetric part S (the G-self-adjoint elements) or the skew part.  Every
+eigenspace of an element of S is an orthogonal ideal; with no abelian
+factor the decomposition is unique, so that ideal is a sum of irreducible
+factors.  Hence S is spanned by the projections onto the k irreducible
+factors, and dim S = k.
 Decomposition draws one seeded generic element of S with a minimal
 polynomial of degree dim S; its k eigenprojections are the factor
 projections.
@@ -67,76 +71,41 @@ class OperatorSubspace:
         return linalg.solve(A, linalg.vectorize(M), self.ambient.tol) is not None
 
 
-def _canonical_operator_space(A: MetricLieAlgebra, vectors) -> OperatorSubspace:
-    n = A.dim
-    rows = linalg.canonical_rows(vectors, n * n, A.tol)
+def centroid(A: MetricLieAlgebra) -> OperatorSubspace:
+    """Solution space of f([X,Y]) = [f(X),Y]; always contains the identity."""
+    return OperatorSubspace(A, A.algebra._centroid_basis)
+
+
+def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
+    """The centroid elements M = Σ x_k·B_k with G·M = sign·Mᵀ·G (+1: symmetric,
+    -1: skew), solved for x.  G·M − sign·Mᵀ·G is (skew-)symmetric, so its rows
+    are its entries (r, s) with r <= s, read off the nonzero B_k[t][u]."""
+    n, G, tol = A.dim, A.gram, A.tol
+    basis = A.algebra._centroid_basis
+    eqs = {}  # (r, s) -> {k: coefficient of x_k}
+    for k, B in enumerate(basis):
+        for t, u in ((t, u) for t in range(n) for u in range(n) if B[t][u]):
+            b = B[t][u]
+            for r in range(u + 1):
+                eq = eqs.setdefault((r, u), {})
+                eq[k] = eq.get(k, 0) + G[r][t] * b
+            for s in range(u, n):
+                eq = eqs.setdefault((u, s), {})
+                eq[k] = eq.get(k, 0) - sign * b * G[t][s]
+    eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
+    flat = [linalg.vectorize(B) for B in basis]
+    vectors = [tuple(sum(x * v[i] for x, v in zip(xs, flat)) for i in range(n * n))
+               for xs in linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)]
+    rows = linalg.canonical_rows(vectors, n * n, tol)
     return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
 
 
-def _commutant_rows(A: MetricLieAlgebra):
-    """Sparse rows of the commutant equations (ad(X_j)·M − M·ad(X_j))[r][i] = 0.
-
-    Unknowns are the entries M[r][s] at index r*n + s.  Rows come in the
-    order (i, j, r) and zero rows are dropped.
-    """
-    n = A.dim
-    per_j = []
-    for entries in A.algebra.ad_entries:
-        rows = {}
-        for a, b, c in entries:
-            for t in range(n):
-                # ad[a][b] * M[b][t] in entry (a, t); M[t][a] * ad[a][b] in entry (t, b)
-                row = rows.setdefault((a, t), {})
-                row[b * n + t] = row.get(b * n + t, 0) + c
-                row = rows.setdefault((t, b), {})
-                row[t * n + a] = row.get(t * n + a, 0) - c
-        per_j.append(rows)
-    for i in range(n):
-        for rows in per_j:
-            for r in range(n):
-                row = {k: v for k, v in rows.get((r, i), {}).items() if not linalg.is_zero(v, A.tol)}
-                if row:
-                    yield row
-
-
-def _adjoint_constraint_rows(A: MetricLieAlgebra, sign):
-    """Rows of G M - sign * M^T G = 0 (sign=+1 symmetric, -1 skew)."""
-    n = A.dim
-    G = A.gram
-    for r in range(n):
-        for s in range(r, n):
-            row = {}
-            for t in range(n):
-                if not linalg.is_zero(G[r][t], A.tol):
-                    row[t * n + s] = row.get(t * n + s, 0) + G[r][t]
-                if not linalg.is_zero(G[t][s], A.tol):
-                    row[t * n + r] = row.get(t * n + r, 0) - sign * G[t][s]
-            row = {k: v for k, v in row.items() if not linalg.is_zero(v, A.tol)}
-            if row:
-                yield row
-
-
-def _centroid_space(A: MetricLieAlgebra, sign=0) -> OperatorSubspace:
-    """The commutant of ad(g), cut down to its G-symmetric (sign=+1) or
-    G-skew (sign=-1) part when sign is nonzero."""
-    eqs = list(_commutant_rows(A))
-    if sign:
-        eqs += _adjoint_constraint_rows(A, sign)
-    basis = linalg.nullspace_sparse(eqs, A.dim * A.dim, A.tol)
-    return _canonical_operator_space(A, basis)
-
-
-def centroid(A: MetricLieAlgebra) -> OperatorSubspace:
-    """Solution space of f([X,Y]) = [f(X),Y]; always contains the identity."""
-    return _centroid_space(A)
-
-
 def symmetric_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
-    return _centroid_space(A, 1)
+    return _metric_part(A, 1)
 
 
 def skew_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
-    return _centroid_space(A, -1)
+    return _metric_part(A, -1)
 
 
 def centroid_residual(A: MetricLieAlgebra, M) -> object:
@@ -209,10 +178,6 @@ def _image_subspace(A: MetricLieAlgebra, P) -> Subspace:
     return Subspace.from_vectors(len(P), list(cols), A.tol)
 
 
-def _kernel_subspace(A: MetricLieAlgebra, P) -> Subspace:
-    return Subspace.from_vectors(len(P), linalg.nullspace(P, A.tol), A.tol)
-
-
 def split_by_projection(A: MetricLieAlgebra, P):
     """Split A into the factors carried by im(P) and ker(P)."""
     cert = is_orthogonal_projection(A, P)
@@ -220,7 +185,7 @@ def split_by_projection(A: MetricLieAlgebra, P):
         raise NotAProjection(f"operator fails projection axioms: {cert.residuals()}")
     n = A.dim
     im = _image_subspace(A, P)
-    ker = _kernel_subspace(A, P)
+    ker = Subspace.from_vectors(n, linalg.nullspace(P, A.tol), A.tol)
     Q = linalg.mat_sub(linalg.identity(n, A.tol), P)
     f1 = Factor(im, P, restrict(A, im), {"projection": cert.residuals()})
     f2 = Factor(ker, Q, restrict(A, ker), {"projection": is_orthogonal_projection(A, Q).residuals()})

@@ -28,7 +28,8 @@ DEFAULT_TOL = 1e-9
 
 
 def parse_scalar(value, backend: str = EXACT):
-    """Parse an int, float, decimal string or "p/q" string into a scalar."""
+    """Parse an int, Fraction, decimal string or "p/q" string into a scalar.
+    The exact backend refuses a float: its decimal input is already lost."""
     try:
         if backend == NUMERIC:
             if isinstance(value, str) and "/" in value:
@@ -36,9 +37,9 @@ def parse_scalar(value, backend: str = EXACT):
                 return float(num) / float(den)
             return float(value)
         if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
+            raise ParseError(f"exact scalar given as a float: {value!r}")
         return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad scalar {value!r}: {exc}") from exc
 
 
@@ -138,6 +139,40 @@ class LieAlgebra:
     def ad_matrix(self, i: int):
         """Matrix of ad(X_i): v -> [X_i, v]."""
         return self._ad_matrices[i]
+
+    def _commutant_rows(self):
+        """Sparse rows of the commutant equations (ad(X_j)·M − M·ad(X_j))[r][i] = 0.
+
+        Unknowns are the entries M[r][s] at index r*n + s.  Rows come in the
+        order (i, j, r) and zero rows are dropped.
+        """
+        n = self.dim
+        per_j = []
+        for entries in self.ad_entries:
+            rows = {}
+            for a, b, c in entries:
+                for t in range(n):
+                    # ad[a][b] * M[b][t] in entry (a, t); M[t][a] * ad[a][b] in entry (t, b)
+                    row = rows.setdefault((a, t), {})
+                    row[b * n + t] = row.get(b * n + t, 0) + c
+                    row = rows.setdefault((t, b), {})
+                    row[t * n + a] = row.get(t * n + a, 0) - c
+            per_j.append(rows)
+        for i in range(n):
+            for rows in per_j:
+                for r in range(n):
+                    row = {k: v for k, v in rows.get((r, i), {}).items() if not linalg.is_zero(v, self.tol)}
+                    if row:
+                        yield row
+
+    @cached_property
+    def _centroid_basis(self) -> tuple:
+        """Canonical basis of the centroid, the commutant of ad(g), as n x n
+        matrices.  It reads only the bracket, so it is solved once per algebra
+        and shared by every metric on it."""
+        n = self.dim
+        null = linalg.nullspace_sparse(list(self._commutant_rows()), n * n, self.tol)
+        return tuple(linalg.unvectorize(r, n) for r in linalg.canonical_rows(null, n * n, self.tol))
 
 
 @dataclass(frozen=True)

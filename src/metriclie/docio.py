@@ -2,16 +2,18 @@
 
 An algebra document is JSON with fields ``name``, ``dim``, ``field``
 ("rational" or "numeric"), ``brackets`` (entries ``{i, j, terms: [{k, c}]}``
-with 1-based i < j and scalar strings like "1" or "3/4"), an optional
-``gram`` matrix (default identity) and an optional ``j`` matrix marking a
-designated complex structure.  Result documents mirror the schema and add
-result sections.  Exact scalars serialize as "p/q"; numeric ones as the
-shortest round-trip decimal.
+with 1-based i < j and scalar strings like "1" or "3/4"; JSON numbers,
+decimals included, are read exactly), an optional ``gram`` matrix (default
+identity) and an optional ``j`` matrix marking a designated complex
+structure.  Result documents mirror the schema and add result sections.
+Exact scalars serialize as "p/q"; numeric ones as the shortest round-trip
+decimal.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from . import linalg
 from .core import (
@@ -37,7 +39,7 @@ def parse_document(doc, backend=None, tol=None) -> MetricLieAlgebra:
     """Parse a JSON string or already-decoded dict into an algebra."""
     if isinstance(doc, (str, bytes)):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, parse_float=Fraction)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document must be an object")

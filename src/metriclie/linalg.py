@@ -374,7 +374,3 @@ def frac_sqrt(x: Fraction):
 
 def to_float_mat(A: Mat) -> Mat:
     return tuple(tuple(float(x) for x in row) for row in A)
-
-
-def to_float_vec(v: Sequence) -> Vec:
-    return tuple(float(x) for x in v)

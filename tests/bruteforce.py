@@ -13,13 +13,14 @@ from fractions import Fraction
 import sympy
 
 from metriclie import linalg
-from metriclie.core import MetricLieAlgebra
+from metriclie.core import MetricLieAlgebra, bracket
 
 
 def _biinvariance_rows(A: MetricLieAlgebra):
     """Rows of {M : M [X_i, X_j] = [M X_i, X_j] for all ordered pairs}."""
     n = A.dim
-    c = {(i, j): A.algebra.bracket_basis(i, j) for i in range(n) for j in range(n)}
+    e = [linalg.basis_vec(n, i) for i in range(n)]
+    c = {(i, j): bracket(A, e[i], e[j]) for i in range(n) for j in range(n)}
     for i in range(n):
         for j in range(n):
             for r in range(n):
@@ -35,7 +36,8 @@ def _biinvariance_rows(A: MetricLieAlgebra):
                     yield row
 
 
-def _skew_rows(A: MetricLieAlgebra):
+def _adjoint_rows(A: MetricLieAlgebra, sign):
+    """Rows of G M - sign * M^T G = 0 (sign=+1 symmetric, -1 skew)."""
     n = A.dim
     G = A.gram
     for r in range(n):
@@ -45,25 +47,43 @@ def _skew_rows(A: MetricLieAlgebra):
                 if G[r][t]:
                     row[t * n + s] = row.get(t * n + s, 0) + G[r][t]
                 if G[t][s]:
-                    row[t * n + r] = row.get(t * n + r, 0) + G[t][s]
+                    row[t * n + r] = row.get(t * n + r, 0) - sign * G[t][s]
             row = {k: v for k, v in row.items() if v}
             if row:
                 yield row
 
 
-def skew_biinvariant_space(A: MetricLieAlgebra):
-    """Basis matrices of the space {J : bi-invariant and G-skew}."""
-    n = A.dim
-    rows = list(_biinvariance_rows(A)) + list(_skew_rows(A))
-    M = sympy.SparseMatrix(len(rows), n * n, {
+def _sympy_nullspace(rows, ncols):
+    M = sympy.SparseMatrix(len(rows), ncols, {
         (ri, col): sympy.Rational(v.numerator, v.denominator)
         for ri, row in enumerate(rows) for col, v in row.items()
     })
+    return M.nullspace()
+
+
+def skew_biinvariant_space(A: MetricLieAlgebra):
+    """Basis matrices of the space {J : bi-invariant and G-skew}."""
+    n = A.dim
+    rows = list(_biinvariance_rows(A)) + list(_adjoint_rows(A, -1))
     basis = [
         tuple(Fraction(int(x.p), int(x.q)) for x in ns)
-        for ns in M.nullspace()
+        for ns in _sympy_nullspace(rows, n * n)
     ]
     return [linalg.unvectorize(b, n) for b in basis]
+
+
+def centroid_space(A: MetricLieAlgebra, sign=0):
+    """Reduced-echelon basis, as vectorized n x n operators, of the
+    bi-invariant M, cut down to G M = sign * M^T G when sign is nonzero."""
+    n = A.dim
+    rows = list(_biinvariance_rows(A))
+    if sign:
+        rows += _adjoint_rows(A, sign)
+    ns = _sympy_nullspace(rows, n * n)
+    if not ns:
+        return []
+    R, _ = sympy.Matrix.hstack(*ns).T.rref()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in R.row(i)) for i in range(len(ns))]
 
 
 def oracle_complex_structures(A: MetricLieAlgebra, max_params: int = 3):

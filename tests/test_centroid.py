@@ -32,6 +32,8 @@ from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, Not
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
 
+from bruteforce import centroid_space
+
 NONABELIAN = ["h3", "h3c", "ex48", "h3h3", "h3h3-paper-metric", "sl2c-real"]
 
 
@@ -303,6 +305,45 @@ def test_factor_count_is_symmetric_centroid_dim(key, metric_seed):
     if metric_seed is not None:
         A = A.with_metric(random_gram(A.dim, metric_seed))
     assert decompose(A).k == symmetric_centroid(A).dim
+
+
+@pytest.mark.parametrize("key", sorted(FACTOR_COUNT_ALGEBRAS))
+def test_metric_parts_match_the_full_defining_equations(key):
+    """The symmetric and skew centroids, solved as small systems on the
+    centroid basis, equal the reduced-echelon solution of the full n²-unknown
+    equations, built from core.bracket and the Gram and solved with sympy."""
+    A = FACTOR_COUNT_ALGEBRAS[key]
+    base = centroid(A).basis
+    assert [linalg.vectorize(B) for B in base] == centroid_space(A)
+    for metric_seed in (None, 1, 2):
+        B = A if metric_seed is None else A.with_metric(random_gram(A.dim, metric_seed))
+        assert centroid(B).basis == base
+        Bn = to_numeric(B)
+        for part, sign in ((symmetric_centroid, 1), (skew_centroid, -1)):
+            expected = centroid_space(B, sign)
+            assert [linalg.vectorize(M) for M in part(B).basis] == expected
+            got = [linalg.vectorize(M) for M in part(Bn).basis]
+            assert len(got) == len(expected)
+            for g, x in zip(got, expected):
+                assert max(abs(a - float(b)) for a, b in zip(g, x)) <= Bn.tol
+
+
+def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
+    A = get_example("h3c")
+    n = A.dim
+    cols = []
+    solve = linalg.nullspace_sparse
+
+    def counting(equations, ncols, tol=0.0):
+        cols.append(ncols)
+        return solve(equations, ncols, tol)
+
+    monkeypatch.setattr(linalg, "nullspace_sparse", counting)
+    for metric in (A.metric, random_gram(n, 1), random_gram(n, 2)):
+        B = A.with_metric(metric)
+        symmetric_centroid(B)
+        skew_centroid(B)
+    assert cols.count(n * n) == 1
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])

@@ -22,6 +22,7 @@ from metriclie.core import (
     bracket,
     check_jacobi,
     direct_sum,
+    make_algebra,
     to_numeric,
 )
 from metriclie.errors import (
@@ -301,6 +302,37 @@ def test_enumerate_numeric_backend_matches_exact():
             linalg.max_abs(linalg.mat_sub(s.J, linalg.to_float_mat(E))) for E in exact
         )
         assert best < 1e-9
+
+
+def _h3_over_sqrt_minus2():
+    """h3 over Q(s), s² = −2, as a 6-dim rational algebra with basis
+    X1, s X1, X2, s X2, X3, s X3 and Gram diag(1, 2, 1, 2, 1, 2).
+    K = multiplication by s is skew with K² = −2, so J = ±K/√2 is irrational."""
+    brackets = {
+        (0, 2): [(4, F(1))],   # [X1, X2] = X3
+        (0, 3): [(5, F(1))],   # [X1, s X2] = s X3
+        (1, 2): [(5, F(1))],   # [s X1, X2] = s X3
+        (1, 3): [(4, F(-2))],  # [s X1, s X2] = -2 X3
+    }
+    gram = [[F(0)] * 6 for _ in range(6)]
+    K = [[F(0)] * 6 for _ in range(6)]
+    for a in (0, 2, 4):
+        gram[a][a], gram[a + 1][a + 1] = F(1), F(2)
+        K[a + 1][a], K[a][a + 1] = F(1), F(-2)  # K X = s X, K (s X) = -2 X
+    return make_algebra(6, brackets, gram, "h3(Q(sqrt-2))"), linalg.mat(K)
+
+
+def test_enumerate_falls_back_to_float_j_on_irrational_normalizer():
+    A, K = _h3_over_sqrt_minus2()
+    dec = decompose(A)
+    assert dec.backend == "exact" and dec.k == 1
+    structures = enumerate_complex_structures(A)
+    assert [s.signs for s in structures] == [(1,), (-1,)]
+    assert all(s.backend == "numeric" and s.certificate.passed for s in structures)
+    J = linalg.mat_scale(1 / math.sqrt(2), linalg.to_float_mat(K))
+    expected = [linalg.mat_scale(-1, J), J]  # the first nonzero entry, -2/√2 in K/√2, is made positive
+    for s, E in zip(structures, expected):
+        assert linalg.mat_max_diff(s.J, E) <= 1e-12
 
 
 def test_sl2c_real_structures_are_plus_minus_i():

@@ -58,6 +58,19 @@ def test_parse_scalar_bad():
         parse_scalar("1/0")
 
 
+def test_parse_scalar_exact_refuses_floats():
+    with pytest.raises(ParseError):
+        parse_scalar(0.5)
+
+
+def test_decimal_literals_parse_exactly():
+    A = parse_document('{"dim": 1, "gram": [[0.1234567890123]]}')
+    assert A.gram == ((F("0.1234567890123"),),)
+    assert A.gram[0][0] == F(1234567890123, 10**13)
+    B = parse_document('{"dim": 1, "gram": [[0.1234567890123]]}', backend="numeric", tol=1e-9)
+    assert B.gram == ((0.1234567890123,),)
+
+
 def test_format_scalar_roundtrip():
     for s in ("3/4", "-2", "0"):
         assert format_scalar(parse_scalar(s)) == s
