@@ -17,18 +17,18 @@ Decomposition draws one seeded generic element of S with a minimal
 polynomial of degree dim S; its k eigenprojections are the factor
 projections.
 
-Eigenvalues are extracted exactly from the minimal polynomial when they are
-rational; otherwise the whole computation falls back to the float backend
-and reports backend="numeric".
+Eigenvalues are the roots of the minimal polynomial, found exactly by
+Sturm-sequence isolation in integer arithmetic when they are all rational;
+otherwise the whole computation falls back to the float backend and reports
+backend="numeric".
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
 
 from . import linalg
 from .core import (
@@ -192,17 +192,92 @@ def split_by_projection(A: MetricLieAlgebra, P):
     return f1, f2
 
 
+def _sign_at(p, t):
+    """Sign of the integer polynomial p (low-to-high coefficients) at the integer t."""
+    v = 0
+    for c in reversed(p):
+        v = v * t + c
+    return (v > 0) - (v < 0)
+
+
+def _variations(sturm, t):
+    """Sign changes along the Sturm sequence at t; V(lo) − V(hi) counts the
+    distinct real roots in (lo, hi]."""
+    signs = [s for s in (_sign_at(p, t) for p in sturm) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _negated_remainder(a, b):
+    """−(a mod b) times a positive integer, made primitive: the next term of
+    a Sturm sequence.  [] when b divides a."""
+    r, lb = list(a), b[-1]
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        # |lb|·r − sign(lb)·c·x^shift·b cancels the leading term
+        r = [abs(lb) * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= (c if lb > 0 else -c) * y
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return [-x // g for x in r]
+
+
+def _integer_root(h, lo, hi):
+    """The one simple root of h in (lo, hi], if it is an integer, else raise
+    _NeedNumeric.  With one root inside, the sign of h alone bisects."""
+    s_hi = _sign_at(h, hi)
+    while s_hi and hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = _sign_at(h, mid)
+        if s == -s_hi:
+            lo = mid
+        else:
+            hi, s_hi = mid, s
+    if s_hi:
+        raise _NeedNumeric  # the root lies strictly between two integers
+    return hi
+
+
 def _rational_roots(coeffs):
     """All roots of a squarefree rational polynomial, if they are all rational.
 
-    Returns a list of Fractions or raises _NeedNumeric.
+    Returns a list of Fractions or raises _NeedNumeric.  Exact throughout: with
+    integer coefficients a_i and leading a = a_d, h(y) = a^(d−1)·f(y/a) is
+    monic with integer coefficients, so every rational root of f is y/a for
+    an integer root y of h.  Sturm sequences of h isolate its real roots by
+    bisection between integers, starting from the Cauchy bound; a root that
+    is alone in an interval (lo, lo + 1] is rational iff h(lo + 1) = 0.
+    A repeated root raises ValueError.
     """
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
-    rts = sympy.roots(expr, x)
-    if sum(rts.values()) != len(coeffs) - 1 or any(not r.is_rational for r in rts):
-        raise _NeedNumeric
-    return [Fraction(int(r.p), int(r.q)) for r in rts]
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    f = [int(Fraction(c) * den) for c in coeffs]
+    g = math.gcd(*f)
+    f = [c // g for c in f]
+    a, d = f[-1], len(f) - 1
+    h = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    sturm = [h, [i * c for i, c in enumerate(h)][1:]]
+    while len(sturm[-1]) > 1:
+        r = _negated_remainder(sturm[-2], sturm[-1])
+        if not r:
+            raise ValueError("polynomial is not squarefree")
+        sturm.append(r)
+    bound = 1 + max(map(abs, h[:-1]), default=0)  # every root has |y| < bound
+    v_lo, v_hi = _variations(sturm, -bound), _variations(sturm, bound)
+    if v_lo - v_hi != d:
+        raise _NeedNumeric  # some roots are not real
+    roots, intervals = [], [(-bound, v_lo, bound, v_hi)]
+    while intervals:
+        lo, v_lo, hi, v_hi = intervals.pop()
+        if v_lo - v_hi == 1:
+            roots.append(Fraction(_integer_root(h, lo, hi), a))
+        elif v_lo - v_hi > 1:
+            if hi - lo == 1:
+                raise _NeedNumeric  # two roots in (lo, lo + 1]: one is not an integer
+            mid = (lo + hi) // 2
+            v_mid = _variations(sturm, mid)
+            intervals += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return sorted(roots)
 
 
 def _numeric_eigenvalues(M, tol):

@@ -82,20 +82,6 @@ class Subspace:
         """Basis vectors as the columns of an (ambient x dim) matrix."""
         return linalg.transpose(linalg.mat(self.basis)) if self.basis else tuple(() for _ in range(self.ambient_dim))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # x in both spans: solve [B1^T | -B2^T] (a, b) = 0
-        if not self.basis or not other.basis:
-            return Subspace.from_vectors(self.ambient_dim, [], self.tol)
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append(tuple(v[i] for v in self.basis) + tuple(-v[i] for v in other.basis))
-        sols = linalg.nullspace(linalg.mat(rows), self.tol)
-        vecs = []
-        for s in sols:
-            a = s[: len(self.basis)]
-            vecs.append(linalg.vec(sum(c * v[i] for c, v in zip(a, self.basis)) for i in range(self.ambient_dim)))
-        return Subspace.from_vectors(self.ambient_dim, vecs, self.tol)
-
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -371,23 +357,31 @@ def direct_sum(A: MetricLieAlgebra, B: MetricLieAlgebra, name: str = "") -> Metr
 
 
 def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgebra:
-    """Induced bracket and Gram on a bracket-closed subspace."""
+    """Induced bracket and Gram on a bracket-closed subspace.
+
+    One reduction of [C | w_1 … w_m], C the carrier basis as columns and w
+    the brackets of its pairs, gives the coordinates of every w at once; the
+    row operations depend on C alone, so each column comes out as a solve of
+    its own would give it.
+    """
     if S.ambient_dim != A.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
     basis = S.basis
     s = len(basis)
-    C = S.matrix_columns()  # n x s
+    pairs = [(p, q) for p in range(s) for q in range(p + 1, s)]
     brackets = {}
-    for p in range(s):
-        for q in range(p + 1, s):
-            w = bracket(A, basis[p], basis[q])
-            coords = linalg.solve(C, w, A.tol) if s else None
-            if coords is None:
-                raise NotASubalgebra((p + 1, q + 1))
-            terms = [(k, c) for k, c in enumerate(coords) if not linalg.is_zero(c, A.tol)]
+    if pairs:
+        W = [bracket(A, basis[p], basis[q]) for p, q in pairs]
+        rows, pivots = linalg.rref(tuple(zip(*basis, *W)), A.tol)
+        outside = [c - s for c in pivots if c >= s]  # the first is the first bracket not in S
+        if outside:
+            raise NotASubalgebra(tuple(x + 1 for x in pairs[outside[0]]))
+        for m, (p, q) in enumerate(pairs):
+            terms = [(k, row[s + m]) for row, k in zip(rows, pivots) if not linalg.is_zero(row[s + m], A.tol)]
             if terms:
                 brackets[(p, q)] = terms
-    gram = [[linalg.bilinear(A.gram, basis[p], basis[q]) for q in range(s)] for p in range(s)]
+    Gb = [linalg.mat_vec(A.gram, b) for b in basis]
+    gram = [[linalg.dot(Gb[q], basis[p]) for q in range(s)] for p in range(s)]
     return make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.backend, A.tol, check=False)
 
 

@@ -213,16 +213,6 @@ def solve(A: Mat, b: Sequence, tol: float = 0.0):
     return tuple(x)
 
 
-def inverse(A: Mat, tol: float = 0.0) -> Mat:
-    n = len(A)
-    I = identity(n, tol)
-    aug = [list(row) + list(I[i]) for i, row in enumerate(A)]
-    rows, pivots = rref(aug, tol)
-    if pivots[:n] != list(range(n)) or len(rows) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
 def det(A: Mat, tol: float = 0.0):
     n = len(A)
     m = [list(r) for r in A]
@@ -346,17 +336,6 @@ def minimal_polynomial(M: Mat, tol: float = 0.0):
             return list(vec_scale(-1, coords)) + [_zero_one(tol)[1]]
         powers.append(P)
     raise AssertionError("minimal polynomial search exceeded dimension bound")
-
-
-def poly_eval_matrix(coeffs, M: Mat) -> Mat:
-    """Evaluate a polynomial (low-to-high coefficients) at a matrix."""
-    n = len(M)
-    P = identity(n, 1.0 if isinstance(coeffs[-1], float) else 0.0)
-    out = mat_scale(0, P)
-    for c in coeffs:
-        out = mat_add(out, mat_scale(c, P))
-        P = mat_mul(P, M)
-    return out
 
 
 def frac_sqrt(x: Fraction):

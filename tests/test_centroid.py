@@ -3,7 +3,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metriclie import linalg
@@ -215,6 +216,93 @@ def test_rational_roots_rejects_irrational():
 
     with pytest.raises(_NeedNumeric):
         _rational_roots([F(-2), F(0), F(1)])  # x^2 - 2
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _sympy_rational_roots(coeffs):
+    """The oracle: sorted roots from sympy.roots if all are rational, else None."""
+    x = sympy.Symbol("x")
+    rts = sympy.roots(sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                          for k, c in enumerate(coeffs)), x)
+    if sum(rts.values()) != len(coeffs) - 1 or any(not r.is_rational for r in rts):
+        return None
+    return sorted(F(int(r.p), int(r.q)) for r in rts)
+
+
+def _roots_or_none(coeffs):
+    from metriclie.centroid import _NeedNumeric
+
+    try:
+        return _rational_roots(coeffs)
+    except _NeedNumeric:
+        return None
+
+
+BIG = 2**80
+
+
+def _ratio(pair):
+    return F(*pair)
+
+
+@st.composite
+def root_polynomials(draw):
+    """(coefficients, roots): a scaled product of distinct (q·x − p), times an
+    irreducible quadratic when roots is None.  Degree 1 to 6."""
+    size = draw(st.sampled_from([9, 10**6, BIG]))
+    quadratic = draw(st.booleans())
+    nroots = draw(st.integers(0 if quadratic else 1, 4 if quadratic else 6))
+    if draw(st.booleans()):  # a cluster closer together than float resolution
+        base = F(draw(st.integers(-size, size)), draw(st.integers(1, size)))
+        pairs = [(base + F(k, 10**25)).as_integer_ratio() for k in range(nroots)]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(-size, size), st.integers(1, size)),
+                              min_size=nroots, max_size=nroots, unique_by=_ratio))
+    poly = [1]
+    for p, q in pairs:
+        poly = _poly_mul(poly, [-p, q])
+    if quadratic:
+        a = draw(st.integers(1, size))
+        b, c = draw(st.integers(-size, size)), draw(st.integers(-size, size))
+        disc = b * b - 4 * a * c
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        poly = _poly_mul(poly, [c, b, a])
+    scale = F(draw(st.integers(1, size)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, size)))
+    roots = None if quadratic else sorted(F(p, q) for p, q in pairs)
+    return [scale * c for c in poly], roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_polynomials())
+def test_rational_roots_match_sympy(case):
+    coeffs, roots = case
+    got = _roots_or_none(coeffs)
+    assert got == roots  # never refuses an all-rational polynomial
+    assert got == _sympy_rational_roots(coeffs)
+
+
+@pytest.mark.parametrize("roots", [
+    [F(10**20), F(10**20 + 1)],
+    [F(1), F(1) + F(1, 2**60), F(1) - F(1, 2**60)],
+    [F(10**20, 3), F(10**20 + 1, 3), F(-BIG + 1, BIG)],
+])
+def test_rational_roots_closer_than_float_resolution(roots):
+    poly = [1]
+    for r in roots:
+        poly = _poly_mul(poly, [-r.numerator, r.denominator])
+    assert _rational_roots([F(c) for c in poly]) == sorted(roots)
+
+
+def test_rational_roots_refuses_a_repeated_root():
+    with pytest.raises(ValueError):
+        _rational_roots([F(1), F(-2), F(1)])  # (x - 1)^2
 
 
 def test_numeric_eigenvalue_clustering():

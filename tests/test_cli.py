@@ -163,3 +163,22 @@ def test_lab_scan(capsys):
     assert len(doc["table"]) + doc["skipped"] == 3
     for row in doc["table"]:
         assert row["j_count"] in (0, 2)
+
+
+def test_exact_run_imports_neither_sympy_nor_numpy():
+    """The CLI and an exact decomposition that finds roots (h3h3, k = 2) load
+    no sympy and no numpy: neither sits on the exact path."""
+    import os
+    import subprocess
+    import sys
+
+    import metriclie
+
+    code = ("import sys, metriclie.cli\n"
+            "from metriclie import decompose, get_example\n"
+            "assert decompose(get_example('h3h3')).k == 2\n"
+            "print(sorted({'sympy', 'numpy'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

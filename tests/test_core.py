@@ -158,14 +158,74 @@ def test_restrict_non_subalgebra():
         restrict(A, S)
 
 
-def test_subspace_membership_and_intersection():
+def test_subspace_membership():
     S = Subspace.from_vectors(3, [(F(1), F(1), F(0)), (F(0), F(0), F(1))])
     assert S.contains((F(2), F(2), F(5)))
     assert not S.contains((F(1), F(0), F(0)))
-    T = Subspace.from_vectors(3, [(F(1), F(1), F(0)), (F(1), F(0), F(0))])
-    I = S.intersect(T)
-    assert I.dim == 1
-    assert I.contains((F(1), F(1), F(0)))
+
+
+def _restrict_per_pair(A, S):
+    """Reference for restrict: one solve per pair of carrier vectors and one
+    bilinear form per Gram entry."""
+    basis, s = S.basis, S.dim
+    C = S.matrix_columns()
+    brackets = {}
+    for p in range(s):
+        for q in range(p + 1, s):
+            coords = linalg.solve(C, bracket(A, basis[p], basis[q]), A.tol)
+            if coords is None:
+                raise NotASubalgebra((p + 1, q + 1))
+            terms = [(k, c) for k, c in enumerate(coords) if not linalg.is_zero(c, A.tol)]
+            if terms:
+                brackets[(p, q)] = terms
+    gram = [[linalg.bilinear(A.gram, basis[p], basis[q]) for q in range(s)] for p in range(s)]
+    return make_algebra(s, brackets, gram, backend=A.backend, tol=A.tol, check=False)
+
+
+def _in_basis(A, T):
+    """A written in the basis f_i = column i of the invertible matrix T, so
+    that its carriers are not coordinate subspaces and its brackets are dense."""
+    n = A.dim
+    f = linalg.transpose(T)
+    brackets = {(i, j): list(enumerate(linalg.solve(T, bracket(A, f[i], f[j]))))
+                for i in range(n) for j in range(i + 1, n)}
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(T), A.gram), T)
+    return make_algebra(n, brackets, gram, name=A.name + "'")
+
+
+def _restrict_cases():
+    from metriclie.centroid import decompose
+    from metriclie.lab import random_gram
+
+    ex48, h3h3 = get_example("ex48"), get_example("h3h3")
+    T = linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(6)] for i in range(6)])
+    for A in (get_example("h3c"), h3h3, direct_sum(ex48, ex48), _in_basis(h3h3, T)):
+        for metric in ("standard", 1, 2):
+            B = A if metric == "standard" else A.with_metric(random_gram(A.dim, metric))
+            for C in (B, to_numeric(B)):
+                carriers = [f.carrier for f in decompose(C).factors]
+                yield pytest.param(C, carriers, id=f"{A.name}-{metric}-{C.backend}")
+
+
+@pytest.mark.parametrize("A, carriers", list(_restrict_cases()))
+def test_restrict_equals_per_pair_solves(A, carriers):
+    """One elimination for all pairs gives the reference's structure and Gram
+    bit for bit, on both backends; so does the refusal of a subspace that is
+    not a subalgebra."""
+    n = A.dim
+    spans = [Subspace.from_vectors(n, [linalg.basis_vec(n, j, A.tol) for j in (i, i + 1, i + 2)], A.tol)
+             for i in range(n - 2)]
+    for S in carriers + spans:
+        try:
+            ref = _restrict_per_pair(A, S)
+        except NotASubalgebra as exc:
+            with pytest.raises(NotASubalgebra) as got:
+                restrict(A, S)
+            assert got.value.witness == exc.witness
+            continue
+        B = restrict(A, S)
+        assert B.algebra.structure == ref.algebra.structure
+        assert B.gram == ref.gram
 
 
 def test_to_numeric():
