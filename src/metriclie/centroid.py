@@ -79,7 +79,12 @@ def centroid(A: MetricLieAlgebra) -> OperatorSubspace:
 def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     """The centroid elements M = Σ x_k·B_k with G·M = sign·Mᵀ·G (+1: symmetric,
     -1: skew), solved for x.  G·M − sign·Mᵀ·G is (skew-)symmetric, so its rows
-    are its entries (r, s) with r <= s, read off the nonzero B_k[t][u]."""
+    are its entries (r, s) with r <= s, read off the nonzero B_k[t][u].
+
+    The solutions are canonicalised in the d coordinates x, not in the n²
+    matrix entries: the centroid basis B is in reduced echelon form as
+    n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
+    the rows of rref(X)."""
     n, G, tol = A.dim, A.gram, A.tol
     basis = A.algebra._centroid_basis
     eqs = {}  # (r, s) -> {k: coefficient of x_k}
@@ -93,10 +98,9 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
                 eq = eqs.setdefault((u, s), {})
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
-    flat = [linalg.vectorize(B) for B in basis]
-    vectors = [tuple(sum(x * v[i] for x, v in zip(xs, flat)) for i in range(n * n))
-               for xs in linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)]
-    rows = linalg.canonical_rows(vectors, n * n, tol)
+    xs = linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)
+    coords = linalg.canonical_rows(xs, len(basis), tol)
+    rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
     return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
 
 

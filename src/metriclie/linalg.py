@@ -3,10 +3,15 @@
 All matrices are tuples of row tuples.  Exact computations use
 ``fractions.Fraction`` entries and ``tol == 0``; the numeric backend uses
 floats and a strictly positive tolerance.  Dimensions here are tiny
-(algebras of dim <= 12, operator spaces of dim <= 144), so the dense
-routines are plain Gaussian elimination.  The one place where the system
-gets large, solving the centroid equations, goes through
-``nullspace_sparse`` which eliminates integer rows incrementally.
+(algebras of dim <= 12, operator spaces of dim <= 144).  Exact work is
+integer elimination over common denominators, not Fraction arithmetic:
+``mat_mul`` clears each row of A and each column of B to integers and
+forms one Fraction per product entry, and ``rref`` scales each row to
+integers and eliminates fraction-free, in the style of Bareiss (Math.
+Comp. 22, 1968), dividing each pivot row by its pivot only at the end.  The
+large centroid systems go through ``nullspace_sparse``, which eliminates
+sparse integer rows incrementally and back-substitutes with the same
+integer Gauss-Jordan core.
 """
 
 from __future__ import annotations
@@ -59,9 +64,37 @@ def transpose(A: Mat) -> Mat:
     return tuple(zip(*A)) if A else ()
 
 
+def _is_exact(rows) -> bool:
+    return all(type(x) is Fraction or type(x) is int for row in rows for x in row)
+
+
+def _cleared(row):
+    """Integers R and the common denominator d with row = R / d."""
+    pairs = [x.as_integer_ratio() for x in row]
+    d = math.lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
+
+
 def mat_mul(A: Mat, B: Mat) -> Mat:
     Bt = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    if not (_is_exact(A) and _is_exact(Bt)):
+        return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    # An entry is a Fraction iff its row of A or its column of B holds one,
+    # as the sum of products would make it; otherwise both denominators are 1.
+    cols = []
+    for col in Bt:
+        ints, d = _cleared(col)
+        cols.append(([(k, b) for k, b in enumerate(ints) if b], d, any(type(x) is Fraction for x in col)))
+    out = []
+    for row in A:
+        ints, da = _cleared(row)
+        fa = any(type(x) is Fraction for x in row)
+        entries = []
+        for col, db, fb in cols:
+            s = sum(ints[k] * b for k, b in col)
+            entries.append(Fraction(s, da * db) if fa or fb else s)
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def mat_vec(A: Mat, v: Sequence) -> Vec:
@@ -118,15 +151,54 @@ def mat_max_diff(A: Mat, B: Mat):
     return max_abs(mat_sub(A, B))
 
 
+def _int_rref(m, ncols: int):
+    """Fraction-free Gauss-Jordan elimination of the integer rows m (changed in
+    place).  Returns (rows, pivot_cols): the nonzero rows, each a multiple of
+    its reduced-echelon row, which is the row divided by its pivot entry.
+
+    The pivot is the first nonzero entry in the column, as in ``rref``; each
+    updated row is divided by its content, which keeps the integers small.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        best = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        prow = m[r]
+        piv = prow[c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                g = math.gcd(piv, f)
+                a, b = piv // g, f // g
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
 def rref(rows, tol: float = 0.0):
     """Reduced row echelon form.  Returns (rref_rows, pivot_cols).
 
     Zero rows are dropped.  On the numeric backend the pivot is chosen by
-    largest magnitude and entries below tol are snapped to zero.
+    largest magnitude and entries below tol are snapped to zero.  Exact
+    input (Fractions and ints) is reduced in integers by ``_int_rref`` and
+    comes out as Fractions.
     """
     m = [list(r) for r in rows]
     if not m:
         return [], []
+    if not tol and _is_exact(m):
+        ints, pivots = _int_rref([_cleared(row)[0] for row in m], len(m[0]))
+        zero = Fraction(0)
+        return [tuple(Fraction(x, row[c]) if x else zero for x in row)
+                for row, c in zip(ints, pivots)], pivots
     ncols = len(m[0])
     pivots = []
     r = 0
@@ -213,33 +285,28 @@ def solve(A: Mat, b: Sequence, tol: float = 0.0):
     return tuple(x)
 
 
-def det(A: Mat, tol: float = 0.0):
-    n = len(A)
-    m = [list(r) for r in A]
-    sign = 1
-    d = _zero_one(tol)[1]
-    for c in range(n):
-        if tol:
-            piv = max(range(c, n), key=lambda i: abs(m[i][c]))
-            if abs(m[piv][c]) <= tol:
-                return 0.0
-        else:
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        d *= m[c][c]
-        for i in range(c + 1, n):
-            if not is_zero(m[i][c], tol):
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * d
-
-
 def leading_principal_minors(A: Mat, tol: float = 0.0):
-    return [det(tuple(tuple(row[: k + 1]) for row in A[: k + 1]), tol) for k in range(len(A))]
+    """det(A[:k, :k]) for k = 1, 2, ...: the running products of the pivots of
+    one Gaussian elimination without row exchanges (Sylvester).  A pivot
+    within tol ends the list with a zero minor: past it that elimination
+    has no pivot.
+
+    While the minors so far are positive the leading block is positive
+    definite, so the elimination is stable up to the first minor that is not.
+    """
+    m = [list(r) for r in A]
+    minors, d = [], 1
+    for c, prow in enumerate(m):
+        piv = prow[c]
+        if is_zero(piv, tol):
+            return minors + [_zero_one(tol)[0]]
+        d = d * piv
+        minors.append(d)
+        for row in m[c + 1:]:
+            f = row[c] / piv
+            if f:
+                row[c:] = [a - f * b for a, b in zip(row[c:], prow[c:])]
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +315,18 @@ def leading_principal_minors(A: Mat, tol: float = 0.0):
 
 def _to_int_row(row: dict) -> dict:
     """Clear denominators and divide by the content."""
-    denom = 1
-    for v in row.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in row.items() if v != 0}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
-    return {c: v // g for c, v in ints.items()}
+    ints, _ = _cleared(row.values())
+    g = math.gcd(*ints)
+    return {c: v // g for c, v in zip(row, ints) if v}
 
 
 def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
     """Nullspace basis for a system given as sparse rows {col: coeff}.
 
-    Exact rows are scaled to coprime integers so the incremental
-    elimination stays in machine/bignum integer arithmetic.  The numeric
-    path densifies and reuses ``nullspace``.
+    Exact rows are scaled to coprime integers, so the incremental
+    elimination and the back-substitution (``_int_rref``) stay in integer
+    arithmetic; Fractions are formed only for the basis entries.  The
+    numeric path densifies and reuses ``nullspace``.
     """
     if tol:
         dense = []
@@ -293,21 +354,29 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
                 new[col] = new.get(col, 0) - b * v
             row = {col: v for col, v in new.items() if v}
             if row:
-                g = 0
-                for v in row.values():
-                    g = math.gcd(g, v)
+                g = math.gcd(*row.values())
                 row = {col: v // g for col, v in row.items()}
-    # back-substitute the small set of pivot rows into RREF
+    # back-substitute the pivot rows, already in echelon order, in integers
     if not pivot_rows:
         return [basis_vec(ncols, i) for i in range(ncols)]
     dense = []
     for c in sorted(pivot_rows):
-        r = [Fraction(0)] * ncols
+        r = [0] * ncols
         for col, v in pivot_rows[c].items():
-            r[col] = Fraction(v)
-        dense.append(tuple(r))
-    rows, pivots = rref(dense)
-    return _nullspace_from_rref(rows, pivots, ncols)
+            r[col] = v
+        dense.append(r)
+    ints, pivots = _int_rref(dense, ncols)
+    zero, one = Fraction(0), Fraction(1)
+    pivset = set(pivots)
+    basis = []  # x[f] = 1 and x[p] = -row[f] / row[p], one vector per free column f
+    for f in (c for c in range(ncols) if c not in pivset):
+        x = [zero] * ncols
+        x[f] = one
+        for row, p in zip(ints, pivots):
+            if row[f]:
+                x[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(x))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
 
 from bruteforce import centroid_space
+from test_core import _in_basis
 
 NONABELIAN = ["h3", "h3c", "ex48", "h3h3", "h3h3-paper-metric", "sl2c-real"]
 
@@ -414,6 +415,60 @@ def test_metric_parts_match_the_full_defining_equations(key):
             assert len(got) == len(expected)
             for g, x in zip(got, expected):
                 assert max(abs(a - float(b)) for a, b in zip(g, x)) <= Bn.tol
+
+
+def _metric_part_by_entries(A, sign):
+    """Reference for centroid._metric_part: the same equations on the centroid
+    coordinates, but every solution is expanded to its n² matrix entries and
+    the canonical basis is reduced there."""
+    n, G, tol = A.dim, A.gram, A.tol
+    basis = centroid(A).basis
+    eqs = {}
+    for k, B in enumerate(basis):
+        for t, u in ((t, u) for t in range(n) for u in range(n) if B[t][u]):
+            b = B[t][u]
+            for r in range(u + 1):
+                eq = eqs.setdefault((r, u), {})
+                eq[k] = eq.get(k, 0) + G[r][t] * b
+            for s in range(u, n):
+                eq = eqs.setdefault((u, s), {})
+                eq[k] = eq.get(k, 0) - sign * b * G[t][s]
+    eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
+    flat = [linalg.vectorize(B) for B in basis]
+    vectors = [tuple(sum(x * v[i] for x, v in zip(xs, flat)) for i in range(n * n))
+               for xs in linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)]
+    rows = linalg.canonical_rows(vectors, n * n, tol)
+    return tuple(linalg.unvectorize(r, n) for r in rows)
+
+
+def _dense_basis(key):
+    """A bundled example in the basis of the columns of a triangular matrix:
+    there the solutions of the small systems are not already echelon."""
+    A = get_example(key)
+    T = linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(A.dim)] for i in range(A.dim)])
+    return _in_basis(A, T)
+
+
+CANONICAL_ALGEBRAS = dict(FACTOR_COUNT_ALGEBRAS,
+                          **{key + "'": _dense_basis(key) for key in ("h3c", "ex48", "h3h3")})
+
+
+@pytest.mark.parametrize("metric_seed", [None, 1, 2], ids=["standard", "random1", "random2"])
+@pytest.mark.parametrize("key", sorted(CANONICAL_ALGEBRAS))
+def test_metric_parts_canonicalised_in_centroid_coordinates(key, metric_seed):
+    """rref(X·B) = rref(X)·B for the echelon centroid basis B: reducing the
+    solutions in the d centroid coordinates gives the basis that reducing
+    their n² entries gives, exactly, and within tol on the float backend."""
+    A = CANONICAL_ALGEBRAS[key]
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
+    An = to_numeric(A)
+    for part, sign in ((symmetric_centroid, 1), (skew_centroid, -1)):
+        assert part(A).basis == _metric_part_by_entries(A, sign)
+        got, expected = part(An).basis, _metric_part_by_entries(An, sign)
+        assert len(got) == len(expected)
+        for M, N in zip(got, expected):
+            assert linalg.mat_max_diff(M, N) <= An.tol
 
 
 def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):

