@@ -21,6 +21,11 @@ Eigenvalues are the roots of the minimal polynomial, found exactly by
 Sturm-sequence isolation in integer arithmetic when they are all rational;
 otherwise the whole computation falls back to the float backend and reports
 backend="numeric".
+
+Every projection is certified (idempotent, bracket condition, G-symmetric)
+and the projections must sum to I.  On exact operands these residuals are
+integer matrix identities over common denominators, with one Fraction per
+residual; on float operands they are the float formulas.
 """
 
 from __future__ import annotations
@@ -98,8 +103,7 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
                 eq = eqs.setdefault((u, s), {})
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
-    xs = linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)
-    coords = linalg.canonical_rows(xs, len(basis), tol)
+    coords = linalg._canonical_nullspace([eq for eq in eqs if eq], len(basis), tol)
     rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
     return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
 
@@ -114,18 +118,36 @@ def skew_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
 
 def centroid_residual(A: MetricLieAlgebra, M) -> object:
     """Max over i, j of |M[X_i,X_j] − [MX_i,X_j]|, the largest entry of the
-    commutators ad(X_j)·M − M·ad(X_j)."""
+    commutators ad(X_j)·M − M·ad(X_j).  On exact operands they are formed
+    in integers, from M and the ad entries over their common denominators."""
     n = A.dim
-    worst = 0
-    for entries in A.algebra.ad_entries:
+    int_ad = A.algebra._int_ad_entries if linalg._is_exact(M) else None
+    if int_ad is None:
+        ads, X = A.algebra.ad_entries, M
+    else:
+        (ads, e), (X, d) = int_ad, linalg._cleared_matrix(M)
+    stacked = []  # the n commutators, one below the other
+    for entries in ads:
         D = [[0] * n for _ in range(n)]
         for a, b, c in entries:
-            Mb, Da = M[b], D[a]
+            Xb, Da = X[b], D[a]
             for t in range(n):
-                Da[t] += c * Mb[t]
-                D[t][b] -= M[t][a] * c
-        worst = max(worst, linalg.max_abs(D))
-    return worst
+                Da[t] += c * Xb[t]
+                D[t][b] -= X[t][a] * c
+        stacked += D
+    if int_ad is None:
+        return linalg.max_abs(stacked)
+    return linalg._int_max_abs(stacked, e * d, lambda i, s: _commutator_entry_is_fraction(A, M, i, s))
+
+
+def _commutator_entry_is_fraction(A: MetricLieAlgebra, M, i, s) -> bool:
+    """Whether Fraction arithmetic makes entry (r, s) of ad(X_j)·M − M·ad(X_j)
+    a Fraction, with j, r = divmod(i, n): some product added to it has one."""
+    j, r = divmod(i, A.dim)
+    return any(type(c) is Fraction or type(M[b][s]) is Fraction
+               for a, b, c in A.algebra.ad_entries[j] if a == r) or any(
+        type(c) is Fraction or type(M[r][a]) is Fraction
+        for a, b, c in A.algebra.ad_entries[j] if b == s)
 
 
 @dataclass(frozen=True)
@@ -144,12 +166,19 @@ class ProjectionCertificate:
 
 
 def is_orthogonal_projection(A: MetricLieAlgebra, P) -> ProjectionCertificate:
-    """Check p∘p = p, the bracket condition and G-symmetry, with residuals."""
-    tol = A.tol
-    idem = linalg.mat_max_diff(linalg.mat_mul(P, P), P)
+    """Check p∘p = p, the bracket condition and G-symmetry, with residuals.
+    On exact operands the residuals are integer matrix identities: with
+    P = Pᵢ/d and G = Gᵢ/g, max|Pᵢ·Pᵢ − d·Pᵢ| / d² and
+    max|Gᵢ·Pᵢ − Pᵢᵀ·Gᵢ| / (g·d)."""
+    tol, G = A.tol, A.gram
+    if linalg._is_exact(P) and linalg._is_exact(G):
+        Pt = linalg.transpose(P)
+        idem = linalg._exact_residual([(1, P, P), (-1, P)])
+        sym = linalg._exact_residual([(1, G, P), (-1, Pt, G)])
+    else:
+        idem = linalg.mat_max_diff(linalg.mat_mul(P, P), P)
+        sym = linalg.mat_max_diff(linalg.mat_mul(G, P), linalg.mat_mul(linalg.transpose(P), G))
     br = centroid_residual(A, P)
-    G = A.gram
-    sym = linalg.mat_max_diff(linalg.mat_mul(G, P), linalg.mat_mul(linalg.transpose(P), G))
     passed = all(linalg.is_zero(r, tol) for r in (idem, br, sym))
     return ProjectionCertificate(idem, br, sym, passed)
 
@@ -403,10 +432,15 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
 
     # completeness: projections sum to the identity
     n = work.dim
-    total = linalg.zeros(n, n, work.tol)
-    for f in factors:
-        total = linalg.mat_add(total, f.projection)
-    if not linalg.is_zero(linalg.mat_max_diff(total, linalg.identity(n, work.tol)), work.tol):
+    I = linalg.identity(n, work.tol)
+    if work.tol:
+        total = linalg.zeros(n, n, work.tol)
+        for f in factors:
+            total = linalg.mat_add(total, f.projection)
+        residual = linalg.mat_max_diff(total, I)
+    else:
+        residual = linalg._exact_residual([(1, f.projection) for f in factors] + [(-1, I)])
+    if not linalg.is_zero(residual, work.tol):
         raise InternalAssertionFailure("factor projections do not sum to the identity")
     return Decomposition(work, tuple(factors), work.backend, seed)
 

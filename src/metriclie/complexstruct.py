@@ -24,7 +24,6 @@ from .core import (
     Metric,
     MetricLieAlgebra,
     Subspace,
-    bracket,
     direct_sum,
     make_algebra,
 )
@@ -74,21 +73,19 @@ def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructu
         tol = A.tol
         if any(isinstance(x, float) for row in J for x in row):
             tol = tol or DEFAULT_TOL
-    sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
+    G, I = A.gram, linalg.identity(n, A.tol)
+    if not A.tol and linalg._is_exact(J) and linalg._is_exact(G):
+        # integer identities: max|Jᵢ·Jᵢ + d²·I| / d² and max|Gᵢ·Jᵢ + Jᵢᵀ·Gᵢ| / (g·d)
+        sq = linalg._exact_residual([(1, J, J), (1, I)])
+        sk = linalg._exact_residual([(1, G, J), (1, linalg.transpose(J), G)])
+    else:
+        sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, I))
+        sk = linalg.max_abs(
+            linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
+        )
     br = centroid_residual(A, J)
-    G = A.gram
-    sk = linalg.max_abs(
-        linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
-    )
     passed = all(linalg.is_zero(r, tol) for r in (sq, br, sk))
     return ComplexStructureCertificate(sq, br, sk, passed)
-
-
-def _hermitian(A: MetricLieAlgebra, J, u, v) -> HermitianValue:
-    G = A.gram
-    re = linalg.bilinear(G, u, v)
-    im = linalg.bilinear(G, u, linalg.mat_vec(J, v))
-    return HermitianValue(re / 2, im / 2)
 
 
 def hermitian_form(A: MetricLieAlgebra, J, u, v) -> HermitianValue:
@@ -96,7 +93,10 @@ def hermitian_form(A: MetricLieAlgebra, J, u, v) -> HermitianValue:
     cert = verify_complex_structure(A, J)
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
-    return _hermitian(A, J, u, v)
+    G = A.gram
+    re = linalg.bilinear(G, u, v)
+    im = linalg.bilinear(G, u, linalg.mat_vec(J, v))
+    return HermitianValue(re / 2, im / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,10 @@ class DoublingCertificate:
 
 def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     """Check that (a,b) -> (a + Jb, a - Jb) is an isometric isomorphism
-    from the complexification onto (g, J) + (g, -J)."""
+    from the complexification onto (g, J) + (g, -J).
+
+    Each condition is one matrix identity in Φ, the map's matrix, checked on
+    all pairs of basis vectors at once through ``linalg.mat_mul``."""
     cert = verify_complex_structure(A, J)
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
@@ -228,53 +231,41 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
         for r in range(n2)
     )
     D = direct_sum(A, A)  # bracket container for the codomain
+    z = 0.0 if tol else Fraction(0)
+    half = 0.5 if tol else Fraction(1, 2)
+    Phit = linalg.transpose(Phi)
 
-    worst_br = 0
-    for p in range(n2):
-        ep = linalg.basis_vec(n2, p, tol)
-        for q in range(p + 1, n2):
-            eq = linalg.basis_vec(n2, q, tol)
-            lhs = linalg.mat_vec(Phi, bracket(AC.real_form, ep, eq))
-            rhs = bracket(D, linalg.mat_vec(Phi, ep), linalg.mat_vec(Phi, eq))
-            worst_br = max(worst_br, linalg.max_abs_vec(linalg.vec_sub(lhs, rhs)))
+    # Φ[e_p, e_q] = [Φe_p, Φe_q] for all p, q: Φ·ad(e_p) = ad(Φe_p)·Φ, the
+    # blocks over p side by side, with ad(Φe_p) = Σ_r Φ[r][p]·ad(X_r) in D
+    ad_C = [AC.real_form.algebra.ad_matrix(p) for p in range(n2)]
+    ad_Phi = linalg.mat_mul(Phit, tuple(linalg.vectorize(D.algebra.ad_matrix(r)) for r in range(n2)))
+    rhs = [linalg.mat_mul(linalg.unvectorize(a, n2), Phi) for a in ad_Phi]
+    worst_br = linalg.mat_max_diff(
+        linalg.mat_mul(Phi, tuple(tuple(x for ad in ad_C for x in ad[k]) for k in range(n2))),
+        tuple(tuple(x for M in rhs for x in M[k]) for k in range(n2)),
+    )
 
     JJ = tuple(
-        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else (0.0 if tol else Fraction(0))
-              for c in range(n2))
+        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else z for c in range(n2))
         for r in range(n2)
     )
     inter = linalg.mat_max_diff(linalg.mat_mul(Phi, AC.i_op), linalg.mat_mul(JJ, Phi))
 
-    # the embedded copy phi(X) = (X, X) recovers the original inner product
-    worst_emb = 0
-    for i in range(n):
-        ei = linalg.basis_vec(n, i, tol)
-        for j in range(n):
-            ej = linalg.basis_vec(n, j, tol)
-            h1 = _hermitian(A, J, ei, ej)
-            h2 = _hermitian(A, minusJ, ei, ej)
-            worst_emb = max(
-                worst_emb,
-                abs(h1.re + h2.re - A.gram[i][j]),
-                abs(h1.im + h2.im),
-            )
+    # the embedded copy phi(X) = (X, X) recovers the original inner product:
+    # (G + G)/2 = G and (G·J + G·(−J))/2 = 0
+    G = A.gram
+    GJ, GmJ = linalg.mat_mul(G, J), linalg.mat_mul(G, minusJ)
+    worst_emb = max(
+        linalg.max_abs(linalg.mat_sub(linalg.mat_scale(half, linalg.mat_add(G, G)), G)),
+        linalg.max_abs(linalg.mat_scale(half, linalg.mat_add(GJ, GmJ))),
+    )
 
-    # full Hermitian isometry of Phi on basis pairs of the complexification
-    worst_iso = 0
-    for p in range(n2):
-        ep = linalg.basis_vec(n2, p, tol)
-        fp = linalg.mat_vec(Phi, ep)
-        for q in range(n2):
-            eq = linalg.basis_vec(n2, q, tol)
-            fq = linalg.mat_vec(Phi, eq)
-            h1 = _hermitian(A, J, fp[:n], fq[:n])
-            h2 = _hermitian(A, minusJ, fp[n:], fq[n:])
-            hc = hermitian_form_complexified(AC, ep, eq)
-            worst_iso = max(
-                worst_iso,
-                abs(h1.re + h2.re - hc.re),
-                abs(h1.im + h2.im - hc.im),
-            )
+    # full Hermitian isometry of Phi: Φᵀ·(G ⊕ G)·Φ/2 and Φᵀ·(G·J ⊕ G·(−J))·Φ/2
+    # against the real and imaginary parts (G ⊕ G and (G ⊕ G)·i) on g^C
+    Gc = AC.real_form.gram
+    re = linalg.mat_scale(half, linalg.mat_mul(Phit, linalg.mat_mul(Gc, Phi)))
+    im = linalg.mat_scale(half, linalg.mat_mul(Phit, linalg.mat_mul(linalg.mat_mul(Gc, JJ), Phi)))
+    worst_iso = max(linalg.mat_max_diff(re, Gc), linalg.mat_max_diff(im, linalg.mat_mul(Gc, AC.i_op)))
 
     rk = linalg.rank(Phi, tol)
     passed = rk == n2 and all(
@@ -358,9 +349,14 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
             f"basis dump: {K_space.basis}"
         )
     K = K_space.basis[0]
-    K2 = linalg.mat_mul(K, K)
-    lam = K2[0][0]
-    scal_res = linalg.mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(induced.dim, induced.tol)))
+    I = linalg.identity(induced.dim, induced.tol)
+    if induced.tol:
+        K2 = linalg.mat_mul(K, K)
+        lam = K2[0][0]
+        scal_res = linalg.mat_max_diff(K2, linalg.mat_scale(lam, I))
+    else:
+        lam = linalg.mat_mul(K[:1], K)[0][0]
+        scal_res = linalg._exact_residual([(1, K, K), (-lam, I)])
     if not linalg.is_zero(scal_res, induced.tol) or not lam < 0:
         raise InternalAssertionFailure(
             f"skew centroid element has non-scalar or non-negative square (lam={lam})"
@@ -373,6 +369,25 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
         J = linalg.mat_scale(1.0 / math.sqrt(float(-lam)), linalg.to_float_mat(K))
         return _normalize_sign(J, DEFAULT_TOL), True
     return _normalize_sign(linalg.mat_scale(1 / root, K), 0.0), False
+
+
+def _signed_sums(pieces, n: int, tol):
+    """(signs, Σ sᵢ·pieceᵢ) for every sign vector, +1 before −1.  Exact
+    pieces are cleared to one common denominator first, so each sum is
+    formed in integers and divided once per entry."""
+    if tol:
+        for signs in itertools.product((1, -1), repeat=len(pieces)):
+            J = linalg.zeros(n, n, tol)
+            for s, piece in zip(signs, pieces):
+                J = linalg.mat_add(J, linalg.mat_scale(s, piece))
+            yield signs, J
+        return
+    cleared = [linalg._cleared_matrix(piece) for piece in pieces]
+    den = math.lcm(*(d for _, d in cleared))
+    ints = [[[x * (den // d) for x in row] for row in R] for R, d in cleared]
+    for signs in itertools.product((1, -1), repeat=len(pieces)):
+        yield signs, tuple(tuple(Fraction(sum(s * R[i][j] for s, R in zip(signs, ints)), den)
+                                 for j in range(n)) for i in range(n))
 
 
 def complex_structures(dec: Decomposition):
@@ -398,12 +413,8 @@ def complex_structures(dec: Decomposition):
             tol = tol or DEFAULT_TOL
         pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
 
-    n = work.dim
     out = []
-    for signs in itertools.product((1, -1), repeat=len(pieces)):
-        J = linalg.zeros(n, n, tol)
-        for s, piece in zip(signs, pieces):
-            J = linalg.mat_add(J, linalg.mat_scale(s, piece))
+    for signs, J in _signed_sums(pieces, work.dim, tol):
         cert = verify_complex_structure(work, J, tol=tol)
         if not cert.passed:
             raise InternalAssertionFailure(

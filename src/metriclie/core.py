@@ -118,6 +118,18 @@ class LieAlgebra:
             for ad in self._ad_matrices
         )
 
+    @cached_property
+    def _int_ad_entries(self):
+        """(per i, the entries (r, s, c·e) of ad(X_i); e), over the one common
+        denominator e of all structure constants, or None when one of them
+        is a float."""
+        cs = [c for entries in self.ad_entries for _, _, c in entries]
+        if not linalg._is_exact([cs]):
+            return None
+        ints, e = linalg._cleared(cs)
+        it = iter(ints)
+        return tuple(tuple((r, s, next(it)) for r, s, _ in entries) for entries in self.ad_entries), e
+
     def bracket_basis(self, i: int, j: int):
         """[X_i, X_j] as a coordinate vector (0-based indices)."""
         return tuple(row[j] for row in self._ad_matrices[i])
@@ -157,8 +169,8 @@ class LieAlgebra:
         matrices.  It reads only the bracket, so it is solved once per algebra
         and shared by every metric on it."""
         n = self.dim
-        null = linalg.nullspace_sparse(list(self._commutant_rows()), n * n, self.tol)
-        return tuple(linalg.unvectorize(r, n) for r in linalg.canonical_rows(null, n * n, self.tol))
+        basis = linalg._canonical_nullspace(list(self._commutant_rows()), n * n, self.tol)
+        return tuple(linalg.unvectorize(r, n) for r in basis)
 
 
 @dataclass(frozen=True)
@@ -380,8 +392,7 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
             terms = [(k, row[s + m]) for row, k in zip(rows, pivots) if not linalg.is_zero(row[s + m], A.tol)]
             if terms:
                 brackets[(p, q)] = terms
-    Gb = [linalg.mat_vec(A.gram, b) for b in basis]
-    gram = [[linalg.dot(Gb[q], basis[p]) for q in range(s)] for p in range(s)]
+    gram = linalg.mat_mul(basis, linalg.mat_mul(A.gram, S.matrix_columns()))  # Cᵀ·(G·C)
     return make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.backend, A.tol, check=False)
 
 

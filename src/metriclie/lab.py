@@ -122,6 +122,8 @@ def make_metric_with_factor_count(spec: BlockSpec, l: int, hermitian_for=None) -
             for r in range(tail_dim)
         )
     tail_metric = make_irreducible_metric(tail, hermitian_for=tail_j)
+    if not head:  # the tail is the whole algebra, already certified irreducible
+        return tail_metric
     blocks_g = [b.gram for b in head] + [tail_metric.gram]
     n = sum(len(g) for g in blocks_g)
     G = [[Fraction(0)] * n for _ in range(n)]

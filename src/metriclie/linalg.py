@@ -9,9 +9,12 @@ integer elimination over common denominators, not Fraction arithmetic:
 forms one Fraction per product entry, and ``rref`` scales each row to
 integers and eliminates fraction-free, in the style of Bareiss (Math.
 Comp. 22, 1968), dividing each pivot row by its pivot only at the end.  The
-large centroid systems go through ``nullspace_sparse``, which eliminates
-sparse integer rows incrementally and back-substitutes with the same
-integer Gauss-Jordan core.
+large centroid systems go through ``_int_nullspace``, which eliminates
+sparse integer rows incrementally, back-substitutes with the same integer
+Gauss-Jordan core and returns integer kernel vectors; ``nullspace_sparse``
+turns them into Fractions.  Exact certificates are integer matrix
+identities too (``_exact_residual``): each operand is cleared to integers
+over one common denominator, and one Fraction is formed per residual.
 """
 
 from __future__ import annotations
@@ -75,26 +78,38 @@ def _cleared(row):
     return [p * (d // q) for p, q in pairs], d
 
 
+def _cleared_matrix(M):
+    """Integer rows R and one common denominator d with M = R / d."""
+    ints, d = _cleared([x for row in M for x in row])
+    m = len(M[0]) if M else 0
+    return [ints[i * m:(i + 1) * m] for i in range(len(M))], d
+
+
+def _has_fraction(rows):
+    """Per row, whether it holds a Fraction: Fraction arithmetic makes a
+    Fraction of every sum of products that one enters, and keeps ints int."""
+    return [any(type(x) is Fraction for x in row) for row in rows]
+
+
+def _int_products(rows, cols):
+    """The integer matrix product: entry (i, j) is rows[i] · cols[j]; zero
+    entries of the columns are skipped."""
+    cols = [[(k, b) for k, b in enumerate(col) if b] for col in cols]
+    return [[sum(row[k] * b for k, b in col) for col in cols] for row in rows]
+
+
 def mat_mul(A: Mat, B: Mat) -> Mat:
     Bt = transpose(B)
     if not (_is_exact(A) and _is_exact(Bt)):
         return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
-    # An entry is a Fraction iff its row of A or its column of B holds one,
-    # as the sum of products would make it; otherwise both denominators are 1.
-    cols = []
-    for col in Bt:
-        ints, d = _cleared(col)
-        cols.append(([(k, b) for k, b in enumerate(ints) if b], d, any(type(x) is Fraction for x in col)))
-    out = []
-    for row in A:
-        ints, da = _cleared(row)
-        fa = any(type(x) is Fraction for x in row)
-        entries = []
-        for col, db, fb in cols:
-            s = sum(ints[k] * b for k, b in col)
-            entries.append(Fraction(s, da * db) if fa or fb else s)
-        out.append(tuple(entries))
-    return tuple(out)
+    rows, da = zip(*map(_cleared, A)) if A else ((), ())
+    cols, db = zip(*map(_cleared, Bt)) if Bt else ((), ())
+    fa, fb = _has_fraction(A), _has_fraction(Bt)
+    # an entry is a Fraction iff its row of A or its column of B holds one
+    return tuple(
+        tuple(Fraction(s, da[i] * db[j]) if fa[i] or fb[j] else s for j, s in enumerate(row))
+        for i, row in enumerate(_int_products(rows, cols))
+    )
 
 
 def mat_vec(A: Mat, v: Sequence) -> Vec:
@@ -149,6 +164,56 @@ def max_abs_vec(v: Sequence):
 
 def mat_max_diff(A: Mat, B: Mat):
     return max_abs(mat_sub(A, B))
+
+
+def _int_max_abs(R, den: int, is_fraction):
+    """max_abs of the matrix R / den, for integer R: the int 0 when R is zero,
+    else the first largest entry in row-major order, as max_abs takes it.
+    That entry is a Fraction where is_fraction(i, j) says Fraction
+    arithmetic made one, and an int where it did not."""
+    m, at = 0, None
+    for i, row in enumerate(R):
+        for j, x in enumerate(row):
+            if abs(x) > m:
+                m, at = abs(x), (i, j)
+    if not m:
+        return 0
+    return Fraction(m, den) if is_fraction(*at) else m // den
+
+
+def _exact_residual(terms):
+    """max_abs(Σ c·X·Y) over exact operands, as an integer matrix identity.
+
+    A term is (c, X, Y) for the product c·X·Y, or (c, X) for c·X, with c an
+    int or a Fraction.  Each operand is cleared to integers over one common
+    denominator, so the terms are integer matrices over a few products of
+    denominators, brought to their lcm; one Fraction is formed, for the
+    largest entry.  Its type is what the Fraction formula gives: a product
+    entry is a Fraction iff its row of X or its column of Y holds one.
+    """
+    parts = []  # (R, p, d, is_fraction) for the term p·R / d, R an integer matrix
+    for c, *ops in terms:
+        p, q = c.as_integer_ratio()
+        fc = type(c) is Fraction
+        if len(ops) == 1:
+            (X,) = ops
+            R, d = _cleared_matrix(X)
+            is_fraction = lambda i, j, X=X, fc=fc: fc or type(X[i][j]) is Fraction
+        else:
+            X, Y = ops
+            Yt = transpose(Y)
+            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(Yt)
+            R, d = _int_products(Xi, Yi), dx * dy
+            fx, fy = _has_fraction(X), _has_fraction(Yt)
+            is_fraction = lambda i, j, fx=fx, fy=fy, fc=fc: fc or fx[i] or fy[j]
+        parts.append((R, p, q * d, is_fraction))
+    den = math.lcm(*(d for _, _, d, _ in parts))
+    total = None
+    for R, p, d, _ in parts:
+        f = p * (den // d)
+        R = R if f == 1 else [[f * x for x in row] for row in R]
+        total = R if total is None else [[a + b for a, b in zip(u, v)] for u, v in zip(total, R)]
+    return _int_max_abs(total, den, lambda i, j: any(fr(i, j) for *_, fr in parts))
 
 
 def _int_rref(m, ncols: int):
@@ -323,10 +388,9 @@ def _to_int_row(row: dict) -> dict:
 def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
     """Nullspace basis for a system given as sparse rows {col: coeff}.
 
-    Exact rows are scaled to coprime integers, so the incremental
-    elimination and the back-substitution (``_int_rref``) stay in integer
-    arithmetic; Fractions are formed only for the basis entries.  The
-    numeric path densifies and reuses ``nullspace``.
+    Exact rows go through ``_int_nullspace``, and its integer vectors are
+    scaled to x[f] = 1 on their free column f.  The numeric path densifies
+    and reuses ``nullspace``.
     """
     if tol:
         dense = []
@@ -338,7 +402,30 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
         if not dense:
             return [basis_vec(ncols, i, tol) for i in range(ncols)]
         return nullspace(tuple(dense), tol)
+    zero = Fraction(0)
+    basis = []
+    for x in _int_nullspace(equations, ncols):
+        d = next(v for v in reversed(x) if v)  # x[f]: x[p] is nonzero only for pivots p < f
+        basis.append(tuple(Fraction(v, d) if v else zero for v in x))
+    return basis
 
+
+def _canonical_nullspace(equations, ncols: int, tol: float = 0.0):
+    """Canonical reduced-echelon basis of the nullspace of sparse rows
+    {col: coeff}.  Exact rows reduce the integer vectors of
+    ``_int_nullspace`` once, with no Fraction vectors in between."""
+    if tol:
+        return canonical_rows(nullspace_sparse(equations, ncols, tol), ncols, tol)
+    return rref(_int_nullspace(equations, ncols))[0]
+
+
+def _int_nullspace(equations, ncols: int):
+    """Integer nullspace basis of exact sparse rows {col: coeff}: one vector
+    per free column f, a positive multiple of the vector with x[f] = 1.
+
+    The rows are scaled to coprime integers, so the incremental elimination
+    and the back-substitution (``_int_rref``) stay in integer arithmetic.
+    """
     pivot_rows = {}  # leading col -> integer row dict
     for eq in equations:
         row = _to_int_row({c: Fraction(v) for c, v in eq.items() if v != 0})
@@ -357,8 +444,6 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
                 g = math.gcd(*row.values())
                 row = {col: v // g for col, v in row.items()}
     # back-substitute the pivot rows, already in echelon order, in integers
-    if not pivot_rows:
-        return [basis_vec(ncols, i) for i in range(ncols)]
     dense = []
     for c in sorted(pivot_rows):
         r = [0] * ncols
@@ -366,16 +451,16 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
             r[col] = v
         dense.append(r)
     ints, pivots = _int_rref(dense, ncols)
-    zero, one = Fraction(0), Fraction(1)
     pivset = set(pivots)
-    basis = []  # x[f] = 1 and x[p] = -row[f] / row[p], one vector per free column f
+    basis = []  # x[f] = L and x[p] = -row[f]·L / row[p], one vector per free column f
     for f in (c for c in range(ncols) if c not in pivset):
-        x = [zero] * ncols
-        x[f] = one
-        for row, p in zip(ints, pivots):
-            if row[f]:
-                x[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(x))
+        used = [(row, p) for row, p in zip(ints, pivots) if row[f]]
+        L = math.lcm(*(row[p] for row, p in used))
+        x = [0] * ncols
+        x[f] = L
+        for row, p in used:
+            x[p] = -row[f] * (L // row[p])
+        basis.append(x)
     return basis
 
 

@@ -1,0 +1,164 @@
+"""The certificate code that the integer matrix identities replaced, kept as
+their reference.
+
+Every function here computes in the entries' own arithmetic (Fractions,
+ints or floats), entry by entry, as metriclie did before its exact
+certificates were formed over common denominators.  The tests require the
+library to give the same values with the same types, and the same floats
+bit for bit.
+"""
+
+from fractions import Fraction
+
+from metriclie import linalg
+from metriclie.complexstruct import complexify, hermitian_form_complexified
+from metriclie.core import bracket, direct_sum
+
+
+def centroid_residual(A, M):
+    """The largest entry of the commutators ad(X_j)·M − M·ad(X_j)."""
+    n = A.dim
+    worst = 0
+    for entries in A.algebra.ad_entries:
+        D = [[0] * n for _ in range(n)]
+        for a, b, c in entries:
+            Mb, Da = M[b], D[a]
+            for t in range(n):
+                Da[t] += c * Mb[t]
+                D[t][b] -= M[t][a] * c
+        worst = max(worst, linalg.max_abs(D))
+    return worst
+
+
+def projection_residuals(A, P):
+    """(idempotent, bracket, symmetry) of is_orthogonal_projection."""
+    idem = linalg.mat_max_diff(linalg.mat_mul(P, P), P)
+    br = centroid_residual(A, P)
+    G = A.gram
+    sym = linalg.mat_max_diff(linalg.mat_mul(G, P), linalg.mat_mul(linalg.transpose(P), G))
+    return idem, br, sym
+
+
+def complex_structure_residuals(A, J):
+    """(square, bracket, skew) of verify_complex_structure."""
+    n = A.dim
+    sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
+    br = centroid_residual(A, J)
+    G = A.gram
+    sk = linalg.max_abs(
+        linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
+    )
+    return sq, br, sk
+
+
+def projections_sum_residual(projections, n, tol=0.0):
+    """decompose's completeness check: max|Σ P − I|."""
+    total = linalg.zeros(n, n, tol)
+    for P in projections:
+        total = linalg.mat_add(total, P)
+    return linalg.mat_max_diff(total, linalg.identity(n, tol))
+
+
+def square_scalar(K, tol=0.0):
+    """(λ, max|K·K − λ·I|) with λ = (K·K)[0][0], the check on a factor's K."""
+    K2 = linalg.mat_mul(K, K)
+    lam = K2[0][0]
+    return lam, linalg.mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(len(K), tol)))
+
+
+def signed_sums(pieces, n, tol=0.0):
+    """complex_structures' assembly: Σ sᵢ·pieceᵢ for every sign vector."""
+    import itertools
+
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(pieces)):
+        J = linalg.zeros(n, n, tol)
+        for s, piece in zip(signs, pieces):
+            J = linalg.mat_add(J, linalg.mat_scale(s, piece))
+        out.append((signs, J))
+    return out
+
+
+def complex_structures(dec):
+    """(signs, J, certificate residuals) for each structure that
+    complex_structures assembles on an exact decomposition with a J on
+    every factor: the pieces C·J_f·R and their signed sums."""
+    from metriclie.complexstruct import _factor_complex_structure
+
+    pieces = []
+    for f in dec.factors:
+        Jf, _ = _factor_complex_structure(f.induced)
+        C = f.carrier.matrix_columns()
+        R = tuple(f.projection[next(c for c, x in enumerate(b) if x == 1)] for b in f.carrier.basis)
+        pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
+    return [(signs, J, complex_structure_residuals(dec.algebra, J))
+            for signs, J in signed_sums(pieces, dec.algebra.dim)]
+
+
+def restrict_gram(G, basis):
+    """restrict's induced Gram: G·b once per carrier vector, then dot products."""
+    Gb = [linalg.mat_vec(G, b) for b in basis]
+    s = len(basis)
+    return tuple(tuple(linalg.dot(Gb[q], basis[p]) for q in range(s)) for p in range(s))
+
+
+def _hermitian(A, J, u, v):
+    G = A.gram
+    re = linalg.bilinear(G, u, v)
+    im = linalg.bilinear(G, u, linalg.mat_vec(J, v))
+    return re / 2, im / 2
+
+
+def doubling_residuals(A, J):
+    """(bracket, intertwine, embedded_metric, isometry, rank) of
+    verify_doubling_isometry, checked on every pair of basis vectors."""
+    n = A.dim
+    tol = A.tol
+    AC = complexify(A)
+    n2 = AC.dim
+    minusJ = linalg.mat_scale(-1, J)
+    I = linalg.identity(n, tol)
+    Phi = tuple(
+        tuple(I[r % n][c] if c < n else (J if r < n else minusJ)[r % n][c - n] for c in range(n2))
+        for r in range(n2)
+    )
+    D = direct_sum(A, A)
+
+    worst_br = 0
+    for p in range(n2):
+        ep = linalg.basis_vec(n2, p, tol)
+        for q in range(p + 1, n2):
+            eq = linalg.basis_vec(n2, q, tol)
+            lhs = linalg.mat_vec(Phi, bracket(AC.real_form, ep, eq))
+            rhs = bracket(D, linalg.mat_vec(Phi, ep), linalg.mat_vec(Phi, eq))
+            worst_br = max(worst_br, linalg.max_abs_vec(linalg.vec_sub(lhs, rhs)))
+
+    JJ = tuple(
+        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else (0.0 if tol else Fraction(0))
+              for c in range(n2))
+        for r in range(n2)
+    )
+    inter = linalg.mat_max_diff(linalg.mat_mul(Phi, AC.i_op), linalg.mat_mul(JJ, Phi))
+
+    worst_emb = 0
+    for i in range(n):
+        ei = linalg.basis_vec(n, i, tol)
+        for j in range(n):
+            ej = linalg.basis_vec(n, j, tol)
+            re1, im1 = _hermitian(A, J, ei, ej)
+            re2, im2 = _hermitian(A, minusJ, ei, ej)
+            worst_emb = max(worst_emb, abs(re1 + re2 - A.gram[i][j]), abs(im1 + im2))
+
+    worst_iso = 0
+    for p in range(n2):
+        ep = linalg.basis_vec(n2, p, tol)
+        fp = linalg.mat_vec(Phi, ep)
+        for q in range(n2):
+            eq = linalg.basis_vec(n2, q, tol)
+            fq = linalg.mat_vec(Phi, eq)
+            re1, im1 = _hermitian(A, J, fp[:n], fq[:n])
+            re2, im2 = _hermitian(A, minusJ, fp[n:], fq[n:])
+            hc = hermitian_form_complexified(AC, ep, eq)
+            worst_iso = max(worst_iso, abs(re1 + re2 - hc.re), abs(im1 + im2 - hc.im))
+
+    return worst_br, inter, worst_emb, worst_iso, linalg.rank(Phi, tol)

@@ -1,0 +1,286 @@
+"""Exact certificates as integer matrix identities, against the Fraction code
+they replaced (``fraction_reference``).
+
+The operators are random, so the residuals are mostly nonzero and their
+values are really compared.  Entries are small Fractions, Fractions with
+large denominators, ints mixed into Fractions, or ints only; a residual
+must come out with the value and the type of the reference, and float
+operands must take the float formulas, bit for bit.
+"""
+
+import functools
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_reference as ref
+from metriclie import complexstruct, linalg
+from metriclie.centroid import centroid_residual, decompose, is_orthogonal_projection
+from metriclie.complexstruct import (
+    ComplexStructureCertificate,
+    _signed_sums,
+    enumerate_complex_structures,
+    verify_complex_structure,
+    verify_doubling_isometry,
+)
+from metriclie.core import (
+    Metric,
+    MetricLieAlgebra,
+    Subspace,
+    direct_sum,
+    make_algebra,
+    restrict,
+    to_numeric,
+)
+from metriclie.examples import ex48_j1, ex48_j2, example_keys, get_example
+from metriclie.lab import BlockSpec, make_irreducible_metric
+
+
+def _typed(x):
+    """A residual or a matrix with its types, so that 2, F(2) and 2.0 differ."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    return type(x), x
+
+
+ENTRIES = {
+    "small": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    "huge": st.builds(F, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 70)),
+    "int": st.integers(-5, 5),
+}
+ENTRIES["mixed"] = ENTRIES["small"] | ENTRIES["int"]
+KINDS = sorted(ENTRIES)
+
+
+@st.composite
+def operator(draw, n, kind=None):
+    """An n x n matrix of one entry kind; a fifth of the draws zero a row."""
+    kind = kind or draw(st.sampled_from(KINDS))
+    rows = []
+    for _ in range(n):
+        row = tuple(draw(ENTRIES[kind]) for _ in range(n))
+        rows.append(tuple(x * 0 for x in row) if draw(st.integers(0, 4)) == 0 else row)
+    return tuple(rows)
+
+
+def _with_constants(A, how):
+    """A with its structure constants as they are, scaled by 3/7 (proper
+    Fractions) or turned into ints where integral."""
+    def c(x):
+        return x * F(3, 7) if how == "scaled" else (int(x) if how == "int" else x)
+    brackets = {(i, j): [(k, c(x)) for k, x in terms] for (i, j), terms in A.algebra.structure}
+    return make_algebra(A.dim, brackets, A.gram, A.name, check=False)
+
+
+SMALL = [key for key in example_keys() if get_example(key).dim <= 6]
+
+
+@st.composite
+def algebra_with_gram(draw):
+    """A bundled algebra with its constants as drawn, and an arbitrary Gram
+    (the residual formulas need no positive definiteness)."""
+    A = _with_constants(get_example(draw(st.sampled_from(SMALL))),
+                        draw(st.sampled_from(["plain", "scaled", "int"])))
+    G = draw(operator(A.dim))
+    return MetricLieAlgebra(A.algebra, Metric(G), A.name)
+
+
+def _float_copy(M, data):
+    """M with every entry, or one entry, turned into a float."""
+    if data.draw(st.booleans()):
+        return linalg.to_float_mat(M)
+    i, j = data.draw(st.integers(0, len(M) - 1)), data.draw(st.integers(0, len(M) - 1))
+    return tuple(tuple(float(x) if (r, c) == (i, j) else x for c, x in enumerate(row))
+                 for r, row in enumerate(M))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_with_gram(), st.data())
+def test_centroid_residual_equals_the_fraction_reference(A, data):
+    M = data.draw(operator(A.dim))
+    assert _typed(centroid_residual(A, M)) == _typed(ref.centroid_residual(A, M))
+    Mf = _float_copy(M, data)
+    got = centroid_residual(A, Mf)
+    assert _typed(got) == _typed(ref.centroid_residual(A, Mf))
+    An = to_numeric(A)
+    assert _typed(centroid_residual(An, M)) == _typed(ref.centroid_residual(An, M))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_with_gram(), st.data())
+def test_projection_certificate_equals_the_fraction_reference(A, data):
+    P = data.draw(operator(A.dim))
+    cert = is_orthogonal_projection(A, P)
+    want = ref.projection_residuals(A, P)
+    got = (cert.idempotent_residual, cert.bracket_residual, cert.symmetry_residual)
+    assert _typed(got) == _typed(want)
+    assert cert.passed == all(r == 0 for r in want)
+    Pf = _float_copy(P, data)
+    cert = is_orthogonal_projection(A, Pf)
+    got = (cert.idempotent_residual, cert.bracket_residual, cert.symmetry_residual)
+    assert _typed(got) == _typed(ref.projection_residuals(A, Pf))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_with_gram(), st.data())
+def test_complex_structure_certificate_equals_the_fraction_reference(A, data):
+    J = data.draw(operator(A.dim))
+    cert = verify_complex_structure(A, J)
+    want = ref.complex_structure_residuals(A, J)
+    assert _typed((cert.square_residual, cert.bracket_residual, cert.skew_residual)) == _typed(want)
+    Jf = _float_copy(J, data)
+    cert = verify_complex_structure(A, Jf)
+    got = (cert.square_residual, cert.bracket_residual, cert.skew_residual)
+    assert _typed(got) == _typed(ref.complex_structure_residuals(A, Jf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_sum_and_square_checks_equal_the_fraction_reference(n, k, data):
+    """decompose's Σ P = I and the scalar-square check on a factor's K."""
+    I = linalg.identity(n)
+    Ps = [data.draw(operator(n)) for _ in range(k)]
+    if data.draw(st.booleans()):  # make them sum to I
+        Ps.append(linalg.mat_sub(I, functools.reduce(linalg.mat_add, Ps)))
+    got = linalg._exact_residual([(1, P) for P in Ps] + [(-1, I)])
+    assert _typed(got) == _typed(ref.projections_sum_residual(Ps, n))
+    K = data.draw(operator(n))
+    lam, want = ref.square_scalar(K)
+    assert _typed(linalg.mat_mul(K[:1], K)[0][0]) == _typed(lam)
+    assert _typed(linalg._exact_residual([(1, K, K), (-lam, I)])) == _typed(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_exact_residual_of_random_terms(n, m, data):
+    """max|Σ c·X·Y| over products of rectangular operands of mixed kinds."""
+    def matrix(rows, cols):
+        kind = data.draw(st.sampled_from(KINDS))
+        return tuple(tuple(data.draw(ENTRIES[kind]) for _ in range(cols)) for _ in range(rows))
+
+    terms, total = [], None
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from([1, -1, 2, F(-3, 5), F(4)]))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(1, 4))  # a k x 0 matrix is (), whatever k is
+            X, Y = matrix(n, k), matrix(k, m)
+            terms.append((c, X, Y))
+            value = linalg.mat_mul(X, Y)
+        else:
+            X = matrix(n, m)
+            terms.append((c, X))
+            value = X
+        value = linalg.mat_scale(c, value)
+        total = value if total is None else linalg.mat_add(total, value)
+    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total))
+
+
+@pytest.mark.parametrize("terms", [
+    [(F(-3, 5), ((3,),)), (1, ((3,),))],
+    [(1, ((3,),)), (F(-3, 5), ((3,),))],
+    [(F(4), ((1, 2),), ((3,), (4,))), (-1, ((11,),))],
+    [(2, ((1, 2),), ((3,), (4,))), (-1, ((F(11),),))],
+], ids=["fraction-then-int", "int-then-fraction", "integral-fraction-coefficient", "fraction-entry"])
+def test_exact_residual_types_each_term(terms):
+    """Every term's coefficient and operands decide the type where they enter."""
+    total = None
+    for c, *ops in terms:
+        value = linalg.mat_scale(c, linalg.mat_mul(*ops) if len(ops) == 2 else ops[0])
+        total = value if total is None else linalg.mat_add(total, value)
+    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.data())
+def test_signed_sums_equal_the_fraction_reference(n, k, data):
+    kind = data.draw(st.sampled_from(KINDS))
+    pieces = [data.draw(operator(n, kind)) for _ in range(k)]
+    assert [_typed(J) for _, J in _signed_sums(pieces, n, 0.0)] == \
+        [_typed(J) for _, J in ref.signed_sums(pieces, n)]
+    assert [s for s, _ in _signed_sums(pieces, n, 0.0)] == [s for s, _ in ref.signed_sums(pieces, n)]
+    floats = [linalg.to_float_mat(P) for P in pieces]
+    assert [_typed(J) for _, J in _signed_sums(floats, n, 1e-9)] == \
+        [_typed(J) for _, J in ref.signed_sums(floats, n, 1e-9)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.data())
+def test_restrict_gram_equals_the_fraction_reference(n, s, data):
+    """Any subspace of an abelian algebra is a subalgebra, so restrict takes
+    arbitrary carrier rows; its Gram is Cᵀ·(G·C) through mat_mul."""
+    G = data.draw(operator(n))
+    basis = tuple(tuple(data.draw(ENTRIES[data.draw(st.sampled_from(KINDS))]) for _ in range(n))
+                  for _ in range(s))
+    A = MetricLieAlgebra(make_algebra(n, {}, check=False).algebra, Metric(G))
+    S = Subspace(n, basis)
+    assert _typed(restrict(A, S).gram) == _typed(ref.restrict_gram(G, basis))
+    Gf = linalg.to_float_mat(G)
+    An = to_numeric(MetricLieAlgebra(A.algebra, Metric(Gf)))
+    fb = tuple(tuple(float(x) for x in b) for b in basis)
+    got = restrict(An, Subspace(n, fb, An.tol)).gram
+    assert _typed(got) == _typed(ref.restrict_gram(Gf, fb))
+
+
+def _bundled_structures():
+    """Every bundled example with a J: its marker, those of ex48's two
+    structures that are orthogonal for its metric, and every enumerated
+    structure."""
+    for key in example_keys():
+        A = get_example(key)
+        Js = [A.j_marker] if A.j_marker is not None else []
+        if key == "ex48":
+            Js += [ex48_j1(), ex48_j2()]
+        if key != "abelian2n":
+            Js += [s.J for s in enumerate_complex_structures(A)]
+        for i, J in enumerate(J for J in Js if verify_complex_structure(A, J).passed):
+            yield pytest.param(A, J, id=f"{key}-{i}")
+
+
+@pytest.mark.parametrize("A, J", list(_bundled_structures()))
+def test_doubling_residuals_equal_the_per_pair_loops(A, J):
+    cert = verify_doubling_isometry(A, J)
+    got = (cert.bracket_residual, cert.intertwine_residual, cert.embedded_metric_residual,
+           cert.isometry_residual, cert.rank)
+    assert _typed(got) == _typed(ref.doubling_residuals(A, J))
+    assert cert.passed
+    An, Jf = to_numeric(A), linalg.to_float_mat(J)
+    cert = verify_doubling_isometry(An, Jf)
+    assert cert.passed and cert.rank == 2 * A.dim
+    # floats sum in another order than the loops: equal within tol
+    got = cert.residuals().values()
+    assert all(abs(a - b) <= An.tol for a, b in zip(got, ref.doubling_residuals(An, Jf)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["h3", "abelian2n", "h3c"]), st.sampled_from(["small", "mixed"]), st.data())
+def test_doubling_residuals_of_an_arbitrary_operator(key, kind, data):
+    """With the complex-structure check passed over, any operator gives the
+    identities' residuals, mostly nonzero: they equal the per-pair loops."""
+    A = get_example(key)
+    J = data.draw(operator(A.dim, kind))
+    passing = ComplexStructureCertificate(0, 0, 0, True)
+    with mock.patch.object(complexstruct, "verify_complex_structure", return_value=passing):
+        cert = verify_doubling_isometry(A, J)
+    got = (cert.bracket_residual, cert.intertwine_residual, cert.embedded_metric_residual,
+           cert.isometry_residual, cert.rank)
+    assert _typed(got) == _typed(ref.doubling_residuals(A, J))
+
+
+@pytest.mark.parametrize("metric_seed", [None, 3])
+def test_enumerated_structures_equal_the_fraction_assembly(metric_seed):
+    """h3c ⊕ h3c with a block metric has k = 2: four J's, each the signed sum
+    of two pieces, with the certificate of the reference."""
+    h3c = get_example("h3c")
+    first = h3c if metric_seed is None else h3c.with_metric(
+        make_irreducible_metric(BlockSpec((h3c,), metric_seed), hermitian_for=h3c.j_marker))
+    dec = decompose(direct_sum(first, h3c))
+    out = complexstruct.complex_structures(dec)
+    want = ref.complex_structures(dec)
+    assert len(out) == len(want) == 4
+    for s, (signs, J, residuals) in zip(out, want):
+        assert s.signs == signs and _typed(s.J) == _typed(J)
+        got = (s.certificate.square_residual, s.certificate.bracket_residual, s.certificate.skew_residual)
+        assert _typed(got) == _typed(residuals)

@@ -250,7 +250,8 @@ def test_restrict_equals_per_pair_solves(A, carriers):
             continue
         B = restrict(A, S)
         assert B.algebra.structure == ref.algebra.structure
-        assert B.gram == ref.gram
+        assert [[(type(x), x) for x in row] for row in B.gram] == \
+            [[(type(x), x) for x in row] for row in ref.gram]
 
 
 def test_to_numeric():

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from metriclie import linalg
-from metriclie.centroid import decompose
+from metriclie import lab, linalg
+from metriclie.centroid import decompose, symmetric_centroid
+from metriclie.core import direct_sum, has_abelian_factor
 from metriclie.errors import (
     AbelianBlock,
     AbelianFactorPresent,
+    GenericityFailure,
     InvalidL,
     NoComplexStructureOnBlock,
 )
@@ -84,6 +86,54 @@ def test_factor_count_refuses_a_block_with_an_abelian_factor():
     spec = BlockSpec((direct_sum(h3, get_example("abelian2n")), h3), 0)
     with pytest.raises(AbelianFactorPresent):
         make_metric_with_factor_count(spec, 2)
+
+
+def _factor_count_one_by_gluing(spec, hermitian_for=None):
+    """make_metric_with_factor_count for l = 1 as it was: the tail metric on
+    the blocks glued a second time, certified a second time."""
+    tail = BlockSpec(spec.blocks, lab._derive_seed(spec.seed, "tail", 1))
+    metric = make_irreducible_metric(tail, hermitian_for=hermitian_for)
+    A = spec.blocks[0]
+    for b in spec.blocks[1:]:
+        A = direct_sum(A, b)
+    if has_abelian_factor(A):
+        raise AbelianFactorPresent("the direct sum has an abelian factor")
+    if symmetric_centroid(A.with_metric(metric)).dim != 1:
+        raise GenericityFailure("constructed metric is not irreducible")
+    return metric
+
+
+H3, H3C, ABELIAN = get_example("h3"), get_example("h3c"), get_example("abelian2n")
+
+
+@pytest.mark.parametrize("blocks, seed, hermitian, digest", [
+    ((H3, H3, H3), 0, False, "acabb59455bfc710"),
+    ((H3C, H3C), 5, True, "3dd17203dd023b40"),
+    ((H3,), 2, False, "0a6967cf541ff384"),
+], ids=["h3^3", "h3c^2-hermitian", "h3"])
+def test_factor_count_one_is_the_certified_tail_metric(blocks, seed, hermitian, digest):
+    """l = 1 returns the tail metric without gluing again: the same Gram as
+    before (digests of the gluing path), Fractions throughout."""
+    spec = BlockSpec(blocks, seed)
+    J = direct_sum(H3C, H3C).j_marker if hermitian else None
+    metric = make_metric_with_factor_count(spec, 1, hermitian_for=J)
+    assert metric == _factor_count_one_by_gluing(spec, J)
+    assert lab._gram_hash(metric.gram) == digest
+    assert all(type(x) is F for row in metric.gram for x in row)
+
+
+@pytest.mark.parametrize("blocks, retries, error", [
+    ((H3, ABELIAN), lab.MAX_METRIC_RETRIES, AbelianBlock),
+    ((direct_sum(H3, ABELIAN), H3), lab.MAX_METRIC_RETRIES, AbelianBlock),
+    ((H3, H3), 0, GenericityFailure),
+], ids=["abelian-block", "abelian-factor", "no-draws"])
+def test_factor_count_one_raises_as_before(monkeypatch, blocks, retries, error):
+    monkeypatch.setattr(lab, "MAX_METRIC_RETRIES", retries)
+    spec = BlockSpec(blocks, 0)
+    with pytest.raises(error):
+        _factor_count_one_by_gluing(spec)
+    with pytest.raises(error):
+        make_metric_with_factor_count(spec, 1)
 
 
 def test_factor_count_invalid_l():

@@ -222,6 +222,9 @@ def test_rref_equals_the_fraction_reference(A):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in A]
         expected = linalg._nullspace_from_rref(ref, ref_pivots, ncols)
         assert _typed(linalg.nullspace_sparse(sparse, ncols)) == _typed(expected)
+        # one reduction of its integer vectors gives the canonical basis
+        assert _typed(linalg._canonical_nullspace(sparse, ncols)) == \
+            _typed(linalg.canonical_rows(expected, ncols))
 
 
 @settings(max_examples=50, deadline=None)
