@@ -89,13 +89,25 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     The solutions are canonicalised in the d coordinates x, not in the n²
     matrix entries: the centroid basis B is in reduced echelon form as
     n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
-    the rows of rref(X)."""
+    the rows of rref(X).
+
+    On exact operands G and the basis are cleared to integers once (the
+    basis over one common denominator, cached on the algebra), so the
+    equations are integer rows, solved by sparse integer elimination, and
+    each result row is an integer sum over the nonzero basis entries, with
+    one Fraction per matrix entry.  Float operands keep the float formulas.
+    """
     n, G, tol = A.dim, A.gram, A.tol
     basis = A.algebra._centroid_basis
+    cleared = A.algebra._int_centroid_entries
+    exact = cleared is not None and linalg._is_exact(G)
+    if exact:
+        (entries, e), (G, _) = cleared, linalg._cleared_matrix(G)
+    else:
+        entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b] for B in basis]
     eqs = {}  # (r, s) -> {k: coefficient of x_k}
-    for k, B in enumerate(basis):
-        for t, u in ((t, u) for t in range(n) for u in range(n) if B[t][u]):
-            b = B[t][u]
+    for k, E in enumerate(entries):
+        for t, u, b in E:
             for r in range(u + 1):
                 eq = eqs.setdefault((r, u), {})
                 eq[k] = eq.get(k, 0) + G[r][t] * b
@@ -103,9 +115,20 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
                 eq = eqs.setdefault((u, s), {})
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
-    coords = linalg._canonical_nullspace([eq for eq in eqs if eq], len(basis), tol)
-    rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
-    return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
+    eqs = [eq for eq in eqs if eq]
+    if not exact:
+        coords = linalg._canonical_nullspace(eqs, len(basis), tol)
+        rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
+        return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
+    coords, dx = linalg._int_canonical_nullspace(eqs, len(basis))
+    out = []
+    for x in coords:  # Σ x_k·B_k = Σ (X_k/dx)·(b/e), over the nonzero X_k and b
+        M = [0] * (n * n)
+        for k, xk in x.items():
+            for t, u, b in entries[k]:
+                M[t * n + u] += xk * b
+        out.append(linalg.unvectorize([Fraction(v, dx * e) for v in M], n))
+    return OperatorSubspace(A, tuple(out))
 
 
 def symmetric_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
@@ -331,7 +354,10 @@ def _numeric_eigenvalues(M, tol):
 
 
 def _eigenprojections(a, eigenvalues, tol):
-    """Lagrange interpolation projections onto the eigenspaces of a."""
+    """Lagrange interpolation projections onto the eigenspaces of a: the
+    products of (a − μ·I)/(λ − μ) over μ ≠ λ.  An exact product starts from
+    its first factor, so a split into two needs no product at all; a float
+    one starts from I, whose product turns a −0.0 into 0.0."""
     n = len(a)
     projections = []
     I = linalg.identity(n, tol)
@@ -340,12 +366,16 @@ def _eigenprojections(a, eigenvalues, tol):
         for mu in eigenvalues:
             if mu == lam:
                 continue
-            P = linalg.mat_mul(P, linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I))))
+            X = linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I)))
+            P = X if P is I and not tol else linalg.mat_mul(P, X)
         projections.append(P)
     return projections
 
 
 def _random_generic_element(S: OperatorSubspace, rng):
+    """Σ c_k·S_k with seeded nonzero integer coefficients c_k.  On exact
+    operands the basis is cleared to one common denominator and the sum is
+    formed in integers, with one Fraction per entry."""
     coeffs = []
     for _ in range(S.dim):
         c = 0
@@ -354,6 +384,12 @@ def _random_generic_element(S: OperatorSubspace, rng):
         coeffs.append(c)
     n = S.ambient.dim
     tol = S.ambient.tol
+    entries = [x for B in S.basis for row in B for x in row]
+    if not tol and linalg._is_exact([entries]):
+        ints, d = linalg._cleared(entries)
+        m = n * n
+        return linalg.unvectorize(
+            [Fraction(sum(c * ints[k * m + i] for k, c in enumerate(coeffs)), d) for i in range(m)], n)
     a = linalg.zeros(n, n, tol)
     for c, B in zip(coeffs, S.basis):
         a = linalg.mat_add(a, linalg.mat_scale(float(c) if tol else Fraction(c), B))

@@ -142,11 +142,14 @@ class LieAlgebra:
         """Sparse rows of the commutant equations (ad(X_j)·M − M·ad(X_j))[r][i] = 0.
 
         Unknowns are the entries M[r][s] at index r*n + s.  Rows come in the
-        order (i, j, r) and zero rows are dropped.
+        order (i, j, r) and zero rows are dropped.  On an exact algebra the
+        coefficients are the integer ad entries of ``_int_ad_entries``: the
+        system times their common denominator, with the same solutions.
         """
         n = self.dim
+        int_ad = self._int_ad_entries
         per_j = []
-        for entries in self.ad_entries:
+        for entries in self.ad_entries if int_ad is None else int_ad[0]:
             rows = {}
             for a, b, c in entries:
                 for t in range(n):
@@ -167,10 +170,28 @@ class LieAlgebra:
     def _centroid_basis(self) -> tuple:
         """Canonical basis of the centroid, the commutant of ad(g), as n x n
         matrices.  It reads only the bracket, so it is solved once per algebra
-        and shared by every metric on it."""
+        and shared by every metric on it.  On an exact algebra it is the
+        sparse integer basis ``_int_centroid_entries`` divided out."""
         n = self.dim
-        basis = linalg._canonical_nullspace(list(self._commutant_rows()), n * n, self.tol)
-        return tuple(linalg.unvectorize(r, n) for r in basis)
+        if self.tol:
+            basis = linalg._canonical_nullspace(list(self._commutant_rows()), n * n, self.tol)
+            return tuple(linalg.unvectorize(r, n) for r in basis)
+        entries, e = self._int_centroid_entries
+        rows = [{t * n + u: b for t, u, b in E} for E in entries]
+        return tuple(linalg.unvectorize(r, n) for r in linalg._fraction_rows(rows, e, n * n))
+
+    @cached_property
+    def _int_centroid_entries(self):
+        """(per centroid basis element B_k, its nonzero entries (t, u, b·e) in
+        row-major order; e), over the one common denominator e of the whole
+        basis, or None on the float backend.  The integer commutant rows are
+        solved and reduced by sparse integer elimination
+        (``linalg._int_canonical_nullspace``)."""
+        if self.tol:
+            return None
+        n = self.dim
+        rows, e = linalg._int_canonical_nullspace(list(self._commutant_rows()), n * n)
+        return tuple(tuple((*divmod(col, n), b) for col, b in sorted(row.items())) for row in rows), e
 
 
 @dataclass(frozen=True)

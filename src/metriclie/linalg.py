@@ -9,12 +9,16 @@ integer elimination over common denominators, not Fraction arithmetic:
 forms one Fraction per product entry, and ``rref`` scales each row to
 integers and eliminates fraction-free, in the style of Bareiss (Math.
 Comp. 22, 1968), dividing each pivot row by its pivot only at the end.  The
-large centroid systems go through ``_int_nullspace``, which eliminates
-sparse integer rows incrementally, back-substitutes with the same integer
-Gauss-Jordan core and returns integer kernel vectors; ``nullspace_sparse``
-turns them into Fractions.  Exact certificates are integer matrix
-identities too (``_exact_residual``): each operand is cleared to integers
-over one common denominator, and one Fraction is formed per residual.
+centroid systems go through ``_int_nullspace``, which never leaves sparse
+integer rows: it eliminates them forward incrementally (``_int_echelon``,
+the sparsest rows first), back-substitutes over the pivot-row dicts alone
+(``_int_reduce``), so the work follows the nonzero entries and not the n²
+columns, and returns integer kernel vectors; ``_int_canonical_nullspace``
+reduces those once more, sparsely, to the canonical basis over one common
+denominator, and ``nullspace_sparse`` turns them into Fractions.  Exact
+certificates are integer matrix identities too (``_exact_residual``): each
+operand is cleared to integers over one common denominator, and one
+Fraction is formed per residual.
 """
 
 from __future__ import annotations
@@ -379,10 +383,12 @@ def leading_principal_minors(A: Mat, tol: float = 0.0):
 # ---------------------------------------------------------------------------
 
 def _to_int_row(row: dict) -> dict:
-    """Clear denominators and divide by the content."""
-    ints, _ = _cleared(row.values())
-    g = math.gcd(*ints)
-    return {c: v // g for c, v in zip(row, ints) if v}
+    """The row {col: coeff} of ints or Fractions as coprime integers, with
+    its zero entries dropped.  Int rows are not cleared."""
+    vals = list(row.values())
+    if not all(type(v) is int for v in vals):
+        vals, _ = _cleared(vals)
+    return _primitive({c: v for c, v in zip(row, vals) if v})
 
 
 def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
@@ -412,54 +418,115 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
 
 def _canonical_nullspace(equations, ncols: int, tol: float = 0.0):
     """Canonical reduced-echelon basis of the nullspace of sparse rows
-    {col: coeff}.  Exact rows reduce the integer vectors of
-    ``_int_nullspace`` once, with no Fraction vectors in between."""
+    {col: coeff}.  Exact rows are reduced in integers by
+    ``_int_canonical_nullspace``, with one Fraction per nonzero entry."""
     if tol:
         return canonical_rows(nullspace_sparse(equations, ncols, tol), ncols, tol)
-    return rref(_int_nullspace(equations, ncols))[0]
+    return _fraction_rows(*_int_canonical_nullspace(equations, ncols), ncols)
+
+
+def _int_canonical_nullspace(equations, ncols: int):
+    """(rows, d): the canonical reduced-echelon basis of the nullspace of
+    exact sparse rows {col: coeff} as sparse integer rows {col: v} in pivot
+    order, over one common denominator d.  The integer vectors of
+    ``_int_nullspace`` are reduced once more, sparsely."""
+    vectors = ({c: v for c, v in enumerate(x) if v} for x in _int_nullspace(equations, ncols))
+    rows = _int_reduce(_int_echelon(vectors, ncols))
+    d = math.lcm(*(row[c] for c, row in rows.items()))
+    return [{col: v * (d // row[c]) for col, v in row.items()} for c, row in sorted(rows.items())], d
+
+
+def _fraction_rows(rows, d: int, ncols: int):
+    """The sparse integer rows {col: v} over the denominator d as dense
+    Fraction rows of length ncols."""
+    zero = Fraction(0)
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for col, v in row.items():
+            dense[col] = Fraction(v, d)
+        out.append(tuple(dense))
+    return out
+
+
+def _int_echelon(rows, ncols: int):
+    """Sparse fraction-free forward elimination: {leading col: row}, every
+    row a coprime integer dict whose leading column no other row has.  The
+    rows {col: coeff} hold ints or Fractions.
+
+    The sparsest rows go first, and a row that is sparser than the pivot row
+    it meets takes its place, so the pivot rows stay sparse; once every
+    column has a pivot the remaining rows are in their span.
+    """
+    pivot_rows = {}
+    for row in sorted(map(_to_int_row, rows), key=len):
+        while row:
+            c = min(row)
+            p = pivot_rows.get(c)
+            if p is None:
+                pivot_rows[c] = row
+                break
+            if len(row) < len(p):
+                pivot_rows[c], row, p = row, p, row
+            row = _primitive(_cancel(row, p, c))
+        if len(pivot_rows) == ncols:
+            break
+    return pivot_rows
+
+
+def _int_reduce(pivot_rows):
+    """Back-substitute the echelon rows of ``_int_echelon`` in place, from
+    the last pivot up: each row is cleared at the other pivot columns with
+    the rows below it, already reduced, and divided by its content.  Every
+    row ends up coprime and a multiple of its reduced-echelon row."""
+    for c in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[c]
+        for p in [col for col in row if col != c and col in pivot_rows]:
+            row = _cancel(row, pivot_rows[p], p)  # that row is zero at every other pivot
+        pivot_rows[c] = _primitive(row)
+    return pivot_rows
+
+
+def _cancel(row, p, c):
+    """a·row − b·p for the integer dicts row and p, with a and b their
+    entries at column c over their gcd, so that column c cancels; zero
+    entries are dropped."""
+    g = math.gcd(p[c], row[c])
+    a, b = p[c] // g, row[c] // g
+    new = {col: a * v for col, v in row.items()}
+    for col, v in p.items():
+        new[col] = new.get(col, 0) - b * v
+    return {col: v for col, v in new.items() if v}
+
+
+def _primitive(row):
+    """The integer dict row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {col: v // g for col, v in row.items()} if g > 1 else row
 
 
 def _int_nullspace(equations, ncols: int):
     """Integer nullspace basis of exact sparse rows {col: coeff}: one vector
     per free column f, a positive multiple of the vector with x[f] = 1.
 
-    The rows are scaled to coprime integers, so the incremental elimination
-    and the back-substitution (``_int_rref``) stay in integer arithmetic.
+    The rows are scaled to coprime integers and eliminated sparsely, forward
+    (``_int_echelon``) and back (``_int_reduce``), so the work follows the
+    nonzero entries and not the ncols columns.
     """
-    pivot_rows = {}  # leading col -> integer row dict
-    for eq in equations:
-        row = _to_int_row({c: Fraction(v) for c, v in eq.items() if v != 0})
-        while row:
-            c = min(row)
-            if c not in pivot_rows:
-                pivot_rows[c] = row
-                break
-            p = pivot_rows[c]
-            a, b = p[c], row[c]
-            new = {col: a * v for col, v in row.items()}
-            for col, v in p.items():
-                new[col] = new.get(col, 0) - b * v
-            row = {col: v for col, v in new.items() if v}
-            if row:
-                g = math.gcd(*row.values())
-                row = {col: v // g for col, v in row.items()}
-    # back-substitute the pivot rows, already in echelon order, in integers
-    dense = []
-    for c in sorted(pivot_rows):
-        r = [0] * ncols
-        for col, v in pivot_rows[c].items():
-            r[col] = v
-        dense.append(r)
-    ints, pivots = _int_rref(dense, ncols)
-    pivset = set(pivots)
+    rows = _int_reduce(_int_echelon(equations, ncols))
+    used = {}  # free col f -> the pivots p whose reduced row has an entry at f
+    for p, row in rows.items():
+        for col in row:
+            if col != p:
+                used.setdefault(col, []).append(p)
     basis = []  # x[f] = L and x[p] = -row[f]·L / row[p], one vector per free column f
-    for f in (c for c in range(ncols) if c not in pivset):
-        used = [(row, p) for row, p in zip(ints, pivots) if row[f]]
-        L = math.lcm(*(row[p] for row, p in used))
+    for f in (c for c in range(ncols) if c not in rows):
+        ps = used.get(f, ())
+        L = math.lcm(*(rows[p][p] for p in ps))
         x = [0] * ncols
         x[f] = L
-        for row, p in used:
-            x[p] = -row[f] * (L // row[p])
+        for p in ps:
+            x[p] = -rows[p][f] * (L // rows[p][p])
         basis.append(x)
     return basis
 

@@ -1,16 +1,23 @@
-"""The certificate code that the integer matrix identities replaced, kept as
-their reference.
+"""The code that the integer matrix identities and the sparse integer
+solves replaced, kept as their reference.
 
-Every function here computes in the entries' own arithmetic (Fractions,
+The certificates here compute in the entries' own arithmetic (Fractions,
 ints or floats), entry by entry, as metriclie did before its exact
-certificates were formed over common denominators.  The tests require the
-library to give the same values with the same types, and the same floats
-bit for bit.
+certificates were formed over common denominators.  The exact kernel
+(``int_nullspace``, ``canonical_nullspace``) back-substitutes densely over
+all columns, ``metric_part`` builds its equations and its result rows in
+Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
+step as Fraction sums and products from I, as before the centroid and
+metric-part solves ran in sparse integers.  The tests require the library
+to give the same values with the same types, and the same floats bit for
+bit.
 """
 
+import math
 from fractions import Fraction
 
 from metriclie import linalg
+from metriclie.centroid import GENERIC_COEFF_BOUND
 from metriclie.complexstruct import complexify, hermitian_form_complexified
 from metriclie.core import bracket, direct_sum
 
@@ -110,7 +117,7 @@ def _hermitian(A, J, u, v):
 
 
 def doubling_residuals(A, J):
-    """(bracket, intertwine, embedded_metric, isometry, rank) of
+    """(bracket, intertwine, isometry, rank) of
     verify_doubling_isometry, checked on every pair of basis vectors."""
     n = A.dim
     tol = A.tol
@@ -140,15 +147,6 @@ def doubling_residuals(A, J):
     )
     inter = linalg.mat_max_diff(linalg.mat_mul(Phi, AC.i_op), linalg.mat_mul(JJ, Phi))
 
-    worst_emb = 0
-    for i in range(n):
-        ei = linalg.basis_vec(n, i, tol)
-        for j in range(n):
-            ej = linalg.basis_vec(n, j, tol)
-            re1, im1 = _hermitian(A, J, ei, ej)
-            re2, im2 = _hermitian(A, minusJ, ei, ej)
-            worst_emb = max(worst_emb, abs(re1 + re2 - A.gram[i][j]), abs(im1 + im2))
-
     worst_iso = 0
     for p in range(n2):
         ep = linalg.basis_vec(n2, p, tol)
@@ -161,4 +159,114 @@ def doubling_residuals(A, J):
             hc = hermitian_form_complexified(AC, ep, eq)
             worst_iso = max(worst_iso, abs(re1 + re2 - hc.re), abs(im1 + im2 - hc.im))
 
-    return worst_br, inter, worst_emb, worst_iso, linalg.rank(Phi, tol)
+    return worst_br, inter, worst_iso, linalg.rank(Phi, tol)
+
+
+def _to_int_row(row):
+    """Clear denominators and divide by the content."""
+    ints, _ = linalg._cleared(row.values())
+    g = math.gcd(*ints)
+    return {c: v // g for c, v in zip(row, ints) if v}
+
+
+def int_nullspace(equations, ncols):
+    """linalg._int_nullspace: incremental sparse elimination of the rows as
+    Fractions cleared to integers, then a dense integer Gauss-Jordan
+    (``linalg._int_rref``) over all ncols columns."""
+    pivot_rows = {}  # leading col -> integer row dict
+    for eq in equations:
+        row = _to_int_row({c: Fraction(v) for c, v in eq.items() if v != 0})
+        while row:
+            c = min(row)
+            if c not in pivot_rows:
+                pivot_rows[c] = row
+                break
+            p = pivot_rows[c]
+            a, b = p[c], row[c]
+            new = {col: a * v for col, v in row.items()}
+            for col, v in p.items():
+                new[col] = new.get(col, 0) - b * v
+            row = {col: v for col, v in new.items() if v}
+            if row:
+                g = math.gcd(*row.values())
+                row = {col: v // g for col, v in row.items()}
+    dense = []
+    for c in sorted(pivot_rows):
+        r = [0] * ncols
+        for col, v in pivot_rows[c].items():
+            r[col] = v
+        dense.append(r)
+    ints, pivots = linalg._int_rref(dense, ncols)
+    pivset = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivset):
+        used = [(row, p) for row, p in zip(ints, pivots) if row[f]]
+        L = math.lcm(*(row[p] for row, p in used))
+        x = [0] * ncols
+        x[f] = L
+        for row, p in used:
+            x[p] = -row[f] * (L // row[p])
+        basis.append(x)
+    return basis
+
+
+def canonical_nullspace(equations, ncols):
+    """linalg._canonical_nullspace on exact rows: the dense rref of the
+    integer kernel vectors."""
+    return linalg.rref(int_nullspace(equations, ncols))[0]
+
+
+def metric_part(A, sign):
+    """centroid._metric_part's basis: the equations G·M = sign·Mᵀ·G on the
+    centroid coordinates built entry by entry in the scalars' own arithmetic,
+    and the result rows as the product of the canonical coordinates with the
+    n²-vectors of the centroid basis."""
+    n, G, tol = A.dim, A.gram, A.tol
+    basis = A.algebra._centroid_basis
+    eqs = {}
+    for k, B in enumerate(basis):
+        for t, u in ((t, u) for t in range(n) for u in range(n) if B[t][u]):
+            b = B[t][u]
+            for r in range(u + 1):
+                eq = eqs.setdefault((r, u), {})
+                eq[k] = eq.get(k, 0) + G[r][t] * b
+            for s in range(u, n):
+                eq = eqs.setdefault((u, s), {})
+                eq[k] = eq.get(k, 0) - sign * b * G[t][s]
+    eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
+    eqs = [eq for eq in eqs if eq]
+    if tol:
+        coords = linalg.canonical_rows(linalg.nullspace_sparse(eqs, len(basis), tol), len(basis), tol)
+    else:
+        coords = canonical_nullspace(eqs, len(basis))
+    rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
+    return tuple(linalg.unvectorize(r, n) for r in rows)
+
+
+def generic_element(S, rng):
+    """_random_generic_element as it was: seeded coefficients, then Fraction
+    or float scalings and sums from a zero matrix."""
+    coeffs = []
+    for _ in range(S.dim):
+        c = 0
+        while c == 0:
+            c = rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
+        coeffs.append(c)
+    tol = S.ambient.tol
+    a = linalg.zeros(S.ambient.dim, S.ambient.dim, tol)
+    for c, B in zip(coeffs, S.basis):
+        a = linalg.mat_add(a, linalg.mat_scale(float(c) if tol else Fraction(c), B))
+    return a
+
+
+def eigenprojections(a, eigenvalues, tol):
+    """The Lagrange products (a − μ·I)/(λ − μ), each started from I."""
+    I = linalg.identity(len(a), tol)
+    projections = []
+    for lam in eigenvalues:
+        P = I
+        for mu in eigenvalues:
+            if mu != lam:
+                P = linalg.mat_mul(P, linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I))))
+        projections.append(P)
+    return projections

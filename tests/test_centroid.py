@@ -33,6 +33,7 @@ from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, Not
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
 
+import fraction_reference as ref
 from bruteforce import centroid_space
 from test_core import _in_basis
 
@@ -487,6 +488,77 @@ def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
         symmetric_centroid(B)
         skew_centroid(B)
     assert cols.count(n * n) == 1
+
+
+def _entries_typed(matrices):
+    return [[(type(x), x) for row in M for x in row] for M in matrices]
+
+
+@st.composite
+def metric_part_input(draw):
+    """An algebra with its brackets scaled by a Fraction (up to 70-bit
+    numerator and denominator), bundled, a sum, or in a dense basis, and a
+    standard, random or J-hermitian Gram matrix."""
+    key = draw(st.sampled_from(sorted(CANONICAL_ALGEBRAS)))
+    A = CANONICAL_ALGEBRAS[key]
+    bits = draw(st.sampled_from([3, 70]))
+    s = F(draw(st.integers(1, 2 ** bits)), draw(st.integers(1, 2 ** bits))) * draw(st.sampled_from([1, -1]))
+    G = A.gram
+    kind = draw(st.sampled_from(["standard", "random", "hermitian"]))
+    if kind != "standard":
+        G = random_gram(A.dim, draw(st.integers(0, 10 ** 6))).gram
+    if kind == "hermitian" and A.j_marker is not None:
+        J = A.j_marker
+        G = linalg.mat_scale(F(1, 2), linalg.mat_add(G, linalg.mat_mul(linalg.transpose(J),
+                                                                       linalg.mat_mul(G, J))))
+    brackets = {(i, j): [(k, c * s) for k, c in terms] for (i, j), terms in A.algebra.structure}
+    return A, make_algebra(A.dim, brackets, G, A.name, check=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(metric_part_input())
+def test_metric_parts_equal_the_fraction_reference(inputs):
+    """The integer metric-part solve gives the bases of the Fraction code it
+    replaced, with Fraction entries, and the float path is unchanged bit for
+    bit.  The centroid of the scaled bracket is the centroid of the bracket."""
+    base, A = inputs
+    assert _entries_typed(centroid(A).basis) == _entries_typed(centroid(base).basis)
+    assert all(type(x) is F for B in centroid(A).basis for row in B for x in row)
+    An = to_numeric(A)
+    for part, sign in ((symmetric_centroid, 1), (skew_centroid, -1)):
+        assert _entries_typed(part(A).basis) == _entries_typed(ref.metric_part(A, sign))
+        assert repr(part(An).basis) == repr(ref.metric_part(An, sign))
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("key", ["h3h3", "h3^3", "h3c+h3c"])
+def test_generic_element_and_its_split_equal_the_fraction_reference(key, numeric):
+    """The integer sum Σ c_k·S_k and the Lagrange products started from their
+    first factor have the values and types of the Fraction code; the float
+    path keeps its sums and its products from I, bit for bit."""
+    import random
+
+    from metriclie.centroid import _eigenprojections, _random_generic_element
+
+    A = FACTOR_COUNT_ALGEBRAS[key]
+    A = to_numeric(A) if numeric else A
+    S = symmetric_centroid(A)
+    assert S.dim >= 2
+    a = _random_generic_element(S, random.Random(7))
+    assert repr(a) == repr(ref.generic_element(S, random.Random(7)))
+    eigenvalues = (_numeric_eigenvalues(a, A.tol) if numeric
+                   else _rational_roots(linalg.minimal_polynomial(a)))
+    got = _eigenprojections(a, eigenvalues, A.tol)
+    assert repr(got) == repr(ref.eigenprojections(a, eigenvalues, A.tol))
+
+
+def test_float_split_keeps_the_sign_of_zero():
+    """(a − 2·I)/(1 − 2) has −0.0 off the diagonal; the float product from I
+    makes it 0.0, as it always did."""
+    from metriclie.centroid import _eigenprojections
+
+    a = ((1.0, 0.0), (0.0, 2.0))
+    assert repr(_eigenprojections(a, [1.0, 2.0], 1e-9)) == "[((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0))]"
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])

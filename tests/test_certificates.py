@@ -36,7 +36,7 @@ from metriclie.core import (
     to_numeric,
 )
 from metriclie.examples import ex48_j1, ex48_j2, example_keys, get_example
-from metriclie.lab import BlockSpec, make_irreducible_metric
+from metriclie.lab import BlockSpec, make_irreducible_metric, random_gram
 
 
 def _typed(x):
@@ -242,8 +242,7 @@ def _bundled_structures():
 @pytest.mark.parametrize("A, J", list(_bundled_structures()))
 def test_doubling_residuals_equal_the_per_pair_loops(A, J):
     cert = verify_doubling_isometry(A, J)
-    got = (cert.bracket_residual, cert.intertwine_residual, cert.embedded_metric_residual,
-           cert.isometry_residual, cert.rank)
+    got = (cert.bracket_residual, cert.intertwine_residual, cert.isometry_residual, cert.rank)
     assert _typed(got) == _typed(ref.doubling_residuals(A, J))
     assert cert.passed
     An, Jf = to_numeric(A), linalg.to_float_mat(J)
@@ -264,8 +263,26 @@ def test_doubling_residuals_of_an_arbitrary_operator(key, kind, data):
     passing = ComplexStructureCertificate(0, 0, 0, True)
     with mock.patch.object(complexstruct, "verify_complex_structure", return_value=passing):
         cert = verify_doubling_isometry(A, J)
-    got = (cert.bracket_residual, cert.intertwine_residual, cert.embedded_metric_residual,
-           cert.isometry_residual, cert.rank)
+    got = (cert.bracket_residual, cert.intertwine_residual, cert.isometry_residual, cert.rank)
+    assert _typed(got) == _typed(ref.doubling_residuals(A, J))
+
+
+@pytest.mark.parametrize("metric_seed", [1, 2])
+def test_doubling_isometry_residual_catches_a_non_isometric_j(metric_seed):
+    """h3c's J is a bi-invariant complex structure but no isometry of a
+    random Gram matrix.  With the complex-structure check passed over, the
+    bracket and intertwining identities still hold, and the isometry
+    residual alone refuses the map."""
+    A = get_example("h3c").with_metric(random_gram(6, metric_seed))
+    J = A.j_marker
+    plain = verify_complex_structure(A, J)
+    assert plain.square_residual == plain.bracket_residual == 0 and plain.skew_residual > 0
+    passing = ComplexStructureCertificate(0, 0, 0, True)
+    with mock.patch.object(complexstruct, "verify_complex_structure", return_value=passing):
+        cert = verify_doubling_isometry(A, J)
+    assert cert.bracket_residual == cert.intertwine_residual == 0
+    assert cert.isometry_residual > 0 and cert.rank == 12 and not cert.passed
+    got = (cert.bracket_residual, cert.intertwine_residual, cert.isometry_residual, cert.rank)
     assert _typed(got) == _typed(ref.doubling_residuals(A, J))
 
 

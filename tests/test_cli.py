@@ -182,3 +182,94 @@ def test_exact_run_imports_neither_sympy_nor_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _digest_algebras():
+    from metriclie.core import direct_sum
+
+    algebras = {key: get_example(key) for key in example_keys()}
+    algebras["h3c+h3c"] = direct_sum(get_example("h3c"), get_example("h3c"))
+    algebras["h3^3"] = direct_sum(direct_sum(get_example("h3"), get_example("h3")),
+                                  get_example("h3"))
+    return algebras
+
+
+# (algebra, random_gram seed or None for the standard metric, command) ->
+# (exit code, first 16 hex digits of the sha256 of the structured stdout),
+# taken before the exact centroid and metric-part solves moved to sparse
+# integers; an exit code 3 is the abelian refusal, with nothing on stdout
+EXACT_OUTPUT_DIGESTS = {
+    ("abelian2n", None, "decompose"): (3, "e3b0c44298fc1c14"),
+    ("abelian2n", None, "jstructs"): (3, "e3b0c44298fc1c14"),
+    ("abelian2n", 1, "decompose"): (3, "e3b0c44298fc1c14"),
+    ("abelian2n", 1, "jstructs"): (3, "e3b0c44298fc1c14"),
+    ("abelian2n", 2, "decompose"): (3, "e3b0c44298fc1c14"),
+    ("abelian2n", 2, "jstructs"): (3, "e3b0c44298fc1c14"),
+    ("ex48", None, "decompose"): (0, "7de9ada30ccb7eac"),
+    ("ex48", None, "jstructs"): (0, "289437a56d719969"),
+    ("ex48", 1, "decompose"): (0, "085843caa1183767"),
+    ("ex48", 1, "jstructs"): (0, "76faca5d9e04115f"),
+    ("ex48", 2, "decompose"): (0, "1a9991bf3da5c7cb"),
+    ("ex48", 2, "jstructs"): (0, "d9cfce12502f877d"),
+    ("h3", None, "decompose"): (0, "c8adb29594728095"),
+    ("h3", None, "jstructs"): (0, "d399a2d17de0ce6b"),
+    ("h3", 1, "decompose"): (0, "f41644c7dc489d5b"),
+    ("h3", 1, "jstructs"): (0, "04d5ee22dd430bcd"),
+    ("h3", 2, "decompose"): (0, "b1cf451cd28c71ef"),
+    ("h3", 2, "jstructs"): (0, "1fab5351c1ee3320"),
+    ("h3c", None, "decompose"): (0, "1ecd3288c7636d1c"),
+    ("h3c", None, "jstructs"): (0, "360b10f5523e809f"),
+    ("h3c", 1, "decompose"): (0, "2d26b87151872222"),
+    ("h3c", 1, "jstructs"): (0, "3cea8de615eba59c"),
+    ("h3c", 2, "decompose"): (0, "0b6140fe5bda3311"),
+    ("h3c", 2, "jstructs"): (0, "49ef0572d829d40a"),
+    ("h3h3", None, "decompose"): (0, "a5437e17dc9b8d8b"),
+    ("h3h3", None, "jstructs"): (0, "f94aedfd93485df9"),
+    ("h3h3", 1, "decompose"): (0, "dd9cb5226ea3e0f2"),
+    ("h3h3", 1, "jstructs"): (0, "c4fe1d02926af0a1"),
+    ("h3h3", 2, "decompose"): (0, "5fce2057bf88f73a"),
+    ("h3h3", 2, "jstructs"): (0, "68b1e2611d7d97f7"),
+    ("h3h3-paper-metric", None, "decompose"): (0, "4b80187f7253e2d4"),
+    ("h3h3-paper-metric", None, "jstructs"): (0, "b96ef868868ab0f6"),
+    ("h3h3-paper-metric", 1, "decompose"): (0, "458ce4a60554387d"),
+    ("h3h3-paper-metric", 1, "jstructs"): (0, "607c8df86109f271"),
+    ("h3h3-paper-metric", 2, "decompose"): (0, "8adc3cc81d70ab50"),
+    ("h3h3-paper-metric", 2, "jstructs"): (0, "ea6a4511b5422f52"),
+    ("sl2c-real", None, "decompose"): (0, "59ae401a3dcf1161"),
+    ("sl2c-real", None, "jstructs"): (0, "3d9276789b0825b6"),
+    ("sl2c-real", 1, "decompose"): (0, "8a8be065971c0310"),
+    ("sl2c-real", 1, "jstructs"): (0, "f3c90872ebd937a6"),
+    ("sl2c-real", 2, "decompose"): (0, "687e5285ba902ef0"),
+    ("sl2c-real", 2, "jstructs"): (0, "ed49da6e31457a37"),
+    ("h3c+h3c", None, "decompose"): (0, "c866b8906a107a85"),
+    ("h3c+h3c", None, "jstructs"): (0, "fa866fad69033141"),
+    ("h3c+h3c", 1, "decompose"): (0, "ff8a67d1b901eb16"),
+    ("h3c+h3c", 1, "jstructs"): (0, "2107e9d15805660c"),
+    ("h3c+h3c", 2, "decompose"): (0, "700a7eee875fc41d"),
+    ("h3c+h3c", 2, "jstructs"): (0, "b06ad9a7d8a930cb"),
+    ("h3^3", None, "decompose"): (0, "0018694227ac38f1"),
+    ("h3^3", None, "jstructs"): (0, "32af466d94d49263"),
+    ("h3^3", 1, "decompose"): (0, "a3633f21fb6b72e5"),
+    ("h3^3", 1, "jstructs"): (0, "371fed1c685fd2eb"),
+    ("h3^3", 2, "decompose"): (0, "24990a4d1d8a47ab"),
+    ("h3^3", 2, "jstructs"): (0, "42173e05bf8d9cca"),
+}
+
+
+@pytest.mark.parametrize("key, metric_seed, cmd", sorted(EXACT_OUTPUT_DIGESTS, key=str))
+def test_exact_structured_output_is_byte_identical(key, metric_seed, cmd, algfile, capsys):
+    """Exact structured output is pinned byte for byte by its digest, on
+    every bundled example, h3c+h3c and h3^3, each with the standard metric
+    and random_gram seeds 1 and 2.  The numeric backend is left out: its
+    eigenvalues come from numpy, whose low bits may differ across BLAS
+    builds."""
+    import hashlib
+
+    from metriclie.lab import random_gram
+
+    A = _digest_algebras()[key]
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
+    code = main(["--format", "structured", cmd, algfile(render_document(A))])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert (code, digest) == EXACT_OUTPUT_DIGESTS[key, metric_seed, cmd]

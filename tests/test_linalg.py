@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from metriclie import linalg
 
 
@@ -240,3 +241,63 @@ def test_rref_with_a_float_entry_takes_the_float_path(A, data):
     ref, ref_pivots = _rref_reference(A)
     assert pivots == ref_pivots
     assert _typed(got) == _typed(ref)
+
+
+# ---------------------------------------------------------------------------
+# The sparse integer kernel against the dense back-substitution it replaced.
+# ---------------------------------------------------------------------------
+
+SPARSE_VALUES = {
+    "int": st.integers(-9, 9),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    "huge": st.builds(F, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 70)),
+}
+SPARSE_VALUES["mixed"] = SPARSE_VALUES["int"] | SPARSE_VALUES["fraction"] | SPARSE_VALUES["huge"]
+
+
+@st.composite
+def sparse_system(draw):
+    """(rows, ncols): sparse rows {col: coeff} of ints, Fractions (up to
+    70-bit denominators) or both, some with a single entry and some with
+    zero coefficients only; "full-rank" adds a triangular block of rank
+    ncols, "all-zero" has no nonzero coefficient at all."""
+    ncols = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["sparse", "single", "full-rank", "all-zero"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        values = SPARSE_VALUES[draw(st.sampled_from(sorted(SPARSE_VALUES)))]
+        size = 1 if shape == "single" else draw(st.integers(1, min(ncols, 4)))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
+        rows.append({c: 0 if shape == "all-zero" else draw(values) for c in cols})
+    if shape == "full-rank":
+        for c in range(ncols):
+            later = draw(st.lists(st.integers(c + 1, ncols), max_size=2, unique=True))
+            rows.append({c: draw(st.integers(1, 5)), **{d: draw(SPARSE_VALUES["mixed"])
+                                                         for d in later if d < ncols}})
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_system())
+def test_int_nullspace_equals_the_dense_back_substitution(system):
+    """The same integer vectors as the dense Gauss-Jordan over all columns,
+    ints throughout, and the same canonical basis in Fractions."""
+    rows, ncols = system
+    got = linalg._int_nullspace(rows, ncols)
+    assert got == ref.int_nullspace(rows, ncols)
+    assert all(type(x) is int for x in sum(got, []))
+    for x in got:
+        assert all(sum(v * x[c] for c, v in row.items()) == 0 for row in rows)
+    canonical = linalg._canonical_nullspace(rows, ncols)
+    assert _typed(canonical) == _typed(ref.canonical_nullspace(rows, ncols))
+    assert all(isinstance(row, tuple) for row in canonical)
+    dense = tuple(tuple(F(row.get(c, 0)) for c in range(ncols)) for row in rows)
+    expected = linalg._nullspace_from_rref(*_rref_reference(dense), ncols)
+    assert _typed(linalg.nullspace_sparse(rows, ncols)) == _typed(expected)
+
+
+def test_int_nullspace_of_a_full_rank_system_is_empty():
+    rows = [{0: 2, 3: F(1, 3)}, {1: F(-5, 7)}, {2: 1, 1: 4}, {3: 9}, {0: 1, 1: 1, 2: 1, 3: 1}]
+    assert linalg._int_nullspace(rows, 4) == []
+    assert linalg._canonical_nullspace(rows, 4) == []
+    assert linalg._int_canonical_nullspace(rows, 4) == ([], 1)
