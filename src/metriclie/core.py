@@ -340,14 +340,25 @@ def check_jacobi(A: MetricLieAlgebra) -> JacobiReport:
 
 
 def center(A: MetricLieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint maps."""
+    """The common kernel of the adjoint maps.  On an exact algebra its rows
+    are the rows of the integer ad matrices (``_int_ad_entries``), a sparse
+    system in n unknowns reduced to the canonical basis by
+    ``linalg._int_canonical_nullspace``; otherwise it is the nullspace of
+    the stacked dense ad matrices."""
+    n, int_ad = A.dim, A.algebra._int_ad_entries
+    if not A.tol and int_ad is not None:
+        rows = []
+        for entries in int_ad[0]:
+            per_row = {}
+            for r, s, c in entries:
+                per_row.setdefault(r, {})[s] = c
+            rows += per_row.values()
+        return Subspace(n, tuple(linalg._fraction_rows(*linalg._int_canonical_nullspace(rows, n), n)))
     rows = []
-    for j in range(A.dim):
+    for j in range(n):
         rows.extend(A.algebra.ad_matrix(j))
-    if not rows:
-        return Subspace.from_vectors(0, [], A.tol)
     basis = linalg.nullspace(linalg.mat(rows), A.tol)
-    return Subspace.from_vectors(A.dim, basis, A.tol)
+    return Subspace.from_vectors(n, basis, A.tol)
 
 
 def derived_subalgebra(A: MetricLieAlgebra) -> Subspace:

@@ -19,6 +19,18 @@ denominator, and ``nullspace_sparse`` turns them into Fractions.  Exact
 certificates are integer matrix identities too (``_exact_residual``): each
 operand is cleared to integers over one common denominator, and one
 Fraction is formed per residual.
+
+Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
+``canonical_rows`` and the float ``nullspace_sparse``) is ``_float_rref``:
+Gauss-Jordan with partial pivoting over one float64 numpy array, a few
+vectorised steps per pivot column.  It is bit-identical to the same loop
+over Python floats: each entry gets the same IEEE-754 divisions, products
+and differences in the same order, rows within tol at the pivot column are
+left untouched as the loop leaves them, and no BLAS product (whose
+summation order depends on the build) is used.  numpy is imported there,
+lazily, so exact work never loads it.  Float ``mat_mul`` stays a Python
+``sum``, which is compensated on Python 3.12 and later, so a numpy product
+would not match it.
 """
 
 from __future__ import annotations
@@ -255,15 +267,18 @@ def _int_rref(m, ncols: int):
 def rref(rows, tol: float = 0.0):
     """Reduced row echelon form.  Returns (rref_rows, pivot_cols).
 
-    Zero rows are dropped.  On the numeric backend the pivot is chosen by
-    largest magnitude and entries below tol are snapped to zero.  Exact
-    input (Fractions and ints) is reduced in integers by ``_int_rref`` and
-    comes out as Fractions.
+    Zero rows are dropped.  With tol > 0 the rows are float64 and
+    ``_float_rref`` reduces them.  Exact input (Fractions and ints) is
+    reduced in integers by ``_int_rref`` and comes out as Fractions.  Other
+    input with tol == 0 (floats among Fractions and ints) is eliminated in
+    the entries' own arithmetic, pivoting on the first nonzero entry.
     """
+    if tol:
+        return _float_rref(rows, tol)
     m = [list(r) for r in rows]
     if not m:
         return [], []
-    if not tol and _is_exact(m):
+    if _is_exact(m):
         ints, pivots = _int_rref([_cleared(row)[0] for row in m], len(m[0]))
         zero = Fraction(0)
         return [tuple(Fraction(x, row[c]) if x else zero for x in row)
@@ -274,33 +289,60 @@ def rref(rows, tol: float = 0.0):
     for c in range(ncols):
         if r >= len(m):
             break
-        # pick pivot row
-        if tol:
-            best, best_val = None, tol
-            for i in range(r, len(m)):
-                if abs(m[i][c]) > best_val:
-                    best, best_val = i, abs(m[i][c])
-            if best is None:
-                continue
-        else:
-            best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if best is None:
-                continue
+        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if best is None:
+            continue
         m[r], m[best] = m[best], m[r]
         piv = m[r][c]
         m[r] = [x / piv for x in m[r]]
         for i in range(len(m)):
-            if i != r and not is_zero(m[i][c], tol):
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    out = []
-    for row in m[:r]:
-        if tol:
-            row = [0.0 if abs(x) <= tol else x for x in row]
-        out.append(tuple(row))
-    return out, pivots
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _float_rref(rows, tol: float):
+    """Gauss-Jordan elimination of float64 rows with partial pivoting, as one
+    numpy array.  Returns (rref_rows, pivot_cols) like ``rref``.
+
+    Per column the pivot is the first entry of largest magnitude at or below
+    the current row, and the column is skipped unless it exceeds tol; the
+    pivot row is divided by the pivot, and f·(pivot row) is subtracted from
+    every other row whose entry f exceeds tol in magnitude, the rest being
+    left untouched.  Entries within tol are snapped to 0.0 at the end.  Each
+    entry goes through the same IEEE-754 divisions, products and differences,
+    in the same order, as in a loop over Python floats, and no BLAS product
+    is used, so the result is the same bit for bit.
+    """
+    import numpy as np
+
+    M = np.array(rows, dtype=np.float64)
+    if not M.size:
+        return [], []
+    nrows, ncols = M.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = np.abs(M[r:, c])
+        best = int(col.argmax())
+        if not col[best] > tol:
+            continue
+        if best:
+            M[[r, r + best]] = M[[r + best, r]]
+        M[r] /= M[r, c]
+        hit = np.abs(M[:, c]) > tol
+        hit[r] = False
+        M[hit] -= M[hit, c][:, None] * M[r]
+        pivots.append(c)
+        r += 1
+    out = M[:r]
+    out[np.abs(out) <= tol] = 0.0
+    return [tuple(row) for row in out.tolist()], pivots
 
 
 def rank(A: Mat, tol: float = 0.0) -> int:
@@ -396,18 +438,18 @@ def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
 
     Exact rows go through ``_int_nullspace``, and its integer vectors are
     scaled to x[f] = 1 on their free column f.  The numeric path densifies
-    and reuses ``nullspace``.
+    the rows into one float64 array and reduces it with ``rref``.
     """
     if tol:
-        dense = []
-        for eq in equations:
-            row = [0.0] * ncols
-            for c, v in eq.items():
-                row[c] = float(v)
-            dense.append(tuple(row))
-        if not dense:
+        if not equations:
             return [basis_vec(ncols, i, tol) for i in range(ncols)]
-        return nullspace(tuple(dense), tol)
+        import numpy as np
+
+        dense = np.zeros((len(equations), ncols))
+        for i, eq in enumerate(equations):
+            for c, v in eq.items():
+                dense[i, c] = v
+        return _nullspace_from_rref(*rref(dense, tol), ncols, tol)
     zero = Fraction(0)
     basis = []
     for x in _int_nullspace(equations, ncols):

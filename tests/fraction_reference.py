@@ -8,9 +8,13 @@ certificates were formed over common denominators.  The exact kernel
 all columns, ``metric_part`` builds its equations and its result rows in
 Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
 step as Fraction sums and products from I, as before the centroid and
-metric-part solves ran in sparse integers.  The tests require the library
-to give the same values with the same types, and the same floats bit for
-bit.
+metric-part solves ran in sparse integers.  ``float_rref`` is the float
+Gauss-Jordan elimination as a loop over Python floats, from before it ran
+on one numpy array, with the float ``nullspace``, ``solve``,
+``canonical_rows`` and ``nullspace_sparse`` built on it; ``center`` solves
+the centre as the dense nullspace of the stacked ad matrices.  The tests
+require the library to give the same values with the same types, and the
+same floats bit for bit.
 """
 
 import math
@@ -19,7 +23,107 @@ from fractions import Fraction
 from metriclie import linalg
 from metriclie.centroid import GENERIC_COEFF_BOUND
 from metriclie.complexstruct import complexify, hermitian_form_complexified
-from metriclie.core import bracket, direct_sum
+from metriclie.core import Subspace, bracket, direct_sum
+
+
+def float_rref(rows, tol):
+    """linalg.rref with tol > 0: Gauss-Jordan over Python floats, pivoting on
+    the first entry of largest magnitude above tol, snapping to 0.0 at the
+    end the entries within tol."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= len(m):
+            break
+        # pick pivot row
+        best, best_val = None, tol
+        for i in range(r, len(m)):
+            if abs(m[i][c]) > best_val:
+                best, best_val = i, abs(m[i][c])
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not abs(m[i][c]) <= tol:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    out = []
+    for row in m[:r]:
+        row = [0.0 if abs(x) <= tol else x for x in row]
+        out.append(tuple(row))
+    return out, pivots
+
+
+def _float_nullspace_from_rref(rows, pivots, ncols):
+    pivset = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivset):
+        x = [0.0] * ncols
+        x[f] = 1.0
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def float_nullspace(A, tol):
+    """linalg.nullspace with tol > 0, on float_rref."""
+    if not A:
+        return []
+    return _float_nullspace_from_rref(*float_rref(A, tol), len(A[0]))
+
+
+def float_solve(A, b, tol):
+    """linalg.solve with tol > 0, on float_rref."""
+    if not A:
+        return () if all(abs(x) <= tol for x in b) else None
+    ncols = len(A[0])
+    rows, pivots = float_rref([list(row) + [bb] for row, bb in zip(A, b)], tol)
+    x = [0.0] * ncols
+    for row, p in zip(rows, pivots):
+        if p == ncols:
+            return None
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def float_canonical_rows(vectors, tol):
+    """linalg.canonical_rows with tol > 0, on float_rref."""
+    vs = [v for v in vectors if not all(abs(x) <= tol for x in v)]
+    return float_rref(vs, tol)[0] if vs else []
+
+
+def float_nullspace_sparse(equations, ncols, tol):
+    """linalg.nullspace_sparse with tol > 0: the rows densified to lists of
+    floats, on float_rref."""
+    dense = []
+    for eq in equations:
+        row = [0.0] * ncols
+        for c, v in eq.items():
+            row[c] = float(v)
+        dense.append(tuple(row))
+    if not dense:
+        return [tuple(1.0 if j == i else 0.0 for j in range(ncols)) for i in range(ncols)]
+    return float_nullspace(tuple(dense), tol)
+
+
+def center(A):
+    """core.center as the dense nullspace of the n stacked ad matrices."""
+    rows = []
+    for j in range(A.dim):
+        rows.extend(A.algebra.ad_matrix(j))
+    if not rows:
+        return Subspace.from_vectors(0, [], A.tol)
+    basis = linalg.nullspace(linalg.mat(rows), A.tol)
+    return Subspace.from_vectors(A.dim, basis, A.tol)
 
 
 def centroid_residual(A, M):
@@ -236,7 +340,7 @@ def metric_part(A, sign):
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
     eqs = [eq for eq in eqs if eq]
     if tol:
-        coords = linalg.canonical_rows(linalg.nullspace_sparse(eqs, len(basis), tol), len(basis), tol)
+        coords = float_canonical_rows(float_nullspace_sparse(eqs, len(basis), tol), tol)
     else:
         coords = canonical_nullspace(eqs, len(basis))
     rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))

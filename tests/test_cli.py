@@ -166,8 +166,9 @@ def test_lab_scan(capsys):
 
 
 def test_exact_run_imports_neither_sympy_nor_numpy():
-    """The CLI and an exact decomposition that finds roots (h3h3, k = 2) load
-    no sympy and no numpy: neither sits on the exact path."""
+    """The CLI, an exact decomposition that finds roots (h3h3, k = 2), an
+    exact enumeration on h3c+h3c and a lab metric with two factors on h3^3
+    load no sympy and no numpy: neither sits on the exact path."""
     import os
     import subprocess
     import sys
@@ -177,6 +178,11 @@ def test_exact_run_imports_neither_sympy_nor_numpy():
     code = ("import sys, metriclie.cli\n"
             "from metriclie import decompose, get_example\n"
             "assert decompose(get_example('h3h3')).k == 2\n"
+            "from metriclie import (BlockSpec, direct_sum, enumerate_complex_structures,\n"
+            "                       make_metric_with_factor_count)\n"
+            "h3c, h3 = get_example('h3c'), get_example('h3')\n"
+            "assert len(enumerate_complex_structures(direct_sum(h3c, h3c))) == 4\n"
+            "make_metric_with_factor_count(BlockSpec((h3, h3, h3), seed=1), 2)\n"
             "print(sorted({'sympy', 'numpy'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(metriclie.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -273,3 +279,53 @@ def test_exact_structured_output_is_byte_identical(key, metric_seed, cmd, algfil
     code = main(["--format", "structured", cmd, algfile(render_document(A))])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     assert (code, digest) == EXACT_OUTPUT_DIGESTS[key, metric_seed, cmd]
+
+
+DENSE_BASIS_KEYS = ("h3c", "ex48", "h3h3", "sl2c-real")
+
+
+def _float_algebras():
+    """The digest algebras, and bundled examples in the basis of the columns
+    of a triangular matrix: their brackets are dense, so their float
+    eliminations round."""
+    from test_core import _in_basis, _triangular
+
+    algebras = _digest_algebras()
+    for key in DENSE_BASIS_KEYS:
+        algebras[key + "'"] = _in_basis(algebras[key], _triangular(algebras[key].dim))
+    return algebras
+
+
+FLOAT_CASES = sorted(EXACT_OUTPUT_DIGESTS, key=str) + [
+    (key + "'", metric_seed, cmd) for key in DENSE_BASIS_KEYS
+    for metric_seed in (None, 1, 2) for cmd in ("decompose", "jstructs")]
+
+
+@pytest.mark.parametrize("key, metric_seed, cmd", FLOAT_CASES)
+def test_numeric_structured_output_equals_the_list_loop(key, metric_seed, cmd, algfile, capsys,
+                                                        monkeypatch):
+    """With --backend numeric, the structured stdout is the one that the
+    float elimination gives as a loop over Python floats
+    (``fraction_reference.float_rref``), on the algebras and metrics of the
+    exact digests and on examples in a dense basis.  Both runs are in one
+    process, so numpy's eigenvalues are the same in both, whatever the BLAS
+    build."""
+    import fraction_reference as ref
+    from metriclie import linalg
+    from metriclie.lab import random_gram
+
+    A = _float_algebras()[key]
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
+    args = ["--backend", "numeric", "--format", "structured", cmd, algfile(render_document(A))]
+    code = main(args)
+    out = capsys.readouterr().out
+    calls = []
+
+    def list_loop(rows, tol):  # the rows of an array as Python floats
+        calls.append(tol)
+        return ref.float_rref([[float(x) for x in row] for row in rows], tol)
+
+    monkeypatch.setattr(linalg, "_float_rref", list_loop)
+    assert (main(args), capsys.readouterr().out) == (code, out)
+    assert calls

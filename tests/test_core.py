@@ -254,6 +254,42 @@ def test_restrict_equals_per_pair_solves(A, carriers):
             [[(type(x), x) for x in row] for row in ref.gram]
 
 
+def _triangular(n):
+    """An invertible upper triangular n x n matrix with entries in 1..3."""
+    return linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(n)] for i in range(n)])
+
+
+def _center_cases():
+    from metriclie.examples import example_keys
+
+    h3 = get_example("h3")
+    cases = {key: get_example(key) for key in example_keys()}
+    cases["so3"] = so3()
+    cases["h3c+h3c"] = direct_sum(get_example("h3c"), get_example("h3c"))
+    cases["h3^3"] = direct_sum(direct_sum(h3, h3), h3)
+    cases["h3+abelian2n"] = direct_sum(h3, get_example("abelian2n"))
+    cases["ex48+ex48"] = direct_sum(get_example("ex48"), get_example("ex48"))
+    for key in ("h3h3", "h3+abelian2n"):
+        cases[key + "'"] = _in_basis(cases[key], _triangular(cases[key].dim))
+    return cases
+
+
+@pytest.mark.parametrize("key", sorted(_center_cases()))
+def test_center_equals_the_stacked_ad_solve(key):
+    """The sparse integer centre is the dense nullspace of the stacked ad
+    matrices, entry for entry and type for type; the float centre still is
+    that nullspace, bit for bit."""
+    import fraction_reference as ref
+
+    A = _center_cases()[key]
+    got, expected = center(A), ref.center(A)
+    assert got == expected
+    assert [[(type(x), x) for x in row] for row in got.basis] == \
+        [[(type(x), x) for x in row] for row in expected.basis]
+    An = to_numeric(A)
+    assert repr(center(An)) == repr(ref.center(An))
+
+
 def test_to_numeric():
     A = to_numeric(get_example("h3"))
     assert A.backend == "numeric"

@@ -301,3 +301,65 @@ def test_int_nullspace_of_a_full_rank_system_is_empty():
     assert linalg._int_nullspace(rows, 4) == []
     assert linalg._canonical_nullspace(rows, 4) == []
     assert linalg._int_canonical_nullspace(rows, 4) == ([], 1)
+
+
+# ---------------------------------------------------------------------------
+# The float elimination against the list loop over Python floats it replaced.
+# ---------------------------------------------------------------------------
+
+TOL = 1e-9
+FLOAT_VALUES = (st.sampled_from([0.0, -0.0, TOL, -TOL, 1.0, -1.0, 2.0, -2.0, 0.5])
+                | st.floats(-2 * TOL, 2 * TOL) | st.floats(-4, 4))
+
+
+@st.composite
+def float_system(draw):
+    """(rows, ncols): float rows with entries at exactly ±tol, ±0.0, ties in
+    magnitude (±1, ±2) and some all-zero columns; empty, one row, square,
+    tall or wide."""
+    k = draw(st.integers(1, 4))
+    nrows, ncols = draw(st.sampled_from([(0, k), (1, k), (k, k), (3 * k, k), (k, 3 * k)]))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+    zero = st.sampled_from([0.0, -0.0, TOL, -TOL / 2])
+    rows = tuple(tuple(draw(zero if c in zero_cols else FLOAT_VALUES) for c in range(ncols))
+                 for _ in range(nrows))
+    return rows, ncols
+
+
+def _float_kernel_matches(rows, ncols):
+    """rref, nullspace, canonical_rows, solve (the last column as the right
+    side) and nullspace_sparse give the reference's output, by repr."""
+    assert repr(linalg.rref(rows, TOL)) == repr(ref.float_rref(rows, TOL))
+    assert repr(linalg.nullspace(rows, TOL)) == repr(ref.float_nullspace(rows, TOL))
+    assert repr(linalg.canonical_rows(rows, ncols, TOL)) == repr(ref.float_canonical_rows(rows, TOL))
+    A, b = tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
+    assert repr(linalg.solve(A, b, TOL)) == repr(ref.float_solve(A, b, TOL))
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert repr(linalg.nullspace_sparse(sparse, ncols, TOL)) == \
+        repr(ref.float_nullspace_sparse(sparse, ncols, TOL))
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_system())
+def test_float_elimination_equals_the_list_loop(system):
+    _float_kernel_matches(*system)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(352, 144), (40, 200)]), st.integers(0, 2 ** 32), st.integers(2, 5))
+def test_float_elimination_equals_the_list_loop_on_commutant_sized_systems(shape, seed, per_row):
+    """Tall 352 x 144 systems with a few nonzero entries per row, like the
+    float commutant of a 12-dimensional algebra, and wide ones; their values
+    hold ±1 and ±2 ties, entries at ±tol and dense floats."""
+    import random
+
+    rng = random.Random(seed)
+    nrows, ncols = shape
+    values = [1.0, -1.0, 2.0, -2.0, TOL, -TOL, -0.0]
+    rows = []
+    for _ in range(nrows):
+        row = [0.0] * ncols
+        for c in rng.sample(range(ncols), per_row):
+            row[c] = rng.choice(values) if rng.random() < 0.7 else rng.uniform(-3, 3)
+        rows.append(tuple(row))
+    _float_kernel_matches(tuple(rows), ncols)
