@@ -69,12 +69,6 @@ class OperatorSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, M) -> bool:
-        if not self.basis:
-            return linalg.is_zero(linalg.max_abs(M), self.ambient.tol)
-        A = linalg.transpose(linalg.mat([linalg.vectorize(B) for B in self.basis]))
-        return linalg.solve(A, linalg.vectorize(M), self.ambient.tol) is not None
-
 
 def centroid(A: MetricLieAlgebra) -> OperatorSubspace:
     """Solution space of f([X,Y]) = [f(X),Y]; always contains the identity."""

@@ -26,6 +26,7 @@ from .core import (
     Subspace,
     direct_sum,
     make_algebra,
+    to_numeric,
 )
 from .errors import (
     DimensionMismatch,
@@ -64,6 +65,17 @@ class HermitianValue:
     im: object
 
 
+def _holds_float(*operators) -> bool:
+    return any(isinstance(x, float) for M in operators for row in M for x in row)
+
+
+def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:
+    """A, or to_numeric(A) when A is exact and an operator holds a float, as
+    the J of an irrational normalizer does: exact eliminations take no
+    floats, and float results are judged at the default tol."""
+    return to_numeric(A) if not A.tol and _holds_float(*operators) else A
+
+
 def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructureCertificate:
     """Residuals for J^2 = -I, bi-invariance and skewness w.r.t. the Gram."""
     n = A.dim
@@ -71,7 +83,7 @@ def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructu
         raise DimensionMismatch("operator dimension differs from algebra dimension")
     if tol is None:
         tol = A.tol
-        if any(isinstance(x, float) for row in J for x in row):
+        if _holds_float(J):
             tol = tol or DEFAULT_TOL
     G, I = A.gram, linalg.identity(n, A.tol)
     if not A.tol and linalg._is_exact(J) and linalg._is_exact(G):
@@ -175,7 +187,9 @@ def extend_operator(AC: ComplexifiedAlgebra, f) -> tuple:
 
 
 def eigensplit(A: MetricLieAlgebra, J):
-    """Images of (I -+ i_op J^C)/2 in the complexification: the +-i eigenspaces."""
+    """Images of (I -+ i_op J^C)/2 in the complexification: the +-i eigenspaces.
+    A float J is taken on to_numeric(A)."""
+    A = _backend_for(A, J)
     cert = verify_complex_structure(A, J)
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
@@ -213,7 +227,9 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     from the complexification onto (g, J) + (g, -J).
 
     Each condition is one matrix identity in Φ, the map's matrix, checked on
-    all pairs of basis vectors at once through ``linalg.mat_mul``."""
+    all pairs of basis vectors at once through ``linalg.mat_mul``.  A float J
+    is checked on to_numeric(A)."""
+    A = _backend_for(A, J)
     cert = verify_complex_structure(A, J)
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
@@ -276,9 +292,11 @@ class CommuteReport:
 
 def commute_check(A: MetricLieAlgebra, J1, J2) -> CommuteReport:
     """Do J1 and J2 commute?  Also reports whether the commutator image
-    lies in the center, the weaker fact for merely bi-invariant pairs."""
+    lies in the center, the weaker fact for merely bi-invariant pairs.  Float
+    operators are compared on to_numeric(A)."""
     from .core import center
 
+    A = _backend_for(A, J1, J2)
     comm = linalg.mat_sub(linalg.mat_mul(J1, J2), linalg.mat_mul(J2, J1))
     res = linalg.max_abs(comm)
     Z = center(A)

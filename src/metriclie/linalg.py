@@ -6,19 +6,21 @@ floats and a strictly positive tolerance.  Dimensions here are tiny
 (algebras of dim <= 12, operator spaces of dim <= 144).  Exact work is
 integer elimination over common denominators, not Fraction arithmetic:
 ``mat_mul`` clears each row of A and each column of B to integers and
-forms one Fraction per product entry, and ``rref`` scales each row to
-integers and eliminates fraction-free, in the style of Bareiss (Math.
-Comp. 22, 1968), dividing each pivot row by its pivot only at the end.  The
-centroid systems go through ``_int_nullspace``, which never leaves sparse
-integer rows: it eliminates them forward incrementally (``_int_echelon``,
-the sparsest rows first), back-substitutes over the pivot-row dicts alone
-(``_int_reduce``), so the work follows the nonzero entries and not the n²
-columns, and returns integer kernel vectors; ``_int_canonical_nullspace``
-reduces those once more, sparsely, to the canonical basis over one common
-denominator, and ``nullspace_sparse`` turns them into Fractions.  Exact
-certificates are integer matrix identities too (``_exact_residual``): each
-operand is cleared to integers over one common denominator, and one
-Fraction is formed per residual.
+forms one Fraction per product entry.  Every exact elimination runs on one
+engine that never leaves sparse integer rows: it eliminates them forward
+incrementally (``_int_echelon``, the sparsest rows first) and
+back-substitutes over the pivot-row dicts alone (``_int_reduce``), so the
+work follows the nonzero entries and not the columns.  ``rref`` at tol 0,
+and so ``nullspace``, ``solve``, ``rank`` and ``canonical_rows``, reduces
+its rows this way and divides each by its pivot at the end.  The centroid
+systems go through ``_int_nullspace``, which returns integer kernel
+vectors; ``_int_canonical_nullspace`` reduces those once more to the
+canonical basis over one common denominator, and ``nullspace_sparse``
+turns them into Fractions.  Exact certificates are integer matrix
+identities too (``_exact_residual``): each operand is cleared to integers
+over one common denominator, and one Fraction is formed per residual.
+``rref`` at tol 0 raises TypeError on a float row entry rather than
+reduce the float's binary value exactly.
 
 Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
 ``canonical_rows`` and the float ``nullspace_sparse``) is ``_float_rref``:
@@ -232,76 +234,24 @@ def _exact_residual(terms):
     return _int_max_abs(total, den, lambda i, j: any(fr(i, j) for *_, fr in parts))
 
 
-def _int_rref(m, ncols: int):
-    """Fraction-free Gauss-Jordan elimination of the integer rows m (changed in
-    place).  Returns (rows, pivot_cols): the nonzero rows, each a multiple of
-    its reduced-echelon row, which is the row divided by its pivot entry.
-
-    The pivot is the first nonzero entry in the column, as in ``rref``; each
-    updated row is divided by its content, which keeps the integers small.
-    """
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        best = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        prow = m[r]
-        piv = prow[c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                g = math.gcd(piv, f)
-                a, b = piv // g, f // g
-                row = [a * x - b * y for x, y in zip(m[i], prow)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
 def rref(rows, tol: float = 0.0):
     """Reduced row echelon form.  Returns (rref_rows, pivot_cols).
 
     Zero rows are dropped.  With tol > 0 the rows are float64 and
-    ``_float_rref`` reduces them.  Exact input (Fractions and ints) is
-    reduced in integers by ``_int_rref`` and comes out as Fractions.  Other
-    input with tol == 0 (floats among Fractions and ints) is eliminated in
-    the entries' own arithmetic, pivoting on the first nonzero entry.
+    ``_float_rref`` reduces them.  With tol == 0 the rows must be exact
+    (Fractions and ints): they are reduced as sparse integer rows by
+    ``_int_echelon`` and ``_int_reduce``, the engine of the exact nullspace
+    solves, and come out as Fractions.  A float among them raises TypeError,
+    since exact elimination of its binary value would be a silent
+    approximation.
     """
     if tol:
         return _float_rref(rows, tol)
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    if _is_exact(m):
-        ints, pivots = _int_rref([_cleared(row)[0] for row in m], len(m[0]))
-        zero = Fraction(0)
-        return [tuple(Fraction(x, row[c]) if x else zero for x in row)
-                for row, c in zip(ints, pivots)], pivots
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in m[:r]], pivots
+    if not _is_exact(rows):
+        raise TypeError("rref at tol 0 takes exact rows (Fractions and ints); reduce float rows with tol > 0")
+    ncols = len(rows[0]) if rows else 0
+    ints, d = _int_canonical(({c: x for c, x in enumerate(row) if x} for row in rows), ncols)
+    return _fraction_rows(ints, d, ncols), [min(row) for row in ints]
 
 
 def _float_rref(rows, tol: float):
@@ -469,13 +419,19 @@ def _canonical_nullspace(equations, ncols: int, tol: float = 0.0):
 
 def _int_canonical_nullspace(equations, ncols: int):
     """(rows, d): the canonical reduced-echelon basis of the nullspace of
-    exact sparse rows {col: coeff} as sparse integer rows {col: v} in pivot
-    order, over one common denominator d.  The integer vectors of
-    ``_int_nullspace`` are reduced once more, sparsely."""
+    exact sparse rows {col: coeff}, as ``_int_canonical`` gives it for the
+    integer vectors of ``_int_nullspace``."""
     vectors = ({c: v for c, v in enumerate(x) if v} for x in _int_nullspace(equations, ncols))
-    rows = _int_reduce(_int_echelon(vectors, ncols))
-    d = math.lcm(*(row[c] for c, row in rows.items()))
-    return [{col: v * (d // row[c]) for col, v in row.items()} for c, row in sorted(rows.items())], d
+    return _int_canonical(vectors, ncols)
+
+
+def _int_canonical(rows, ncols: int):
+    """(rows, d): the reduced-echelon basis of the span of the exact sparse
+    rows {col: coeff}, as sparse integer rows {col: v} in pivot order over
+    one common denominator d, each row's pivot column its first."""
+    pivot_rows = _int_reduce(_int_echelon(rows, ncols))
+    d = math.lcm(*(row[c] for c, row in pivot_rows.items()))
+    return [{col: v * (d // row[c]) for col, v in row.items()} for c, row in sorted(pivot_rows.items())], d
 
 
 def _fraction_rows(rows, d: int, ncols: int):
@@ -494,14 +450,14 @@ def _fraction_rows(rows, d: int, ncols: int):
 def _int_echelon(rows, ncols: int):
     """Sparse fraction-free forward elimination: {leading col: row}, every
     row a coprime integer dict whose leading column no other row has.  The
-    rows {col: coeff} hold ints or Fractions.
+    rows {col: coeff} hold ints or Fractions; empty rows are skipped.
 
     The sparsest rows go first, and a row that is sparser than the pivot row
     it meets takes its place, so the pivot rows stay sparse; once every
     column has a pivot the remaining rows are in their span.
     """
     pivot_rows = {}
-    for row in sorted(map(_to_int_row, rows), key=len):
+    for row in sorted(map(_to_int_row, filter(None, rows)), key=len):
         while row:
             c = min(row)
             p = pivot_rows.get(c)

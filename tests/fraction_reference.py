@@ -3,10 +3,11 @@ solves replaced, kept as their reference.
 
 The certificates here compute in the entries' own arithmetic (Fractions,
 ints or floats), entry by entry, as metriclie did before its exact
-certificates were formed over common denominators.  The exact kernel
-(``int_nullspace``, ``canonical_nullspace``) back-substitutes densely over
-all columns, ``metric_part`` builds its equations and its result rows in
-Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
+certificates were formed over common denominators.  ``exact_rref`` is the
+exact Gauss-Jordan elimination in Fractions, dense over all columns, and
+the exact kernel (``int_nullspace``, ``canonical_nullspace``) is built on
+it, not on the linalg eliminations it checks.  ``metric_part`` builds its
+equations and its result rows in Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
 step as Fraction sums and products from I, as before the centroid and
 metric-part solves ran in sparse integers.  ``float_rref`` is the float
 Gauss-Jordan elimination as a loop over Python floats, from before it ran
@@ -266,41 +267,50 @@ def doubling_residuals(A, J):
     return worst_br, inter, worst_iso, linalg.rank(Phi, tol)
 
 
-def _to_int_row(row):
-    """Clear denominators and divide by the content."""
-    ints, _ = linalg._cleared(row.values())
+def exact_rref(rows):
+    """linalg.rref at tol == 0: Gauss-Jordan elimination in the entries' own
+    arithmetic, each pivot row divided by its pivot when chosen.  It divides
+    with /, which turns int rows into floats, so exact rows are given to it
+    as Fractions."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        if r >= len(m):
+            break
+        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _primitive_row(row):
+    """The row as coprime integers: denominators cleared, content divided out."""
+    d = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (d // x.denominator) for x in row]
     g = math.gcd(*ints)
-    return {c: v // g for c, v in zip(row, ints) if v}
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def int_nullspace(equations, ncols):
-    """linalg._int_nullspace: incremental sparse elimination of the rows as
-    Fractions cleared to integers, then a dense integer Gauss-Jordan
-    (``linalg._int_rref``) over all ncols columns."""
-    pivot_rows = {}  # leading col -> integer row dict
-    for eq in equations:
-        row = _to_int_row({c: Fraction(v) for c, v in eq.items() if v != 0})
-        while row:
-            c = min(row)
-            if c not in pivot_rows:
-                pivot_rows[c] = row
-                break
-            p = pivot_rows[c]
-            a, b = p[c], row[c]
-            new = {col: a * v for col, v in row.items()}
-            for col, v in p.items():
-                new[col] = new.get(col, 0) - b * v
-            row = {col: v for col, v in new.items() if v}
-            if row:
-                g = math.gcd(*row.values())
-                row = {col: v // g for col, v in row.items()}
-    dense = []
-    for c in sorted(pivot_rows):
-        r = [0] * ncols
-        for col, v in pivot_rows[c].items():
-            r[col] = v
-        dense.append(r)
-    ints, pivots = linalg._int_rref(dense, ncols)
+    """linalg._int_nullspace: the dense Gauss-Jordan of the rows in Fractions
+    (``exact_rref``), then per free column f the kernel vector with x[f] = L,
+    L the lcm of the pivots of the coprime integer multiples of the reduced
+    rows that have an entry at f."""
+    dense = [[Fraction(eq.get(c, 0)) for c in range(ncols)] for eq in equations]
+    rows, pivots = exact_rref(dense)
+    ints = [_primitive_row(row) for row in rows]
     pivset = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivset):
@@ -317,7 +327,7 @@ def int_nullspace(equations, ncols):
 def canonical_nullspace(equations, ncols):
     """linalg._canonical_nullspace on exact rows: the dense rref of the
     integer kernel vectors."""
-    return linalg.rref(int_nullspace(equations, ncols))[0]
+    return exact_rref([[Fraction(v) for v in x] for x in int_nullspace(equations, ncols)])[0]
 
 
 def metric_part(A, sign):

@@ -334,6 +334,23 @@ def test_enumerate_falls_back_to_float_j_on_irrational_normalizer():
         assert linalg.mat_max_diff(s.J, E) <= 1e-12
 
 
+def test_float_j_on_an_exact_algebra_is_taken_on_the_float_backend():
+    """The float J of an irrational normalizer gives eigensplit, the doubling
+    check and commute_check on the exact algebra the same results as on
+    to_numeric of it; exact eliminations never see the floats."""
+    A, K = _h3_over_sqrt_minus2()
+    N = to_numeric(A)
+    Js = [s.J for s in enumerate_complex_structures(A)]
+    other = tuple(tuple(float(i + 1) if i == j else 0.0 for j in range(6)) for i in range(6))
+    for J in Js:
+        split = eigensplit(A, J)
+        assert split == eigensplit(N, J) and [S.dim for S in split] == [6, 6]
+        cert = verify_doubling_isometry(A, J)
+        assert cert == verify_doubling_isometry(N, J) and cert.passed
+        for J2 in (*Js, other):
+            assert commute_check(A, J, J2) == commute_check(N, J, J2)
+
+
 def test_sl2c_real_structures_are_plus_minus_i():
     A = get_example("sl2c-real")
     out = enumerate_complex_structures(A)

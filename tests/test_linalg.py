@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from fraction_reference import exact_rref
 from metriclie import linalg
 
 
@@ -106,32 +107,6 @@ def _mat_mul_reference(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
 
 
-def _rref_reference(rows):
-    """Reference for rref at tol == 0: Gauss-Jordan elimination in the
-    entries' own arithmetic, each pivot row divided by its pivot when chosen."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(m[0])):
-        if r >= len(m):
-            break
-        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in m[:r]], pivots
-
-
 def _typed(M):
     """The entries of a matrix with their types, so that 2 and F(2) differ."""
     return [[(type(x), x) for x in row] for row in M]
@@ -215,7 +190,7 @@ def test_rref_equals_the_fraction_reference(A):
     The reference divides with /, which turns int rows into floats, so it is
     given the rows as Fractions; rref itself returns Fractions for both."""
     got, pivots = linalg.rref(A)
-    ref, ref_pivots = _rref_reference(tuple(tuple(F(x) for x in row) for row in A))
+    ref, ref_pivots = exact_rref(tuple(tuple(F(x) for x in row) for row in A))
     assert pivots == ref_pivots
     assert _typed(got) == _typed(ref)
     if A:  # nullspace_sparse back-substitutes with the same integer core
@@ -230,17 +205,30 @@ def test_rref_equals_the_fraction_reference(A):
 
 @settings(max_examples=50, deadline=None)
 @given(rref_input(), st.data())
-def test_rref_with_a_float_entry_takes_the_float_path(A, data):
+def test_float_rows_at_tol_zero_raise_type_error(A, data):
+    """Exact elimination takes no floats: one nonzero float among exact
+    entries, or all entries floats, makes rref, nullspace, solve and
+    canonical_rows raise TypeError at tol == 0, and so does a float
+    right-hand side of solve."""
     if not A:
         A = ((F(1, 3), F(0)),)
     i = data.draw(st.integers(0, len(A) - 1))
     j = data.draw(st.integers(0, len(A[0]) - 1))
-    A = tuple(tuple(float(x) if (r, c) == (i, j) else x for c, x in enumerate(row))
-              for r, row in enumerate(A))
-    got, pivots = linalg.rref(A)
-    ref, ref_pivots = _rref_reference(A)
-    assert pivots == ref_pivots
-    assert _typed(got) == _typed(ref)
+    all_float = data.draw(st.booleans())
+    exact_A = A
+    A = tuple(tuple(float(x or 1) if (r, c) == (i, j) else float(x) if all_float else x
+                    for c, x in enumerate(row)) for r, row in enumerate(A))
+    zero_b = (F(0),) * len(A)
+    calls = (
+        lambda: linalg.rref(A),
+        lambda: linalg.nullspace(A),
+        lambda: linalg.solve(A, zero_b),
+        lambda: linalg.solve(exact_A, (0.5,) * len(A)),
+        lambda: linalg.canonical_rows(A, len(A[0])),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +280,7 @@ def test_int_nullspace_equals_the_dense_back_substitution(system):
     assert _typed(canonical) == _typed(ref.canonical_nullspace(rows, ncols))
     assert all(isinstance(row, tuple) for row in canonical)
     dense = tuple(tuple(F(row.get(c, 0)) for c in range(ncols)) for row in rows)
-    expected = linalg._nullspace_from_rref(*_rref_reference(dense), ncols)
+    expected = linalg._nullspace_from_rref(*exact_rref(dense), ncols)
     assert _typed(linalg.nullspace_sparse(rows, ncols)) == _typed(expected)
 
 
