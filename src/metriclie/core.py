@@ -8,6 +8,8 @@ rejected at parse time.  All values are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -301,7 +303,7 @@ def bracket(A: MetricLieAlgebra, u, v):
     n = alg.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatch(f"expected vectors of length {n}")
-    out = list(linalg.zero_vec(n, A.tol))
+    out = list(linalg.zeros(1, n, A.tol)[0])
     for (i, j), terms in alg.structure:
         coef = u[i] * v[j] - u[j] * v[i]
         if coef:
@@ -318,24 +320,37 @@ class JacobiReport:
 
 
 def check_jacobi(A: MetricLieAlgebra) -> JacobiReport:
-    """Max residual of the Jacobi identity over all basis triples."""
-    n = A.dim
-    worst = 0
-    worst_triple = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ei, ej, ek = (linalg.basis_vec(n, t, A.tol) for t in (i, j, k))
-                res = linalg.vec_add(
-                    bracket(A, ei, bracket(A, ej, ek)),
-                    linalg.vec_add(
-                        bracket(A, ej, bracket(A, ek, ei)),
-                        bracket(A, ek, bracket(A, ei, ej)),
-                    ),
-                )
-                r = linalg.max_abs_vec(res)
-                if r > worst:
-                    worst, worst_triple = r, (i + 1, j + 1, k + 1)
+    """Max residual of the Jacobi identity over the basis triples i < j < k.
+    The cyclic terms Σ_l c_yz^l·c_xl^m are summed over the sparse structure
+    constants, as integers over one denominator e when exact, with one
+    Fraction over e² for the result (the int 0 if all residuals are zero).
+    The first strictly largest residual in (i, j, k) order names the triple."""
+    cs = [c for _, terms in A.algebra.structure for _, c in terms]
+    exact = not A.tol and linalg._is_exact([cs])
+    e = math.lcm(*(c.denominator for c in cs)) if exact else 1
+    br = {}  # [X_a, X_b] as {l: c·e}, a < b and a > b; ascending l adds floats as a dense bracket does
+    for (a, b), terms in A.algebra.structure:
+        d = br[(a, b)] = {}
+        for k, c in sorted(terms, key=lambda t: t[0]):
+            d[k] = d.get(k, 0) + (c.numerator * (e // c.denominator) if exact else c)
+        br[(b, a)] = {k: -c for k, c in d.items()}
+
+    def term(x, y, z):  # [X_x, [X_y, X_z]] as {m: coefficient}
+        t = {}
+        for l, w in br.get((y, z), {}).items():
+            for m, c in br.get((x, l), {}).items():
+                t[m] = t.get(m, 0) + w * c
+        return t
+
+    worst, worst_triple = 0, None
+    for i, j, k in itertools.combinations(range(A.dim), 3):
+        if (i, j) in br or (j, k) in br or (i, k) in br:
+            t1, t2, t3 = term(i, j, k), term(j, k, i), term(k, i, j)
+            r = max((abs(t1.get(m, 0) + (t2.get(m, 0) + t3.get(m, 0))) for m in {*t1, *t2, *t3}), default=0)
+            if r > worst:
+                worst, worst_triple = r, (i + 1, j + 1, k + 1)
+    if exact and worst:
+        worst = Fraction(worst, e * e)
     return JacobiReport(worst, worst_triple, linalg.is_zero(worst, A.tol))
 
 

@@ -11,16 +11,16 @@ engine that never leaves sparse integer rows: it eliminates them forward
 incrementally (``_int_echelon``, the sparsest rows first) and
 back-substitutes over the pivot-row dicts alone (``_int_reduce``), so the
 work follows the nonzero entries and not the columns.  ``rref`` at tol 0,
-and so ``nullspace``, ``solve``, ``rank`` and ``canonical_rows``, reduces
-its rows this way and divides each by its pivot at the end.  The centroid
-systems go through ``_int_nullspace``, which returns integer kernel
-vectors; ``_int_canonical_nullspace`` reduces those once more to the
-canonical basis over one common denominator, and ``nullspace_sparse``
-turns them into Fractions.  Exact certificates are integer matrix
-identities too (``_exact_residual``): each operand is cleared to integers
-over one common denominator, and one Fraction is formed per residual.
-``rref`` at tol 0 raises TypeError on a float row entry rather than
-reduce the float's binary value exactly.
+and so ``nullspace``, ``solve`` and ``canonical_rows``, reduces its rows
+this way and divides each by its pivot at the end; ``rank`` counts the
+pivots of the forward pass.  The centroid systems go through
+``_int_nullspace``, which returns integer kernel vectors;
+``_int_canonical_nullspace`` reduces those once more to the canonical basis
+over one common denominator, and ``nullspace_sparse`` turns them into
+Fractions.  Exact certificates are integer matrix identities too, with one
+Fraction per residual (``_exact_residual``), and the leading principal
+minors are Bareiss's integer elimination.  At tol 0 a float entry raises
+TypeError rather than have its binary value reduced exactly.
 
 Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
 ``canonical_rows`` and the float ``nullspace_sparse``) is ``_float_rref``:
@@ -51,10 +51,6 @@ def is_zero(x, tol: float = 0.0) -> bool:
     return x == 0
 
 
-def vec(entries) -> Vec:
-    return tuple(entries)
-
-
 def mat(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
 
@@ -70,10 +66,6 @@ def zeros(n: int, m: int, tol: float = 0.0) -> Mat:
 def identity(n: int, tol: float = 0.0) -> Mat:
     z, one = _zero_one(tol)
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
-def zero_vec(n: int, tol: float = 0.0) -> Vec:
-    return (_zero_one(tol)[0],) * n
 
 
 def basis_vec(n: int, i: int, tol: float = 0.0) -> Vec:
@@ -146,18 +138,6 @@ def mat_scale(c, A: Mat) -> Mat:
     return tuple(tuple(c * a for a in row) for row in A)
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> Vec:
-    return tuple(c * x for x in v)
-
-
 def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
@@ -174,10 +154,6 @@ def max_abs(A: Iterable) -> float:
             if abs(x) > m:
                 m = abs(x)
     return m
-
-
-def max_abs_vec(v: Sequence):
-    return max((abs(x) for x in v), default=0)
 
 
 def mat_max_diff(A: Mat, B: Mat):
@@ -247,11 +223,15 @@ def rref(rows, tol: float = 0.0):
     """
     if tol:
         return _float_rref(rows, tol)
-    if not _is_exact(rows):
-        raise TypeError("rref at tol 0 takes exact rows (Fractions and ints); reduce float rows with tol > 0")
+    _require_exact(rows, "rref")
     ncols = len(rows[0]) if rows else 0
     ints, d = _int_canonical(({c: x for c, x in enumerate(row) if x} for row in rows), ncols)
     return _fraction_rows(ints, d, ncols), [min(row) for row in ints]
+
+
+def _require_exact(rows, name):
+    if not _is_exact(rows):  # exact work on a float's binary value would approximate it silently
+        raise TypeError(f"{name} at tol 0 takes exact rows (Fractions and ints); use tol > 0 for floats")
 
 
 def _float_rref(rows, tol: float):
@@ -296,7 +276,10 @@ def _float_rref(rows, tol: float):
 
 
 def rank(A: Mat, tol: float = 0.0) -> int:
-    return len(rref(A, tol)[0])
+    if tol:
+        return len(rref(A, tol)[0])
+    _require_exact(A, "rank")
+    return len(_int_echelon(({c: x for c, x in enumerate(row) if x} for row in A), len(A[0]) if A else 0))
 
 
 def canonical_rows(vectors, ncols: int, tol: float = 0.0):
@@ -347,14 +330,26 @@ def solve(A: Mat, b: Sequence, tol: float = 0.0):
 
 
 def leading_principal_minors(A: Mat, tol: float = 0.0):
-    """det(A[:k, :k]) for k = 1, 2, ...: the running products of the pivots of
-    one Gaussian elimination without row exchanges (Sylvester).  A pivot
-    within tol ends the list with a zero minor: past it that elimination
-    has no pivot.
-
-    While the minors so far are positive the leading block is positive
-    definite, so the elimination is stable up to the first minor that is not.
+    """det(A[:k, :k]) for k = 1, 2, ...; a zero pivot (within tol) ends the
+    list with a zero minor: past it the elimination has no pivot.  Exact A
+    goes through Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+    of its rows cleared to integers R_i / d_i, whose k-th pivot is
+    det(R[:k, :k]); each minor is one Fraction of it over d_1⋯d_k.  With
+    tol > 0 they are the running products of the pivots of one Gaussian
+    elimination without row exchanges (Sylvester), stable while positive.
     """
+    if not tol:
+        _require_exact(A, "leading_principal_minors")
+        m, minors, den, prev = [_cleared(row) for row in A], [], 1, 1
+        for c, (prow, d) in enumerate(m):
+            piv, den = prow[c], den * d
+            minors.append(Fraction(piv, den))
+            if not piv:
+                break
+            for row, _ in m[c + 1:]:
+                row[c + 1:] = [(a * piv - row[c] * b) // prev for a, b in zip(row[c + 1:], prow[c + 1:])]
+            prev = piv
+        return minors
     m = [list(r) for r in A]
     minors, d = [], 1
     for c, prow in enumerate(m):
@@ -552,7 +547,7 @@ def minimal_polynomial(M: Mat, tol: float = 0.0):
         A = transpose(mat([vectorize(Q) for Q in powers]))
         coords = solve(A, target, tol)
         if coords is not None:
-            return list(vec_scale(-1, coords)) + [_zero_one(tol)[1]]
+            return [-x for x in coords] + [_zero_one(tol)[1]]
         powers.append(P)
     raise AssertionError("minimal polynomial search exceeded dimension bound")
 

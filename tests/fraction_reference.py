@@ -13,9 +13,13 @@ metric-part solves ran in sparse integers.  ``float_rref`` is the float
 Gauss-Jordan elimination as a loop over Python floats, from before it ran
 on one numpy array, with the float ``nullspace``, ``solve``,
 ``canonical_rows`` and ``nullspace_sparse`` built on it; ``center`` solves
-the centre as the dense nullspace of the stacked ad matrices.  The tests
-require the library to give the same values with the same types, and the
-same floats bit for bit.
+the centre as the dense nullspace of the stacked ad matrices on these two
+eliminations.  ``check_jacobi`` is the dense Jacobi check, six ``bracket``
+calls per basis triple, from before it was expanded over the sparse
+structure constants, and ``leading_principal_minors`` is the exact Gaussian
+elimination in Fractions that Bareiss's integer elimination replaced.  The
+tests require the library to give the same values with the same types, and
+the same floats bit for bit.
 """
 
 import math
@@ -24,7 +28,7 @@ from fractions import Fraction
 from metriclie import linalg
 from metriclie.centroid import GENERIC_COEFF_BOUND
 from metriclie.complexstruct import complexify, hermitian_form_complexified
-from metriclie.core import Subspace, bracket, direct_sum
+from metriclie.core import JacobiReport, Subspace, bracket, direct_sum
 
 
 def float_rref(rows, tol):
@@ -63,12 +67,12 @@ def float_rref(rows, tol):
     return out, pivots
 
 
-def _float_nullspace_from_rref(rows, pivots, ncols):
+def _nullspace_from_rref(rows, pivots, ncols, zero=0.0, one=1.0):
     pivset = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivset):
-        x = [0.0] * ncols
-        x[f] = 1.0
+        x = [zero] * ncols
+        x[f] = one
         for row, p in zip(rows, pivots):
             x[p] = -row[f]
         basis.append(tuple(x))
@@ -79,7 +83,7 @@ def float_nullspace(A, tol):
     """linalg.nullspace with tol > 0, on float_rref."""
     if not A:
         return []
-    return _float_nullspace_from_rref(*float_rref(A, tol), len(A[0]))
+    return _nullspace_from_rref(*float_rref(A, tol), len(A[0]))
 
 
 def float_solve(A, b, tol):
@@ -117,14 +121,55 @@ def float_nullspace_sparse(equations, ncols, tol):
 
 
 def center(A):
-    """core.center as the dense nullspace of the n stacked ad matrices."""
-    rows = []
-    for j in range(A.dim):
-        rows.extend(A.algebra.ad_matrix(j))
+    """core.center as the dense nullspace of the n stacked ad matrices, in
+    canonical form: ``exact_rref`` twice, or ``float_rref`` twice."""
+    n, tol = A.dim, A.tol
+    rows = [row for j in range(n) for row in A.algebra.ad_matrix(j)]
     if not rows:
-        return Subspace.from_vectors(0, [], A.tol)
-    basis = linalg.nullspace(linalg.mat(rows), A.tol)
-    return Subspace.from_vectors(A.dim, basis, A.tol)
+        return Subspace(0, (), tol)
+    if tol:
+        basis = float_canonical_rows(float_nullspace(rows, tol), tol)
+    else:
+        kernel = _nullspace_from_rref(*exact_rref(rows), n, Fraction(0), Fraction(1))
+        basis = exact_rref(kernel)[0]
+    return Subspace(n, tuple(basis), tol)
+
+
+def check_jacobi(A):
+    """core.check_jacobi as six dense brackets of basis vectors per triple."""
+    n, tol = A.dim, A.tol
+    worst = 0
+    worst_triple = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = (linalg.basis_vec(n, t, tol) for t in (i, j, k))
+                t1 = bracket(A, ei, bracket(A, ej, ek))
+                t2 = bracket(A, ej, bracket(A, ek, ei))
+                t3 = bracket(A, ek, bracket(A, ei, ej))
+                r = max((abs(a + (b + c)) for a, b, c in zip(t1, t2, t3)), default=0)
+                if r > worst:
+                    worst, worst_triple = r, (i + 1, j + 1, k + 1)
+    return JacobiReport(worst, worst_triple, linalg.is_zero(worst, tol))
+
+
+def leading_principal_minors(A):
+    """linalg.leading_principal_minors at tol 0: the running products of the
+    pivots of one Gaussian elimination in Fractions, without row exchanges;
+    a zero pivot ends the list with a zero minor."""
+    m = [[Fraction(x) for x in row] for row in A]
+    minors, d = [], 1
+    for c, prow in enumerate(m):
+        piv = prow[c]
+        if piv == 0:
+            return minors + [Fraction(0)]
+        d = d * piv
+        minors.append(d)
+        for row in m[c + 1:]:
+            f = row[c] / piv
+            if f:
+                row[c:] = [a - f * b for a, b in zip(row[c:], prow[c:])]
+    return minors
 
 
 def centroid_residual(A, M):
@@ -243,7 +288,7 @@ def doubling_residuals(A, J):
             eq = linalg.basis_vec(n2, q, tol)
             lhs = linalg.mat_vec(Phi, bracket(AC.real_form, ep, eq))
             rhs = bracket(D, linalg.mat_vec(Phi, ep), linalg.mat_vec(Phi, eq))
-            worst_br = max(worst_br, linalg.max_abs_vec(linalg.vec_sub(lhs, rhs)))
+            worst_br = max([worst_br] + [abs(a - b) for a, b in zip(lhs, rhs)])
 
     JJ = tuple(
         tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else (0.0 if tol else Fraction(0))
@@ -264,7 +309,8 @@ def doubling_residuals(A, J):
             hc = hermitian_form_complexified(AC, ep, eq)
             worst_iso = max(worst_iso, abs(re1 + re2 - hc.re), abs(im1 + im2 - hc.im))
 
-    return worst_br, inter, worst_iso, linalg.rank(Phi, tol)
+    rank = len(float_rref(Phi, tol)[0] if tol else exact_rref([[Fraction(x) for x in r] for r in Phi])[0])
+    return worst_br, inter, worst_iso, rank
 
 
 def exact_rref(rows):

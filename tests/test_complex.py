@@ -172,7 +172,7 @@ def test_eigensplit_h3c():
             h = hermitian_form_complexified(AC, u, v)
             assert (h.re, h.im) == (0, 0)
             # the two eigenspaces bracket to zero: they are complementary ideals
-            assert bracket(AC.real_form, u, v) == linalg.zero_vec(12)
+            assert bracket(AC.real_form, u, v) == (F(0),) * 12
     for u in g1.basis:
         for v in g1.basis:
             assert g1.contains(bracket(AC.real_form, u, v))
@@ -332,6 +332,27 @@ def test_enumerate_falls_back_to_float_j_on_irrational_normalizer():
     expected = [linalg.mat_scale(-1, J), J]  # the first nonzero entry, -2/√2 in K/√2, is made positive
     for s, E in zip(structures, expected):
         assert linalg.mat_max_diff(s.J, E) <= 1e-12
+
+
+def test_a_float_gram_on_an_exact_algebra_is_refused():
+    """Exact positive definiteness takes no floats, so a float Gram on an
+    exact algebra raises TypeError instead of being solved exactly from the
+    floats' binary values: through with_metric, make_algebra, and
+    make_irreducible_metric averaging with the float J of an irrational
+    normalizer."""
+    from metriclie.lab import BlockSpec, make_irreducible_metric
+
+    A, K = _h3_over_sqrt_minus2()
+    G = linalg.mat_add(A.gram, linalg.mat_scale(0.1, linalg.identity(6)))
+    J = linalg.mat_scale(1 / math.sqrt(2), linalg.to_float_mat(K))
+    calls = (
+        lambda: A.with_metric(Metric(G)),
+        lambda: make_algebra(6, {ij: list(terms) for ij, terms in A.algebra.structure}, G),
+        lambda: make_irreducible_metric(BlockSpec((A,), 0), hermitian_for=J),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_float_j_on_an_exact_algebra_is_taken_on_the_float_backend():

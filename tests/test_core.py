@@ -104,6 +104,90 @@ def test_jacobi_violation_detected():
     assert report.max_residual == 1
 
 
+JACOBI_CONSTANTS = {
+    "int": st.integers(-3, 3),
+    "small": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "70-bit": st.builds(F, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 70)),
+}
+
+
+@st.composite
+def bracket_tables(draw):
+    """(n, brackets) on n = 3..8 basis vectors, in a random order of the basis.
+    Half are Lie algebras by construction: two-step nilpotent (the first m
+    vectors bracket into the span of the others, which is central) or
+    R ⋉ R^(n-1) (X1 acts on an abelian ideal by a matrix).  The other half are
+    drawn freely, and almost all of them violate Jacobi."""
+    n = draw(st.integers(3, 8))
+    const = JACOBI_CONSTANTS[draw(st.sampled_from(sorted(JACOBI_CONSTANTS)))]
+    perm = draw(st.permutations(range(n)))
+    brackets = {}
+
+    def put(a, b, k):
+        a, b, k, c = perm[a], perm[b], perm[k], draw(const)
+        if a > b:
+            a, b, c = b, a, -c
+        brackets.setdefault((a, b), []).append((k, c))
+
+    shape = draw(st.sampled_from(["free", "free", "two-step", "semidirect"]))
+    if shape == "two-step":
+        m = draw(st.integers(2, n - 1))
+        for a in range(m):
+            for b in range(a + 1, m):
+                for k in draw(st.lists(st.integers(m, n - 1), unique=True, max_size=2)):
+                    put(a, b, k)
+    elif shape == "semidirect":
+        for a in range(1, n):
+            for k in draw(st.lists(st.integers(1, n - 1), unique=True, max_size=3)):
+                put(0, a, k)
+    else:
+        for a in range(n):
+            for b in range(a + 1, n):
+                for k in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)):
+                    put(a, b, k)
+    return n, brackets
+
+
+def _assert_jacobi_matches_the_reference(A):
+    """The same residual (value and type), triple and verdict as the dense
+    reference, on A and on to_numeric(A), where the floats agree bit for bit;
+    a violation raises JacobiViolation with that triple and residual."""
+    import fraction_reference as ref
+
+    for B in (A, to_numeric(A)):
+        got = check_jacobi(B)
+        assert repr(got) == repr(ref.check_jacobi(B))
+    got = check_jacobi(A)
+    if not got.passed:
+        with pytest.raises(JacobiViolation) as exc:
+            make_algebra(A.dim, {ij: list(terms) for ij, terms in A.algebra.structure})
+        assert (exc.value.triple, repr(exc.value.residual)) == (got.worst_triple, repr(got.max_residual))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_check_jacobi_equals_the_dense_reference(table):
+    n, brackets = table
+    _assert_jacobi_matches_the_reference(make_algebra(n, brackets, check=False))
+
+
+def _jacobi_cases():
+    from metriclie.examples import example_keys
+
+    h3, h3c = get_example("h3"), get_example("h3c")
+    cases = {key: get_example(key) for key in example_keys()}
+    cases["h3c+h3c"] = direct_sum(h3c, h3c)
+    cases["h3c^3+h3"] = direct_sum(direct_sum(direct_sum(h3c, h3c), h3c), h3)
+    return cases
+
+
+@pytest.mark.parametrize("key", sorted(_jacobi_cases()))
+def test_check_jacobi_on_examples_equals_the_dense_reference(key):
+    A = _jacobi_cases()[key]
+    assert check_jacobi(A).passed
+    _assert_jacobi_matches_the_reference(A)
+
+
 def test_metric_not_positive_definite():
     with pytest.raises(MetricNotPositiveDefinite):
         make_algebra(2, {}, gram=[[F(1), F(2)], [F(2), F(1)]])
@@ -336,8 +420,8 @@ vec3 = st.tuples(small, small, small)
 def test_bracket_bilinear_antisymmetric(u, v, w, c):
     A = so3()
     assert bracket(A, u, v) == tuple(-x for x in bracket(A, v, u))
-    lhs = bracket(A, linalg.vec_add(linalg.vec_scale(c, u), w), v)
-    rhs = linalg.vec_add(linalg.vec_scale(c, bracket(A, u, v)), bracket(A, w, v))
+    lhs = bracket(A, tuple(c * a + b for a, b in zip(u, w)), v)
+    rhs = tuple(c * a + b for a, b in zip(bracket(A, u, v), bracket(A, w, v)))
     assert lhs == rhs
 
 

@@ -207,9 +207,9 @@ def test_rref_equals_the_fraction_reference(A):
 @given(rref_input(), st.data())
 def test_float_rows_at_tol_zero_raise_type_error(A, data):
     """Exact elimination takes no floats: one nonzero float among exact
-    entries, or all entries floats, makes rref, nullspace, solve and
-    canonical_rows raise TypeError at tol == 0, and so does a float
-    right-hand side of solve."""
+    entries, or all entries floats, makes rref, nullspace, solve,
+    canonical_rows, rank and leading_principal_minors raise TypeError at
+    tol == 0, and so does a float right-hand side of solve."""
     if not A:
         A = ((F(1, 3), F(0)),)
     i = data.draw(st.integers(0, len(A) - 1))
@@ -225,10 +225,44 @@ def test_float_rows_at_tol_zero_raise_type_error(A, data):
         lambda: linalg.solve(A, zero_b),
         lambda: linalg.solve(exact_A, (0.5,) * len(A)),
         lambda: linalg.canonical_rows(A, len(A[0])),
+        lambda: linalg.rank(A),
+        lambda: linalg.leading_principal_minors(A),
     )
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_input())
+def test_rank_is_the_number_of_reference_pivots(A):
+    """Exact rank counts the pivots of the forward elimination alone."""
+    assert linalg.rank(A) == len(exact_rref(tuple(tuple(F(x) for x in row) for row in A))[0])
+
+
+@st.composite
+def gram_input(draw):
+    """A square matrix of one entry kind: Bᵀ·B (positive semidefinite, and
+    singular when B has a zero row), Bᵀ·B + I (positive definite), or the
+    symmetric matrix with the upper triangle of B (indefinite as a rule)."""
+    n = draw(st.integers(0, 6))
+    B = draw(exact_matrix(n, n, draw(st.sampled_from(sorted(ENTRY_KINDS)))))
+    shape = draw(st.sampled_from(["BtB", "BtB+I", "symmetric"]))
+    if shape == "symmetric":
+        return tuple(tuple(B[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    G = _mat_mul_reference(linalg.transpose(B), B)
+    if shape == "BtB+I":
+        G = tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(G))
+    return G
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_input())
+def test_leading_principal_minors_equal_the_fraction_reference(G):
+    """Bareiss's integer elimination gives the minors of the Gaussian
+    elimination in Fractions, value and type, up to and including the zero
+    minor that ends the list at the first zero pivot."""
+    assert repr(linalg.leading_principal_minors(G)) == repr(ref.leading_principal_minors(G))
 
 
 # ---------------------------------------------------------------------------
