@@ -195,6 +195,19 @@ class LieAlgebra:
         rows, e = linalg._int_canonical_nullspace(list(self._commutant_rows()), n * n)
         return tuple(tuple((*divmod(col, n), b) for col, b in sorted(row.items())) for row in rows), e
 
+    @cached_property
+    def _has_abelian_factor(self) -> bool:
+        """Whether Z(g) is not contained in [g, g].  It reads only the
+        bracket, so it is decided once per algebra, like the centroid."""
+        A = MetricLieAlgebra(self, Metric(linalg.identity(self.dim, self.tol)))  # center and [g, g] read no Gram
+        return self.dim > 0 and not derived_subalgebra(A).contains_subspace(center(A))
+
+
+# The caches above that read only the bracket: an algebra with the same ad
+# matrices may take them over (``restrict`` on the standard basis).
+_BRACKET_CACHES = ("_ad_matrices", "ad_entries", "_int_ad_entries", "_centroid_basis",
+                   "_int_centroid_entries", "_has_abelian_factor")
+
 
 @dataclass(frozen=True)
 class Metric:
@@ -212,7 +225,7 @@ class Metric:
         n = len(G)
         for i in range(n):
             for j in range(i + 1, n):
-                if not linalg.is_zero(G[i][j] - G[j][i], tol):
+                if not (linalg.is_zero(G[i][j] - G[j][i], tol) if tol else G[i][j] == G[j][i]):
                     raise MetricNotPositiveDefinite(-1)
         for k, minor in enumerate(linalg.leading_principal_minors(G, tol)):
             if not minor > (tol if tol else 0):
@@ -275,9 +288,11 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
         if not (0 <= i < j < dim):
             raise ParseError(f"bracket indices ({i+1},{j+1}) out of range for dim {dim}")
         clean = tuple((k, c) for k, c in terms if not linalg.is_zero(c, tol))
-        for k, _ in clean:
+        for k, c in clean:
             if not 0 <= k < dim:
                 raise ParseError(f"bracket target index {k+1} out of range")
+            if not tol and isinstance(c, float):
+                raise ParseError(f"exact structure constant given as a float: {c!r}")
         if clean:
             structure.append(((i, j), clean))
     alg = LieAlgebra(dim, tuple(structure), tuple(labels), tol)
@@ -383,10 +398,9 @@ def derived_subalgebra(A: MetricLieAlgebra) -> Subspace:
 
 
 def has_abelian_factor(A: MetricLieAlgebra) -> bool:
-    """True iff Z(g) is not contained in [g, g]; metric-independent."""
-    if A.dim == 0:
-        return False
-    return not derived_subalgebra(A).contains_subspace(center(A))
+    """True iff Z(g) is not contained in [g, g]; metric-independent, so it is
+    cached on the Lie algebra and shared by every metric on it."""
+    return A.algebra._has_abelian_factor
 
 
 def direct_sum(A: MetricLieAlgebra, B: MetricLieAlgebra, name: str = "") -> MetricLieAlgebra:
@@ -422,14 +436,32 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
     the brackets of its pairs, gives the coordinates of every w at once; the
     row operations depend on C alone, so each column comes out as a solve of
     its own would give it.
+
+    The standard basis, the carrier of every irreducible algebra, needs no
+    reduction: the coordinates of [X_p, X_q] are the structure constants,
+    merged per k, in ascending k and exact ones as Fractions, as the
+    reduction gives them.  The induced algebra then has the ambient ad
+    matrices and takes over the ambient ``_BRACKET_CACHES`` already filled,
+    the centroid among them.  The Gram is Cᵀ·(G·C) on both paths.
     """
     if S.ambient_dim != A.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
     basis = S.basis
     s = len(basis)
-    pairs = [(p, q) for p in range(s) for q in range(p + 1, s)]
     brackets = {}
-    if pairs:
+    standard = s == A.dim and all(x == (i == j) for i, b in enumerate(basis) for j, x in enumerate(b))
+    shared = standard
+    if standard:
+        z = 0.0 if A.tol else Fraction(0)
+        for pair, terms in A.algebra.structure:
+            w = {}
+            for k, c in terms:  # in term order, as bracket adds them
+                w[k] = w.get(k, z) + c
+            brackets[pair] = [(k, w[k]) for k in sorted(w) if not linalg.is_zero(w[k], A.tol)]
+            # a merged float constant dropped as within tol leaves ad matrices unlike A's
+            shared = shared and len(brackets[pair]) == sum(1 for c in w.values() if c)
+    elif s > 1:
+        pairs = [(p, q) for p in range(s) for q in range(p + 1, s)]
         W = [bracket(A, basis[p], basis[q]) for p, q in pairs]
         rows, pivots = linalg.rref(tuple(zip(*basis, *W)), A.tol)
         outside = [c - s for c in pivots if c >= s]  # the first is the first bracket not in S
@@ -440,7 +472,11 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
             if terms:
                 brackets[(p, q)] = terms
     gram = linalg.mat_mul(basis, linalg.mat_mul(A.gram, S.matrix_columns()))  # Cᵀ·(G·C)
-    return make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.backend, A.tol, check=False)
+    B = make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.backend, A.tol, check=False)
+    if shared:
+        filled = A.algebra.__dict__  # where cached_property keeps its values
+        B.algebra.__dict__.update((key, filled[key]) for key in _BRACKET_CACHES if key in filled)
+    return B
 
 
 def to_numeric(A: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:

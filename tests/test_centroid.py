@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metriclie import linalg
@@ -236,13 +236,16 @@ def _poly_mul(p, q):
 
 
 def _sympy_rational_roots(coeffs):
-    """The oracle: sorted roots from sympy.roots if all are rational, else None."""
+    """The oracle: sorted roots if every irreducible factor over Q is linear,
+    else None.  It factors with Poly.factor_list: sympy.roots can raise
+    ValueError inside factorint on large coefficients."""
     x = sympy.Symbol("x")
-    rts = sympy.roots(sum(sympy.Rational(c.numerator, c.denominator) * x**k
-                          for k, c in enumerate(coeffs)), x)
-    if sum(rts.values()) != len(coeffs) - 1 or any(not r.is_rational for r in rts):
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ")
+    _, factors = poly.factor_list()
+    if any(f.degree() != 1 for f, _ in factors):
         return None
-    return sorted(F(int(r.p), int(r.q)) for r in rts)
+    roots = [-f.nth(0) / f.nth(1) for f, _ in factors]
+    return sorted(F(int(r.p), int(r.q)) for r in roots)
 
 
 def _roots_or_none(coeffs):
@@ -290,6 +293,7 @@ def root_polynomials(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(root_polynomials())
+@example(([F(1161849105), F(BIG), F(1161849105)], None))  # sympy.roots raises ValueError on it
 def test_rational_roots_match_sympy(case):
     coeffs, roots = case
     got = _roots_or_none(coeffs)
@@ -494,6 +498,35 @@ def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
         B = A.with_metric(metric)
         symmetric_centroid(B)
         skew_centroid(B)
+    assert cols.count(n * n) == 1
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
+def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
+    """For k = 1 the carrier is the standard basis, so the induced algebra
+    takes over the ambient centroid: decomposing and enumerating solve the
+    n²-unknown commutant once."""
+    h3c = get_example("h3c")
+    A = direct_sum(h3c, h3c).with_metric(random_gram(12, 1))
+    if numeric:
+        A = to_numeric(A)
+    n = A.dim
+    cols = []
+    name = "_canonical_nullspace" if numeric else "_int_nullspace"
+    solve = getattr(linalg, name)
+
+    def counting(equations, ncols, *tol):
+        cols.append(ncols)
+        return solve(equations, ncols, *tol)
+
+    monkeypatch.setattr(linalg, name, counting)
+    dec = decompose(A)
+    assert dec.k == 1
+    induced = dec.factors[0].induced.algebra
+    assert induced._centroid_basis is A.algebra._centroid_basis
+    assert induced._int_centroid_entries is A.algebra._int_centroid_entries
+    assert induced.structure == A.algebra.structure
+    enumerate_complex_structures(A)
     assert cols.count(n * n) == 1
 
 

@@ -63,6 +63,16 @@ def test_parse_scalar_exact_refuses_floats():
         parse_scalar(0.5)
 
 
+def test_make_algebra_exact_refuses_float_structure_constants():
+    """A float constant at tol 0 is refused when the algebra is built, not
+    later by an exact elimination."""
+    with pytest.raises(ParseError):
+        make_algebra(3, {(0, 1): [(2, 0.5)]})
+    with pytest.raises(ParseError):
+        make_algebra(3, {(0, 1): [(2, 0.5)]}, check=False)
+    assert make_algebra(3, {(0, 1): [(2, 0.5)]}, backend="numeric").algebra.structure == (((0, 1), ((2, 0.5),)),)
+
+
 def test_decimal_literals_parse_exactly():
     A = parse_document('{"dim": 1, "gram": [[0.1234567890123]]}')
     assert A.gram == ((F("0.1234567890123"),),)
@@ -193,6 +203,15 @@ def test_metric_not_positive_definite():
         make_algebra(2, {}, gram=[[F(1), F(2)], [F(2), F(1)]])
     with pytest.raises(MetricNotPositiveDefinite):
         Metric(linalg.mat([[F(1), F(1)], [F(0), F(1)]])).validate()
+
+
+def test_symmetry_is_exact_at_tol_zero_and_within_tol_on_floats():
+    eps = F(1, 10**30)
+    with pytest.raises(MetricNotPositiveDefinite) as exc:
+        Metric(linalg.mat([[F(2), F(1) + eps], [F(1), F(2)]])).validate()
+    assert exc.value.minor_index == -1
+    Metric(linalg.mat([[F(2), 1], [F(1), F(2)]])).validate()  # an int equals its Fraction
+    Metric(linalg.mat([[2.0, 1.0 + 1e-12], [1.0, 2.0]])).validate(1e-9)
 
 
 @pytest.mark.parametrize("gram,exact_index,float_index", [
@@ -336,6 +355,46 @@ def test_restrict_equals_per_pair_solves(A, carriers):
         assert B.algebra.structure == ref.algebra.structure
         assert [[(type(x), x) for x in row] for row in B.gram] == \
             [[(type(x), x) for x in row] for row in ref.gram]
+
+
+def test_restrict_to_a_full_rank_non_standard_basis_reduces():
+    """Only the standard basis skips the reduction: a full-rank carrier in
+    another basis, the rows of the triangular T, gives the per-pair
+    reference on both backends and takes over no cache of the ambient
+    algebra."""
+    A = get_example("h3h3")
+    T = _triangular(6)
+    for C, basis in ((A, T), (to_numeric(A), linalg.to_float_mat(T))):
+        C.algebra._centroid_basis  # filled, so a wrongly taken shortcut would share it
+        S = Subspace(6, basis, C.tol)
+        B, ref = restrict(C, S), _restrict_per_pair(C, S)
+        assert B.algebra.structure == ref.algebra.structure
+        assert [[(type(x), x) for x in row] for row in B.gram] == \
+            [[(type(x), x) for x in row] for row in ref.gram]
+        assert B.algebra.structure != C.algebra.structure
+        assert "_centroid_basis" not in B.algebra.__dict__
+
+
+def test_restrict_to_the_standard_basis_merges_like_the_reduction():
+    """On the standard basis, constants with one target merge in term order
+    and come out in ascending k, as the reduction gives them.  The ambient
+    caches are shared, except when a merged float constant is dropped as
+    within tol: then the ambient ad matrices keep it and the induced ones
+    do not."""
+    exact = make_algebra(4, {(0, 1): [(3, 1), (2, F(1, 2)), (2, F(1, 2))]}, check=False)
+    numeric = make_algebra(4, {(0, 1): [(2, 1.0), (3, 1.0), (2, -1.0 + 1e-12)]}, backend="numeric", check=False)
+    for A, shared in ((exact, True), (numeric, False)):
+        A.algebra._centroid_basis
+        S = Subspace(4, linalg.identity(4, A.tol), A.tol)
+        B = restrict(A, S)
+        assert _typed_structure(B) == _typed_structure(_restrict_per_pair(A, S))
+        assert ("_centroid_basis" in B.algebra.__dict__) is shared
+    assert _typed_structure(restrict(exact, Subspace(4, linalg.identity(4)))) == \
+        [((0, 1), [(2, F, 1), (3, F, 1)])]
+
+
+def _typed_structure(A):
+    return [(pair, [(k, type(c), c) for k, c in terms]) for pair, terms in A.algebra.structure]
 
 
 def _triangular(n):

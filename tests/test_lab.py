@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from metriclie import lab, linalg
+from metriclie import core, lab, linalg
 from metriclie.centroid import decompose, symmetric_centroid
 from metriclie.core import direct_sum, has_abelian_factor
 from metriclie.errors import (
@@ -173,6 +173,17 @@ def test_metric_scan_h3c():
     # determinism
     again = metric_scan(A, trials=5, seed=0)
     assert [t.gram_hash for t in again.trials] == [t.gram_hash for t in report.trials]
+
+
+def test_metric_scan_decides_the_abelian_factor_once(monkeypatch):
+    """has_abelian_factor reads the bracket alone: a scan asks it once per
+    trial and once more per decompose, and decides it once."""
+    calls = []
+    center = core.center
+    monkeypatch.setattr(core, "center", lambda A: calls.append(A) or center(A))
+    report = metric_scan(get_example("h3c"), trials=10, seed=0)
+    assert len(report.trials) == 10
+    assert len(calls) == 1
 
 
 def test_metric_scan_h3_never_finds_structures():
