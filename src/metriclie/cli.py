@@ -11,8 +11,6 @@ import argparse
 import sys
 
 from . import docio
-from .centroid import decompose
-from .complexstruct import enumerate_complex_structures
 from .core import DEFAULT_TOL, NUMERIC, check_jacobi, to_numeric
 from .errors import (
     AbelianFactorPresent,
@@ -22,8 +20,6 @@ from .errors import (
     MetricNotPositiveDefinite,
     ParseError,
 )
-from .examples import example_description, example_keys, get_example
-from .lab import BlockSpec, jcount_experiment, make_metric_with_factor_count, metric_scan
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -76,6 +72,8 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
+    from .centroid import decompose
+
     A = _load(args.path, args)
     dec = decompose(A, seed=args.seed)
     doc = docio.decomposition_document(dec)
@@ -91,6 +89,8 @@ def cmd_decompose(args):
 
 
 def cmd_jstructs(args):
+    from .complexstruct import enumerate_complex_structures
+
     A = _load(args.path, args)
     structures = enumerate_complex_structures(A, seed=args.seed)
     doc = docio.enumeration_document(A, structures)
@@ -105,14 +105,15 @@ def cmd_jstructs(args):
     return EXIT_OK
 
 
-def _blocks_from_names(names, seed):
-    blocks = tuple(get_example(n.strip()) for n in names.split(","))
-    return BlockSpec(blocks, seed)
-
-
 def cmd_lab(args):
+    from .examples import get_example
+    from .lab import BlockSpec, jcount_experiment, make_metric_with_factor_count, metric_scan
+
+    def blocks():
+        return BlockSpec(tuple(get_example(n.strip()) for n in args.blocks.split(",")), args.seed)
+
     if args.lab_cmd == "factor-count":
-        spec = _blocks_from_names(args.blocks, args.seed)
+        spec = blocks()
         metric = make_metric_with_factor_count(spec, args.l)
         doc = {"schema": docio.SCHEMA_VERSION, "lab": "factor-count",
                "blocks": args.blocks, "l": args.l,
@@ -122,7 +123,7 @@ def cmd_lab(args):
                  for row in metric.gram])
         return EXIT_OK
     if args.lab_cmd == "jcount":
-        spec = _blocks_from_names(args.blocks, args.seed)
+        spec = blocks()
         report = jcount_experiment(spec, args.l)
         doc = {"schema": docio.SCHEMA_VERSION, "lab": "jcount",
                "blocks": args.blocks, "l": report.l, "k": report.k,
@@ -156,6 +157,8 @@ def cmd_lab(args):
 
 
 def cmd_examples(args):
+    from .examples import example_description, example_keys, get_example
+
     if args.ex_cmd == "list":
         doc = {"schema": docio.SCHEMA_VERSION,
                "examples": [{"key": k, "description": example_description(k)}

@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .complexstruct import complexify
 from .core import MetricLieAlgebra, Metric, make_algebra
 from .errors import UnknownExample
 
@@ -99,6 +98,8 @@ def h3h3_paper_metric() -> MetricLieAlgebra:
 
 def sl2c_real() -> MetricLieAlgebra:
     """Underlying real algebra of sl(2, C), built as the complexification of sl(2, R)."""
+    from .complexstruct import complexify
+
     sl2 = make_algebra(
         3,
         {

@@ -284,6 +284,7 @@ def rank(A: Mat, tol: float = 0.0) -> int:
 
 def canonical_rows(vectors, ncols: int, tol: float = 0.0):
     """Canonical reduced-echelon basis of the span of the given vectors."""
+    # not redundant: rows within tol still move in _float_rref's row swaps and so pick between tied pivots
     vs = [v for v in vectors if not all(is_zero(x, tol) for x in v)]
     if not vs:
         return []

@@ -190,6 +190,41 @@ def test_exact_run_imports_neither_sympy_nor_numpy():
     assert out.stdout.strip() == "[]"
 
 
+_BASE_MODULES = ["metriclie", "metriclie.core", "metriclie.docio", "metriclie.errors",
+                 "metriclie.linalg"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+@pytest.mark.parametrize("cmd,key,extra", [
+    ("check", "h3c", []),
+    ("decompose", "h3h3", ["metriclie.centroid"]),
+    ("jstructs", "h3c", ["metriclie.centroid", "metriclie.complexstruct"]),
+])
+def test_each_command_loads_only_its_modules(algfile, cmd, key, extra, backend):
+    """``python -m metriclie.cli`` loads the package, the parser's layers and
+    the one computational module its command calls (``complexstruct`` needs
+    ``centroid``); no command loads ``lab`` or ``examples``."""
+    import os
+    import subprocess
+    import sys
+
+    import metriclie
+
+    path = algfile(key)
+    code = ("import atexit, json, runpy, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'metriclie')), file=sys.stderr))\n"
+            f"sys.argv = ['metriclie', '--backend', {backend!r}, '--format', 'structured',\n"
+            f"            {cmd!r}, {path!r}]\n"
+            "runpy.run_module('metriclie.cli', run_name='__main__', alter_sys=True)\n")
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["schema"] == 1
+    assert json.loads(out.stderr.splitlines()[-1]) == sorted(_BASE_MODULES + extra)
+
+
 def _digest_algebras():
     from metriclie.core import direct_sum
 
