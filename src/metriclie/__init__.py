@@ -17,8 +17,7 @@ _EXPORTS = {
     ), "core"),
     **dict.fromkeys((
         "Decomposition", "Factor", "OperatorSubspace", "decompose", "is_irreducible",
-        "is_orthogonal_projection", "skew_centroid", "split_by_projection",
-        "symmetric_centroid",
+        "is_orthogonal_projection", "skew_centroid", "symmetric_centroid",
     ), "centroid"),
     **dict.fromkeys((
         "ComplexStructure", "ComplexifiedAlgebra", "HermitianValue", "commute_check",

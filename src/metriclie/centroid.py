@@ -47,7 +47,6 @@ from .errors import (
     AbelianFactorPresent,
     GenericityFailure,
     InternalAssertionFailure,
-    NotAProjection,
 )
 
 GENERIC_COEFF_BOUND = 7
@@ -154,17 +153,7 @@ def centroid_residual(A: MetricLieAlgebra, M) -> object:
         stacked += D
     if int_ad is None:
         return linalg.max_abs(stacked)
-    return linalg._int_max_abs(stacked, e * d, lambda i, s: _commutator_entry_is_fraction(A, M, i, s))
-
-
-def _commutator_entry_is_fraction(A: MetricLieAlgebra, M, i, s) -> bool:
-    """Whether Fraction arithmetic makes entry (r, s) of ad(X_j)·M − M·ad(X_j)
-    a Fraction, with j, r = divmod(i, n): some product added to it has one."""
-    j, r = divmod(i, A.dim)
-    return any(type(c) is Fraction or type(M[b][s]) is Fraction
-               for a, b, c in A.algebra.ad_entries[j] if a == r) or any(
-        type(c) is Fraction or type(M[r][a]) is Fraction
-        for a, b, c in A.algebra.ad_entries[j] if b == s)
+    return linalg._int_max_abs(stacked, e * d)
 
 
 @dataclass(frozen=True)
@@ -226,20 +215,6 @@ class Decomposition:
 def _image_subspace(A: MetricLieAlgebra, P) -> Subspace:
     cols = linalg.transpose(P)
     return Subspace.from_vectors(len(P), list(cols), A.tol)
-
-
-def split_by_projection(A: MetricLieAlgebra, P):
-    """Split A into the factors carried by im(P) and ker(P)."""
-    cert = is_orthogonal_projection(A, P)
-    if not cert.passed:
-        raise NotAProjection(f"operator fails projection axioms: {cert.residuals()}")
-    n = A.dim
-    im = _image_subspace(A, P)
-    ker = Subspace.from_vectors(n, linalg.nullspace(P, A.tol), A.tol)
-    Q = linalg.mat_sub(linalg.identity(n, A.tol), P)
-    f1 = Factor(im, P, restrict(A, im), {"projection": cert.residuals()})
-    f2 = Factor(ker, Q, restrict(A, ker), {"projection": is_orthogonal_projection(A, Q).residuals()})
-    return f1, f2
 
 
 def _sign_at(p, t):

@@ -232,6 +232,15 @@ class Metric:
                 raise MetricNotPositiveDefinite(k + 1)
 
 
+def _int_entries_as_fractions(M):
+    """M with its int entries as Fractions, or M itself when it has none.
+    A float entry is kept, so that the exact checks refuse it (TypeError)
+    rather than take its binary value."""
+    if all(type(x) is not int for row in M for x in row):
+        return M
+    return linalg.mat((Fraction(x) if type(x) is int else x for x in row) for row in M)
+
+
 @dataclass(frozen=True)
 class MetricLieAlgebra:
     algebra: LieAlgebra
@@ -242,6 +251,12 @@ class MetricLieAlgebra:
     def __post_init__(self):
         if len(self.metric.gram) != self.algebra.dim:
             raise DimensionMismatch("metric dimension differs from algebra dimension")
+        if not self.tol:  # exact data is stored as Fractions
+            G = _int_entries_as_fractions(self.gram)
+            if G is not self.gram:
+                object.__setattr__(self, "metric", Metric(G))
+            if self.j_marker is not None:
+                object.__setattr__(self, "j_marker", _int_entries_as_fractions(self.j_marker))
 
     @property
     def dim(self) -> int:
@@ -277,6 +292,8 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
     """Build a validated MetricLieAlgebra.
 
     ``brackets`` maps (i, j) with 0-based i < j to a list of (k, coeff).
+    Exact constants, Gram and ``j_marker`` entries may be ints; they are
+    stored as Fractions.
     """
     if tol is None:
         tol = DEFAULT_TOL if backend == NUMERIC else 0.0
@@ -294,7 +311,7 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
             if not tol and isinstance(c, float):
                 raise ParseError(f"exact structure constant given as a float: {c!r}")
         if clean:
-            structure.append(((i, j), clean))
+            structure.append(((i, j), clean if tol else tuple((k, Fraction(c)) for k, c in clean)))
     alg = LieAlgebra(dim, tuple(structure), tuple(labels), tol)
     if gram is None:
         gram = linalg.identity(dim, tol)

@@ -48,10 +48,6 @@ class GenericityFailure(MetricLieError):
     within the retry budget."""
 
 
-class NotAProjection(MetricLieError):
-    pass
-
-
 class InvalidComplexStructure(MetricLieError):
     pass
 

@@ -2,7 +2,12 @@
 
 All matrices are tuples of row tuples.  Exact computations use
 ``fractions.Fraction`` entries and ``tol == 0``; the numeric backend uses
-floats and a strictly positive tolerance.  Dimensions here are tiny
+floats and a strictly positive tolerance.  Exact operands may hold ints,
+read as the Fractions they equal: every nonzero exact result of
+``mat_mul``, the eliminations and the certificate residuals is a Fraction,
+and a zero residual is the int 0, as ``max_abs`` gives it.  The entrywise
+helpers (``mat_add``, ``mat_scale``, ``mat_vec``, ``dot``) are plain
+arithmetic and keep their operands' types.  Dimensions here are tiny
 (algebras of dim <= 12, operator spaces of dim <= 144).  Exact work is
 integer elimination over common denominators, not Fraction arithmetic:
 ``mat_mul`` clears each row of A and each column of B to integers and
@@ -95,12 +100,6 @@ def _cleared_matrix(M):
     return [ints[i * m:(i + 1) * m] for i in range(len(M))], d
 
 
-def _has_fraction(rows):
-    """Per row, whether it holds a Fraction: Fraction arithmetic makes a
-    Fraction of every sum of products that one enters, and keeps ints int."""
-    return [any(type(x) is Fraction for x in row) for row in rows]
-
-
 def _int_products(rows, cols):
     """The integer matrix product: entry (i, j) is rows[i] · cols[j]; zero
     entries of the columns are skipped."""
@@ -114,10 +113,8 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
         return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
     rows, da = zip(*map(_cleared, A)) if A else ((), ())
     cols, db = zip(*map(_cleared, Bt)) if Bt else ((), ())
-    fa, fb = _has_fraction(A), _has_fraction(Bt)
-    # an entry is a Fraction iff its row of A or its column of B holds one
     return tuple(
-        tuple(Fraction(s, da[i] * db[j]) if fa[i] or fb[j] else s for j, s in enumerate(row))
+        tuple(Fraction(s, da[i] * db[j]) for j, s in enumerate(row))
         for i, row in enumerate(_int_products(rows, cols))
     )
 
@@ -160,19 +157,11 @@ def mat_max_diff(A: Mat, B: Mat):
     return max_abs(mat_sub(A, B))
 
 
-def _int_max_abs(R, den: int, is_fraction):
-    """max_abs of the matrix R / den, for integer R: the int 0 when R is zero,
-    else the first largest entry in row-major order, as max_abs takes it.
-    That entry is a Fraction where is_fraction(i, j) says Fraction
-    arithmetic made one, and an int where it did not."""
-    m, at = 0, None
-    for i, row in enumerate(R):
-        for j, x in enumerate(row):
-            if abs(x) > m:
-                m, at = abs(x), (i, j)
-    if not m:
-        return 0
-    return Fraction(m, den) if is_fraction(*at) else m // den
+def _int_max_abs(R, den: int):
+    """max_abs of the matrix R / den, for integer R: a Fraction, or the int 0
+    when R is zero, as max_abs gives it."""
+    m = max((abs(x) for row in R for x in row), default=0)
+    return Fraction(m, den) if m else 0
 
 
 def _exact_residual(terms):
@@ -182,32 +171,25 @@ def _exact_residual(terms):
     int or a Fraction.  Each operand is cleared to integers over one common
     denominator, so the terms are integer matrices over a few products of
     denominators, brought to their lcm; one Fraction is formed, for the
-    largest entry.  Its type is what the Fraction formula gives: a product
-    entry is a Fraction iff its row of X or its column of Y holds one.
+    largest entry, and a zero residual is the int 0.
     """
-    parts = []  # (R, p, d, is_fraction) for the term p·R / d, R an integer matrix
+    parts = []  # (R, p, d) for the term p·R / d, R an integer matrix
     for c, *ops in terms:
         p, q = c.as_integer_ratio()
-        fc = type(c) is Fraction
         if len(ops) == 1:
-            (X,) = ops
-            R, d = _cleared_matrix(X)
-            is_fraction = lambda i, j, X=X, fc=fc: fc or type(X[i][j]) is Fraction
+            R, d = _cleared_matrix(ops[0])
         else:
             X, Y = ops
-            Yt = transpose(Y)
-            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(Yt)
+            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(transpose(Y))
             R, d = _int_products(Xi, Yi), dx * dy
-            fx, fy = _has_fraction(X), _has_fraction(Yt)
-            is_fraction = lambda i, j, fx=fx, fy=fy, fc=fc: fc or fx[i] or fy[j]
-        parts.append((R, p, q * d, is_fraction))
-    den = math.lcm(*(d for _, _, d, _ in parts))
+        parts.append((R, p, q * d))
+    den = math.lcm(*(d for _, _, d in parts))
     total = None
-    for R, p, d, _ in parts:
+    for R, p, d in parts:
         f = p * (den // d)
         R = R if f == 1 else [[f * x for x in row] for row in R]
         total = R if total is None else [[a + b for a, b in zip(u, v)] for u, v in zip(total, R)]
-    return _int_max_abs(total, den, lambda i, j: any(fr(i, j) for *_, fr in parts))
+    return _int_max_abs(total, den)
 
 
 def rref(rows, tol: float = 0.0):

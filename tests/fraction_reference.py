@@ -3,7 +3,10 @@ solves replaced, kept as their reference.
 
 The certificates here compute in the entries' own arithmetic (Fractions,
 ints or floats), entry by entry, as metriclie did before its exact
-certificates were formed over common denominators.  ``exact_rref`` is the
+certificates were formed over common denominators.  Their products are
+their own (``mat_mul``, a plain ``sum`` of products), not the integer
+``linalg.mat_mul`` under test; on float operands that sum is linalg's own
+float path, so float results are compared bit for bit.  ``exact_rref`` is the
 exact Gauss-Jordan elimination in Fractions, dense over all columns, and
 the exact kernel (``int_nullspace``, ``canonical_nullspace``) is built on
 it, not on the linalg eliminations it checks.  ``metric_part`` builds its
@@ -17,9 +20,11 @@ the centre as the dense nullspace of the stacked ad matrices on these two
 eliminations.  ``check_jacobi`` is the dense Jacobi check, six ``bracket``
 calls per basis triple, from before it was expanded over the sparse
 structure constants, and ``leading_principal_minors`` is the exact Gaussian
-elimination in Fractions that Bareiss's integer elimination replaced.  The
-tests require the library to give the same values with the same types, and
-the same floats bit for bit.
+elimination in Fractions that Bareiss's integer elimination replaced.  On
+exact operands the library returns Fractions (and the int 0 for a zero
+residual), so the tests hand these functions exact operands as Fractions:
+plain arithmetic on ints would give ints.  The tests then require the same
+values with the same types, and the same floats bit for bit.
 """
 
 import math
@@ -29,6 +34,17 @@ from metriclie import linalg
 from metriclie.centroid import GENERIC_COEFF_BOUND
 from metriclie.complexstruct import complexify, hermitian_form_complexified
 from metriclie.core import JacobiReport, Subspace, bracket, direct_sum
+
+
+def fractions(M):
+    """The exact matrix M with its entries as Fractions."""
+    return tuple(tuple(Fraction(x) for x in row) for row in M)
+
+
+def mat_mul(A, B):
+    """The matrix product as entrywise sums of products."""
+    Bt = linalg.transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
 
 
 def float_rref(rows, tol):
@@ -189,21 +205,21 @@ def centroid_residual(A, M):
 
 def projection_residuals(A, P):
     """(idempotent, bracket, symmetry) of is_orthogonal_projection."""
-    idem = linalg.mat_max_diff(linalg.mat_mul(P, P), P)
+    idem = linalg.mat_max_diff(mat_mul(P, P), P)
     br = centroid_residual(A, P)
     G = A.gram
-    sym = linalg.mat_max_diff(linalg.mat_mul(G, P), linalg.mat_mul(linalg.transpose(P), G))
+    sym = linalg.mat_max_diff(mat_mul(G, P), mat_mul(linalg.transpose(P), G))
     return idem, br, sym
 
 
 def complex_structure_residuals(A, J):
     """(square, bracket, skew) of verify_complex_structure."""
     n = A.dim
-    sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
+    sq = linalg.mat_max_diff(mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
     br = centroid_residual(A, J)
     G = A.gram
     sk = linalg.max_abs(
-        linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
+        linalg.mat_add(mat_mul(G, J), mat_mul(linalg.transpose(J), G))
     )
     return sq, br, sk
 
@@ -218,7 +234,7 @@ def projections_sum_residual(projections, n, tol=0.0):
 
 def square_scalar(K, tol=0.0):
     """(λ, max|K·K − λ·I|) with λ = (K·K)[0][0], the check on a factor's K."""
-    K2 = linalg.mat_mul(K, K)
+    K2 = mat_mul(K, K)
     lam = K2[0][0]
     return lam, linalg.mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(len(K), tol)))
 
@@ -247,7 +263,7 @@ def complex_structures(dec):
         Jf, _ = _factor_complex_structure(f.induced)
         C = f.carrier.matrix_columns()
         R = tuple(f.projection[next(c for c, x in enumerate(b) if x == 1)] for b in f.carrier.basis)
-        pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
+        pieces.append(mat_mul(C, mat_mul(Jf, R)))
     return [(signs, J, complex_structure_residuals(dec.algebra, J))
             for signs, J in signed_sums(pieces, dec.algebra.dim)]
 
@@ -295,7 +311,7 @@ def doubling_residuals(A, J):
               for c in range(n2))
         for r in range(n2)
     )
-    inter = linalg.mat_max_diff(linalg.mat_mul(Phi, AC.i_op), linalg.mat_mul(JJ, Phi))
+    inter = linalg.mat_max_diff(mat_mul(Phi, AC.i_op), mat_mul(JJ, Phi))
 
     worst_iso = 0
     for p in range(n2):
@@ -399,7 +415,7 @@ def metric_part(A, sign):
         coords = float_canonical_rows(float_nullspace_sparse(eqs, len(basis), tol), tol)
     else:
         coords = canonical_nullspace(eqs, len(basis))
-    rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
+    rows = mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
     return tuple(linalg.unvectorize(r, n) for r in rows)
 
 
@@ -427,6 +443,6 @@ def eigenprojections(a, eigenvalues, tol):
         P = I
         for mu in eigenvalues:
             if mu != lam:
-                P = linalg.mat_mul(P, linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I))))
+                P = mat_mul(P, linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I))))
         projections.append(P)
     return projections

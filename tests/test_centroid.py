@@ -17,7 +17,6 @@ from metriclie.centroid import (
     is_irreducible,
     is_orthogonal_projection,
     skew_centroid,
-    split_by_projection,
     symmetric_centroid,
 )
 from metriclie.complexstruct import enumerate_complex_structures
@@ -30,7 +29,7 @@ from metriclie.core import (
     restrict,
     to_numeric,
 )
-from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, NotAProjection
+from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import random_gram
 
@@ -93,8 +92,6 @@ def test_truncation_is_not_an_orthogonal_projection_on_h3():
     assert cert.symmetry_residual == 0
     assert cert.bracket_residual != 0  # kills [X1,X2] = X3
     assert not cert.passed
-    with pytest.raises(NotAProjection):
-        split_by_projection(A, P)
 
 
 def test_block_projection_splits_h3h3():
@@ -103,9 +100,6 @@ def test_block_projection_splits_h3h3():
                     for i in range(6)])
     cert = is_orthogonal_projection(A, P)
     assert cert.passed and cert.residuals() == {"idempotent": 0, "bracket": 0, "symmetry": 0}
-    f1, f2 = split_by_projection(A, P)
-    assert f1.carrier.dim == 3 and f2.carrier.dim == 3
-    assert f1.induced.algebra.bracket_basis(0, 1) == (F(0), F(0), F(1))
 
 
 @pytest.mark.parametrize("key,k,dims", [

@@ -3,9 +3,11 @@ they replaced (``fraction_reference``).
 
 The operators are random, so the residuals are mostly nonzero and their
 values are really compared.  Entries are small Fractions, Fractions with
-large denominators, ints mixed into Fractions, or ints only; a residual
-must come out with the value and the type of the reference, and float
-operands must take the float formulas, bit for bit.
+large denominators, ints mixed into Fractions, or ints only.  An exact
+residual must come out with the value of the reference and as a Fraction,
+or as the int 0 when it is zero; the reference is given exact operands as
+Fractions, since its plain arithmetic would keep ints int.  Float operands
+must take the float formulas, bit for bit.
 """
 
 import functools
@@ -101,7 +103,7 @@ def _float_copy(M, data):
 @given(algebra_with_gram(), st.data())
 def test_centroid_residual_equals_the_fraction_reference(A, data):
     M = data.draw(operator(A.dim))
-    assert _typed(centroid_residual(A, M)) == _typed(ref.centroid_residual(A, M))
+    assert _typed(centroid_residual(A, M)) == _typed(ref.centroid_residual(A, ref.fractions(M)))
     Mf = _float_copy(M, data)
     got = centroid_residual(A, Mf)
     assert _typed(got) == _typed(ref.centroid_residual(A, Mf))
@@ -114,7 +116,7 @@ def test_centroid_residual_equals_the_fraction_reference(A, data):
 def test_projection_certificate_equals_the_fraction_reference(A, data):
     P = data.draw(operator(A.dim))
     cert = is_orthogonal_projection(A, P)
-    want = ref.projection_residuals(A, P)
+    want = ref.projection_residuals(A, ref.fractions(P))
     got = (cert.idempotent_residual, cert.bracket_residual, cert.symmetry_residual)
     assert _typed(got) == _typed(want)
     assert cert.passed == all(r == 0 for r in want)
@@ -129,7 +131,7 @@ def test_projection_certificate_equals_the_fraction_reference(A, data):
 def test_complex_structure_certificate_equals_the_fraction_reference(A, data):
     J = data.draw(operator(A.dim))
     cert = verify_complex_structure(A, J)
-    want = ref.complex_structure_residuals(A, J)
+    want = ref.complex_structure_residuals(A, ref.fractions(J))
     assert _typed((cert.square_residual, cert.bracket_residual, cert.skew_residual)) == _typed(want)
     Jf = _float_copy(J, data)
     cert = verify_complex_structure(A, Jf)
@@ -146,9 +148,9 @@ def test_sum_and_square_checks_equal_the_fraction_reference(n, k, data):
     if data.draw(st.booleans()):  # make them sum to I
         Ps.append(linalg.mat_sub(I, functools.reduce(linalg.mat_add, Ps)))
     got = linalg._exact_residual([(1, P) for P in Ps] + [(-1, I)])
-    assert _typed(got) == _typed(ref.projections_sum_residual(Ps, n))
+    assert _typed(got) == _typed(ref.projections_sum_residual([ref.fractions(P) for P in Ps], n))
     K = data.draw(operator(n))
-    lam, want = ref.square_scalar(K)
+    lam, want = ref.square_scalar(ref.fractions(K))
     assert _typed(linalg.mat_mul(K[:1], K)[0][0]) == _typed(lam)
     assert _typed(linalg._exact_residual([(1, K, K), (-lam, I)])) == _typed(want)
 
@@ -168,29 +170,34 @@ def test_exact_residual_of_random_terms(n, m, data):
             k = data.draw(st.integers(1, 4))  # a k x 0 matrix is (), whatever k is
             X, Y = matrix(n, k), matrix(k, m)
             terms.append((c, X, Y))
-            value = linalg.mat_mul(X, Y)
+            value = ref.mat_mul(ref.fractions(X), ref.fractions(Y))
         else:
             X = matrix(n, m)
             terms.append((c, X))
-            value = X
+            value = ref.fractions(X)
         value = linalg.mat_scale(c, value)
         total = value if total is None else linalg.mat_add(total, value)
     assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total))
 
 
-@pytest.mark.parametrize("terms", [
-    [(F(-3, 5), ((3,),)), (1, ((3,),))],
-    [(1, ((3,),)), (F(-3, 5), ((3,),))],
-    [(F(4), ((1, 2),), ((3,), (4,))), (-1, ((11,),))],
-    [(2, ((1, 2),), ((3,), (4,))), (-1, ((F(11),),))],
-], ids=["fraction-then-int", "int-then-fraction", "integral-fraction-coefficient", "fraction-entry"])
-def test_exact_residual_types_each_term(terms):
-    """Every term's coefficient and operands decide the type where they enter."""
+@pytest.mark.parametrize("terms, want", [
+    ([(F(-3, 5), ((3,),)), (1, ((3,),))], F(6, 5)),
+    ([(1, ((3,),)), (F(-3, 5), ((3,),))], F(6, 5)),
+    ([(F(4), ((1, 2),), ((3,), (4,))), (-1, ((11,),))], F(33)),
+    ([(2, ((1, 2),), ((3,), (4,))), (-1, ((F(11),),))], F(11)),
+    ([(2, ((1, 2),), ((3,), (4,))), (-1, ((11,),))], F(11)),
+    ([(1, ((1, 2),), ((3,), (4,))), (-1, ((11,),))], 0),
+], ids=["fraction-then-int", "int-then-fraction", "integral-fraction-coefficient", "fraction-entry",
+        "ints-only", "ints-only-zero"])
+def test_exact_residual_types_each_term(terms, want):
+    """A nonzero residual is a Fraction, however many of its terms are ints,
+    and a zero one is the int 0."""
     total = None
     for c, *ops in terms:
-        value = linalg.mat_scale(c, linalg.mat_mul(*ops) if len(ops) == 2 else ops[0])
+        ops = [ref.fractions(X) for X in ops]
+        value = linalg.mat_scale(c, ref.mat_mul(*ops) if len(ops) == 2 else ops[0])
         total = value if total is None else linalg.mat_add(total, value)
-    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total))
+    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total)) == _typed(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,7 +223,7 @@ def test_restrict_gram_equals_the_fraction_reference(n, s, data):
                   for _ in range(s))
     A = MetricLieAlgebra(make_algebra(n, {}, check=False).algebra, Metric(G))
     S = Subspace(n, basis)
-    assert _typed(restrict(A, S).gram) == _typed(ref.restrict_gram(G, basis))
+    assert _typed(restrict(A, S).gram) == _typed(ref.restrict_gram(ref.fractions(G), ref.fractions(basis)))
     Gf = linalg.to_float_mat(G)
     An = to_numeric(MetricLieAlgebra(A.algebra, Metric(Gf)))
     fb = tuple(tuple(float(x) for x in b) for b in basis)
@@ -264,7 +271,7 @@ def test_doubling_residuals_of_an_arbitrary_operator(key, kind, data):
     with mock.patch.object(complexstruct, "verify_complex_structure", return_value=passing):
         cert = verify_doubling_isometry(A, J)
     got = (cert.bracket_residual, cert.intertwine_residual, cert.isometry_residual, cert.rank)
-    assert _typed(got) == _typed(ref.doubling_residuals(A, J))
+    assert _typed(got) == _typed(ref.doubling_residuals(A, ref.fractions(J)))
 
 
 @pytest.mark.parametrize("metric_seed", [1, 2])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from metriclie import linalg
 from metriclie.core import (
     Metric,
+    MetricLieAlgebra,
     Subspace,
     bracket,
     center,
@@ -84,6 +85,33 @@ def test_decimal_literals_parse_exactly():
 def test_format_scalar_roundtrip():
     for s in ("3/4", "-2", "0"):
         assert format_scalar(parse_scalar(s)) == s
+
+
+def test_an_algebra_built_from_ints_stores_and_renders_fractions():
+    """Exact int input, constants, Gram and J marker alike, is stored as
+    Fractions, so its rational document prints "1" and "2", not "1.0", and
+    parses back to the same algebra.  The float backend keeps floats."""
+    brackets, gram = {(0, 1): [(2, 1)]}, ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    J = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+    A = make_algebra(3, brackets, gram, j_marker=J)
+    assert A.algebra.structure == (((0, 1), ((2, F(1)),)),)
+    for M in (A.gram, A.j_marker):
+        assert all(type(x) is F for row in M for x in row)
+    assert all(type(x) is F for row in A.with_metric(Metric(gram)).gram for x in row)
+    assert all(type(x) is F for row in MetricLieAlgebra(A.algebra, Metric(gram)).gram for x in row)
+    doc = render_document(A)
+    assert doc["field"] == "rational"
+    assert doc["brackets"] == [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]
+    assert doc["gram"] == [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert doc["j"] == [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    B = parse_document(dumps(doc))
+    assert B.algebra.structure == A.algebra.structure
+    assert [[(type(x), x) for x in row] for row in B.gram] == [[(type(x), x) for x in row] for row in A.gram]
+    assert B.j_marker == A.j_marker
+    N = render_document(make_algebra(3, brackets, gram, backend="numeric", j_marker=J))
+    assert N["field"] == "numeric"
+    assert N["brackets"][0]["terms"] == [{"k": 3, "c": "1.0"}]
+    assert N["gram"][0] == ["2.0", "0.0", "0.0"] and N["j"][0] == ["0.0", "-1.0", "0.0"]
 
 
 def test_bracket_table_h3():

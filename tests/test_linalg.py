@@ -101,12 +101,6 @@ def test_minimal_polynomial_annihilates():
 # The integer kernels against the Fraction code they replaced.
 # ---------------------------------------------------------------------------
 
-def _mat_mul_reference(A, B):
-    """Reference for mat_mul: entrywise sums of products."""
-    Bt = linalg.transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
-
-
 def _typed(M):
     """The entries of a matrix with their types, so that 2 and F(2) differ."""
     return [[(type(x), x) for x in row] for row in M]
@@ -152,11 +146,16 @@ def mat_mul_operands(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(mat_mul_operands())
+@example((((1, 2), (0, 0)), ((3, 0), (4, 0))))  # int operands give a product of Fractions
 def test_mat_mul_equals_the_fraction_reference(operands):
+    """Exact products are Fractions, ints among the operands included; the
+    reference is given the operands as Fractions.  An empty inner dimension
+    leaves B, and so the product's rows, empty: no sum of no terms is formed."""
     A, B = operands
     got = linalg.mat_mul(A, B)
     assert isinstance(got, tuple) and all(isinstance(row, tuple) for row in got)
-    assert _typed(got) == _typed(_mat_mul_reference(A, B))
+    assert _typed(got) == _typed(ref.mat_mul(ref.fractions(A), ref.fractions(B)))
+    assert all(type(x) is F for row in got for x in row)
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,7 +170,7 @@ def test_mat_mul_with_a_float_operand_takes_the_float_path(operands, data):
     A = tuple(tuple(float(x) if (r, c) == (i, j) else x for c, x in enumerate(row))
               for r, row in enumerate(A))
     for X, Y in ((A, B), (linalg.transpose(B), linalg.transpose(A))):
-        assert _typed(linalg.mat_mul(X, Y)) == _typed(_mat_mul_reference(X, Y))
+        assert _typed(linalg.mat_mul(X, Y)) == _typed(ref.mat_mul(X, Y))
 
 
 @st.composite
@@ -250,7 +249,7 @@ def gram_input(draw):
     shape = draw(st.sampled_from(["BtB", "BtB+I", "symmetric"]))
     if shape == "symmetric":
         return tuple(tuple(B[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
-    G = _mat_mul_reference(linalg.transpose(B), B)
+    G = ref.mat_mul(linalg.transpose(B), B)
     if shape == "BtB+I":
         G = tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(G))
     return G
