@@ -13,9 +13,14 @@ eigenspace of an element of S is an orthogonal ideal; with no abelian
 factor the decomposition is unique, so that ideal is a sum of irreducible
 factors.  Hence S is spanned by the projections onto the k irreducible
 factors, and dim S = k.
-Decomposition draws one seeded generic element of S with a minimal
+Decomposition draws one seeded generic element a of S with a minimal
 polynomial of degree dim S; its k eigenprojections are the factor
-projections.
+projections.  On exact operands the split is a k×k problem: S's basis is
+in reduced echelon form as n²-vectors, so the coordinates of an element of
+S are its entries at the k pivots, and a acts on S by a k×k matrix L_a with
+a's minimal polynomial, read off S's multiplication table in integers.
+The eigenprojections of L_a, applied to the coordinates of I, give the
+coordinates of the factor projections, which are lifted back to n×n.
 
 Eigenvalues are the roots of the minimal polynomial, found exactly by
 Sturm-sequence isolation in integer arithmetic when they are all rational;
@@ -341,33 +346,72 @@ def _eigenprojections(a, eigenvalues, tol):
     return projections
 
 
-def _random_generic_element(S: OperatorSubspace, rng):
-    """Σ c_k·S_k with seeded nonzero integer coefficients c_k.  On exact
-    operands the basis is cleared to one common denominator and the sum is
-    formed in integers, with one Fraction per entry."""
+def _random_generic_element(S: OperatorSubspace, rng, table=None):
+    """Σ c_l·S_l with seeded nonzero integer coefficients c_l from [−B, B],
+    B = max(GENERIC_COEFF_BOUND, k²) for k = dim S.  Two of the k
+    eigenvalues coincide on a hyperplane of coefficients, so by
+    Schwartz–Zippel (Schwartz, J. ACM 27, 1980) a draw fails with
+    probability below C(k, 2)/(2B) < 1/4.  On exact operands ``table`` is
+    (T, e) from ``_multiplication_table`` and the element is drawn as its
+    k×k matrix L_a = Σ c_l·T_l / e on S's coordinates; float operands give
+    the n×n sum of the basis."""
+    bound = max(GENERIC_COEFF_BOUND, S.dim ** 2)
     coeffs = []
     for _ in range(S.dim):
         c = 0
         while c == 0:
-            c = rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
+            c = rng.randint(-bound, bound)
         coeffs.append(c)
-    n = S.ambient.dim
-    tol = S.ambient.tol
-    entries = [x for B in S.basis for row in B for x in row]
-    if not tol and linalg._is_exact([entries]):
-        ints, d = linalg._cleared(entries)
-        m = n * n
-        return linalg.unvectorize(
-            [Fraction(sum(c * ints[k * m + i] for k, c in enumerate(coeffs)), d) for i in range(m)], n)
+    if table is not None:
+        T, e = table
+        return tuple(tuple(Fraction(sum(c * Tl[i][j] for c, Tl in zip(coeffs, T)), e) for j in range(S.dim))
+                     for i in range(S.dim))
+    n, tol = S.ambient.dim, S.ambient.tol
     a = linalg.zeros(n, n, tol)
     for c, B in zip(coeffs, S.basis):
-        a = linalg.mat_add(a, linalg.mat_scale(float(c) if tol else Fraction(c), B))
+        a = linalg.mat_add(a, linalg.mat_scale(float(c), B))
     return a
+
+
+def _multiplication_table(S: OperatorSubspace):
+    """(R, d, pivots, T) for an exact S: its basis as integer n²-vectors
+    S_l = R_l / d over one common denominator; the k pivots of its reduced
+    echelon form (R_l is d at its own pivot, every other R_j is 0 there); and
+    the table T[l][i][j] = (R_l·R_j)[pivot i], so that S_l·S_j = Σ_i
+    T[l][i][j]/d²·S_i.  Each entry is one row of R_l times one column of
+    R_j, over the nonzero entries of that row: O(k³·n) integer products."""
+    n, k = S.ambient.dim, S.dim
+    ints, d = linalg._cleared([x for B in S.basis for row in B for x in row])
+    R = [ints[l * n * n:(l + 1) * n * n] for l in range(k)]
+    pivots = [next(t for t, x in enumerate(Rl) if x) for Rl in R]
+    T = []
+    for Rl in R:
+        Tl = []
+        for p in pivots:
+            r, s = divmod(p, n)
+            row = [(t, x) for t, x in enumerate(Rl[r * n:(r + 1) * n]) if x]
+            Tl.append([sum(x * Rj[t * n + s] for t, x in row) for Rj in R])
+        T.append(Tl)
+    return R, d, pivots, T
+
+
+def _lift(Q, R, d, pivots, n):
+    """The operator Σ_j x_j·S_j, S_j = R_j / d, whose coordinates x are the
+    k×k matrix Q applied to the coordinates of I: I is 1 at the diagonal
+    pivots and 0 at the others.  Formed in integers, one Fraction per entry."""
+    diag = [j for j, p in enumerate(pivots) if p % (n + 1) == 0]
+    X, dx = linalg._cleared([sum(row[j] for j in diag) for row in Q])
+    terms, zero = [(x, Rj) for x, Rj in zip(X, R) if x], Fraction(0)
+    P = (sum(x * Rj[t] for x, Rj in terms) for t in range(n * n))
+    return linalg.unvectorize([Fraction(v, dx * d) if v else zero for v in P], n)
 
 
 def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     """The projections onto the irreducible factors of A: the eigenprojections
     of a symmetric-centroid element with dim S eigenvalues, one per factor.
+    On exact operands the element, its minimal polynomial, its roots and its
+    eigenprojections are k×k, in S's coordinates, and each projection is
+    lifted to n×n once; float operands split the n×n element itself.
     Raises _NeedNumeric when those eigenvalues are irrational."""
     S = symmetric_centroid(A)
     if S.dim == 0:
@@ -375,14 +419,17 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     if S.dim == 1:
         return [linalg.identity(A.dim, A.tol)]
     rng = random.Random(seed)
+    if not A.tol:
+        R, d, pivots, T = _multiplication_table(S)
     for _ in range(max_retries):
-        a = _random_generic_element(S, rng)
+        a = _random_generic_element(S, rng, None if A.tol else (T, d * d))
         mp = linalg.minimal_polynomial(a, A.tol)
         if len(mp) - 1 != S.dim:
             continue  # two factors share an eigenvalue, resample
         eigenvalues = _numeric_eigenvalues(a, A.tol) if A.tol else _rational_roots(mp)
         if len(eigenvalues) == S.dim:
-            return _eigenprojections(a, eigenvalues, A.tol)
+            projections = _eigenprojections(a, eigenvalues, A.tol)
+            return projections if A.tol else [_lift(Q, R, d, pivots, A.dim) for Q in projections]
     raise GenericityFailure(
         f"no separating symmetric centroid element found in {max_retries} draws"
     )

@@ -95,6 +95,11 @@ class LieAlgebra:
     def __post_init__(self):
         if not self.basis_labels:
             object.__setattr__(self, "basis_labels", tuple(f"X{i+1}" for i in range(self.dim)))
+        if not self.tol and any(type(c) is int for _, terms in self.structure for _, c in terms):
+            # exact constants are stored as Fractions; a float is kept, for the exact checks to refuse
+            object.__setattr__(self, "structure", tuple(
+                (pair, tuple((k, Fraction(c) if type(c) is int else c) for k, c in terms))
+                for pair, terms in self.structure))
 
     @property
     def backend(self) -> str:
@@ -160,11 +165,13 @@ class LieAlgebra:
                     row[b * n + t] = row.get(b * n + t, 0) + c
                     row = rows.setdefault((t, b), {})
                     row[t * n + a] = row.get(t * n + a, 0) - c
-            per_j.append(rows)
+            # each (r, i) is yielded once, so its zero coefficients are dropped here, once
+            per_j.append({key: {k: v for k, v in row.items() if not linalg.is_zero(v, self.tol)}
+                          for key, row in rows.items()})
         for i in range(n):
             for rows in per_j:
                 for r in range(n):
-                    row = {k: v for k, v in rows.get((r, i), {}).items() if not linalg.is_zero(v, self.tol)}
+                    row = rows.get((r, i))
                     if row:
                         yield row
 
@@ -311,7 +318,7 @@ def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
             if not tol and isinstance(c, float):
                 raise ParseError(f"exact structure constant given as a float: {c!r}")
         if clean:
-            structure.append(((i, j), clean if tol else tuple((k, Fraction(c)) for k, c in clean)))
+            structure.append(((i, j), clean))
     alg = LieAlgebra(dim, tuple(structure), tuple(labels), tol)
     if gram is None:
         gram = linalg.identity(dim, tol)
@@ -446,13 +453,29 @@ def direct_sum(A: MetricLieAlgebra, B: MetricLieAlgebra, name: str = "") -> Metr
                         A.backend, A.tol, labels, j_marker=jm, check=False)
 
 
+def _int_bracket(ads, u, v):
+    """Σ u_i·v_j·[X_i, X_j] for integer vectors u, v, from the integer ad
+    entries (r, j, c) of ``_int_ad_entries``: e·d²·[u/d, v/d] for their
+    denominators e and d."""
+    out = [0] * len(u)
+    for ui, entries in zip(u, ads):
+        if ui:
+            for r, j, c in entries:
+                if v[j]:
+                    out[r] += ui * v[j] * c
+    return out
+
+
 def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgebra:
     """Induced bracket and Gram on a bracket-closed subspace.
 
     One reduction of [C | w_1 … w_m], C the carrier basis as columns and w
     the brackets of its pairs, gives the coordinates of every w at once; the
     row operations depend on C alone, so each column comes out as a solve of
-    its own would give it.
+    its own would give it.  On exact operands the brackets are formed in
+    integers, from the carrier basis cleared to one denominator d and the
+    integer structure constants over theirs, e; the carrier columns are
+    scaled by d·e to match, which leaves the reduced form unchanged.
 
     The standard basis, the carrier of every irreducible algebra, needs no
     reduction: the coordinates of [X_p, X_q] are the structure constants,
@@ -479,8 +502,13 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
             shared = shared and len(brackets[pair]) == sum(1 for c in w.values() if c)
     elif s > 1:
         pairs = [(p, q) for p in range(s) for q in range(p + 1, s)]
-        W = [bracket(A, basis[p], basis[q]) for p, q in pairs]
-        rows, pivots = linalg.rref(tuple(zip(*basis, *W)), A.tol)
+        int_ad = A.algebra._int_ad_entries if not A.tol and linalg._is_exact(basis) else None
+        if int_ad is None:
+            cols = [*basis, *(bracket(A, basis[p], basis[q]) for p, q in pairs)]
+        else:  # [D·C | D·W] in integers, D = d²·e, has the reduced form of [C | W]
+            (ads, e), (U, d) = int_ad, linalg._cleared_matrix(basis)
+            cols = [[x * d * e for x in u] for u in U] + [_int_bracket(ads, U[p], U[q]) for p, q in pairs]
+        rows, pivots = linalg.rref(tuple(zip(*cols)), A.tol)
         outside = [c - s for c in pivots if c >= s]  # the first is the first bracket not in S
         if outside:
             raise NotASubalgebra(tuple(x + 1 for x in pairs[outside[0]]))

@@ -420,13 +420,15 @@ def metric_part(A, sign):
 
 
 def generic_element(S, rng):
-    """_random_generic_element as it was: seeded coefficients, then Fraction
-    or float scalings and sums from a zero matrix."""
+    """_random_generic_element as it was: seeded coefficients from
+    [−B, B] ∖ {0}, B = max(GENERIC_COEFF_BOUND, k²), then Fraction or float
+    scalings and sums of the n×n basis from a zero matrix."""
+    bound = max(GENERIC_COEFF_BOUND, S.dim ** 2)
     coeffs = []
     for _ in range(S.dim):
         c = 0
         while c == 0:
-            c = rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
+            c = rng.randint(-bound, bound)
         coeffs.append(c)
     tol = S.ambient.tol
     a = linalg.zeros(S.ambient.dim, S.ambient.dim, tol)

@@ -564,26 +564,60 @@ def test_metric_parts_equal_the_fraction_reference(inputs):
         assert repr(part(An).basis) == repr(ref.metric_part(An, sign))
 
 
+SPLIT_CASES = dict(FACTOR_COUNT_ALGEBRAS)
+SPLIT_CASES["h3c^3"] = direct_sum(FACTOR_COUNT_ALGEBRAS["h3c+h3c"], get_example("h3c"))
+
+
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
-@pytest.mark.parametrize("key", ["h3h3", "h3^3", "h3c+h3c"])
-def test_generic_element_and_its_split_equal_the_fraction_reference(key, numeric):
-    """The integer sum Σ c_k·S_k and the Lagrange products started from their
-    first factor have the values and types of the Fraction code; the float
-    path keeps its sums and its products from I, bit for bit."""
+@pytest.mark.parametrize("key", ["h3h3", "h3^3", "h3c+h3c", "h3c^3"])
+def test_generic_element_and_its_split_equal_the_fraction_reference(key, numeric, monkeypatch):
+    """Exact: the projections lifted from the k coordinates of S equal the
+    reference's n×n Lagrange products of the same draw, Σ c_k·S_k in
+    Fractions, in values and types, and the minimal polynomial and the
+    split see only k×k matrices.  Float: the n×n sum and its Lagrange
+    products from I are the reference's, bit for bit."""
     import random
 
-    from metriclie.centroid import _eigenprojections, _random_generic_element
+    from metriclie import centroid as centroid_module
+    from metriclie.centroid import _eigenprojections, _factor_projections, _random_generic_element
 
-    A = FACTOR_COUNT_ALGEBRAS[key]
+    A = SPLIT_CASES[key]
     A = to_numeric(A) if numeric else A
     S = symmetric_centroid(A)
     assert S.dim >= 2
-    a = _random_generic_element(S, random.Random(7))
-    assert repr(a) == repr(ref.generic_element(S, random.Random(7)))
-    eigenvalues = (_numeric_eigenvalues(a, A.tol) if numeric
-                   else _rational_roots(linalg.minimal_polynomial(a)))
-    got = _eigenprojections(a, eigenvalues, A.tol)
-    assert repr(got) == repr(ref.eigenprojections(a, eigenvalues, A.tol))
+    if numeric:
+        a = _random_generic_element(S, random.Random(7))
+        assert repr(a) == repr(ref.generic_element(S, random.Random(7)))
+        eigenvalues = _numeric_eigenvalues(a, A.tol)
+        got = _eigenprojections(a, eigenvalues, A.tol)
+        assert repr(got) == repr(ref.eigenprojections(a, eigenvalues, A.tol))
+        return
+    a = ref.generic_element(S, random.Random(7))
+    mp = linalg.minimal_polynomial(a)
+    assert len(mp) - 1 == S.dim  # the first draw separates, so one draw suffices below
+    want = ref.eigenprojections(a, _rational_roots(mp), A.tol)
+    sizes = []
+    for mod, name in ((linalg, "minimal_polynomial"), (centroid_module, "_eigenprojections")):
+        monkeypatch.setattr(mod, name, lambda M, *args, fn=getattr(mod, name): sizes.append(len(M)) or fn(M, *args))
+    got = _factor_projections(A, 7, 1)
+    assert sizes == [S.dim, S.dim]
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("summand, copies", [("h3", 8), ("r2", 15)])
+def test_many_factor_sums_decompose_at_every_seed(summand, copies):
+    """With coefficients drawn from [−k², k²], h3⁸ (k = 8) and r2^15
+    (r2: [X1, X2] = X2; k = 15) split at seeds 0–4; from [−7, 7] a draw of
+    15 coefficients must repeat one, and 8 repeat one with probability 0.92.
+    The projections are the same bytes at every seed."""
+    B = get_example("h3") if summand == "h3" else make_algebra(2, {(0, 1): [(1, 1)]}, name="r2")
+    A = B
+    for _ in range(copies - 1):
+        A = direct_sum(A, B)
+    decs = [decompose(A, seed=seed) for seed in range(5)]
+    assert [dec.k for dec in decs] == [copies] * 5
+    got = [repr([f.projection for f in dec.factors]) for dec in decs]
+    assert got == [got[0]] * 5
 
 
 def test_float_split_keeps_the_sign_of_zero():

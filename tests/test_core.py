@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from metriclie import linalg
 from metriclie.core import (
+    LieAlgebra,
     Metric,
     MetricLieAlgebra,
     Subspace,
@@ -90,7 +91,9 @@ def test_format_scalar_roundtrip():
 def test_an_algebra_built_from_ints_stores_and_renders_fractions():
     """Exact int input, constants, Gram and J marker alike, is stored as
     Fractions, so its rational document prints "1" and "2", not "1.0", and
-    parses back to the same algebra.  The float backend keeps floats."""
+    parses back to the same algebra; a LieAlgebra built directly stores its
+    constants so too, keeping a float for the exact checks to refuse.  The
+    float backend keeps floats."""
     brackets, gram = {(0, 1): [(2, 1)]}, ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     J = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
     A = make_algebra(3, brackets, gram, j_marker=J)
@@ -102,6 +105,10 @@ def test_an_algebra_built_from_ints_stores_and_renders_fractions():
     doc = render_document(A)
     assert doc["field"] == "rational"
     assert doc["brackets"] == [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]
+    direct = MetricLieAlgebra(LieAlgebra(3, (((0, 1), ((2, 1),)),)), Metric(linalg.identity(3)))
+    assert [type(c) for _, terms in direct.algebra.structure for _, c in terms] == [F]
+    assert render_document(direct)["brackets"] == doc["brackets"]
+    assert type(LieAlgebra(3, (((0, 1), ((2, 0.5),)),)).structure[0][1][0][1]) is float
     assert doc["gram"] == [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert doc["j"] == [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
     B = parse_document(dumps(doc))
@@ -351,7 +358,7 @@ def _in_basis(A, T):
 
 def _restrict_cases():
     from metriclie.centroid import decompose
-    from metriclie.lab import random_gram
+    from metriclie.lab import BlockSpec, make_metric_with_factor_count, random_gram
 
     ex48, h3h3 = get_example("ex48"), get_example("h3h3")
     T = linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(6)] for i in range(6)])
@@ -361,6 +368,13 @@ def _restrict_cases():
             for C in (B, to_numeric(B)):
                 carriers = [f.carrier for f in decompose(C).factors]
                 yield pytest.param(C, carriers, id=f"{A.name}-{metric}-{C.backend}")
+    h3 = get_example("h3")
+    B = direct_sum(direct_sum(h3, h3), h3)  # a lab metric with l = 2: carriers of dims 3 and 6
+    B = B.with_metric(make_metric_with_factor_count(BlockSpec((h3, h3, h3), 0), 2))
+    for C in (B, to_numeric(B)):
+        carriers = [f.carrier for f in decompose(C).factors]
+        assert sorted(S.dim for S in carriers) == [3, 6]
+        yield pytest.param(C, carriers, id=f"h3^3-lab2-{C.backend}")
 
 
 @pytest.mark.parametrize("A, carriers", list(_restrict_cases()))
