@@ -19,8 +19,9 @@ projections.  On exact operands the split is a k×k problem: S's basis is
 in reduced echelon form as n²-vectors, so the coordinates of an element of
 S are its entries at the k pivots, and a acts on S by a k×k matrix L_a with
 a's minimal polynomial, read off S's multiplication table in integers.
-The eigenprojections of L_a, applied to the coordinates of I, give the
-coordinates of the factor projections, which are lifted back to n×n.
+The Lagrange factors of L_a, applied one after another to the coordinates
+of I (a k-vector), give the coordinates of the factor projections, which
+are lifted back to n×n.
 
 Eigenvalues are the roots of the minimal polynomial, found exactly by
 Sturm-sequence isolation in integer arithmetic when they are all rational;
@@ -140,25 +141,36 @@ def skew_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
 def centroid_residual(A: MetricLieAlgebra, M) -> object:
     """Max over i, j of |M[X_i,X_j] − [MX_i,X_j]|, the largest entry of the
     commutators ad(X_j)·M − M·ad(X_j).  On exact operands they are formed
-    in integers, from M and the ad entries over their common denominators."""
+    in integers (``_int_centroid_residual``)."""
+    if linalg._is_exact(M) and A.algebra._int_ad_entries is not None:
+        return _int_centroid_residual(A, *linalg._cleared_matrix(M))
     n = A.dim
-    int_ad = A.algebra._int_ad_entries if linalg._is_exact(M) else None
-    if int_ad is None:
-        ads, X = A.algebra.ad_entries, M
-    else:
-        (ads, e), (X, d) = int_ad, linalg._cleared_matrix(M)
     stacked = []  # the n commutators, one below the other
-    for entries in ads:
+    for entries in A.algebra.ad_entries:
         D = [[0] * n for _ in range(n)]
         for a, b, c in entries:
-            Xb, Da = X[b], D[a]
+            Mb, Da = M[b], D[a]
             for t in range(n):
-                Da[t] += c * Xb[t]
-                D[t][b] -= X[t][a] * c
+                Da[t] += c * Mb[t]
+                D[t][b] -= M[t][a] * c
         stacked += D
-    if int_ad is None:
-        return linalg.max_abs(stacked)
-    return linalg._int_max_abs(stacked, e * d)
+    return linalg.max_abs(stacked)
+
+
+def _int_centroid_residual(A: MetricLieAlgebra, X, d) -> object:
+    """centroid_residual of the exact operator X / d on an exact algebra,
+    for integer rows X: the commutators of X with the integer ad entries,
+    over e·d, summed over the nonzero entries of X into one flat list."""
+    n, (ads, e) = A.dim, A.algebra._int_ad_entries
+    rows, cols = linalg._sparse_rows(X), linalg._sparse_rows(zip(*X))
+    D = [0] * (n * n * n)  # entry (a, t) of the j-th commutator at (j·n + a)·n + t
+    for j, entries in enumerate(ads):
+        for a, b, c in entries:
+            for t, x in rows[b]:
+                D[(j * n + a) * n + t] += c * x
+            for t, x in cols[a]:
+                D[(j * n + t) * n + b] -= x * c
+    return linalg._int_max_abs([D], e * d)
 
 
 @dataclass(frozen=True)
@@ -327,11 +339,30 @@ def _numeric_eigenvalues(M, tol):
     return [sum(c) / len(c) for c in clusters]
 
 
-def _eigenprojections(a, eigenvalues, tol):
+def _eigenprojections(a, eigenvalues, tol, x=None):
     """Lagrange interpolation projections onto the eigenspaces of a: the
-    products of (a − μ·I)/(λ − μ) over μ ≠ λ.  An exact product starts from
-    its first factor, so a split into two needs no product at all; a float
-    one starts from I, whose product turns a −0.0 into 0.0."""
+    products of (a − μ·I)/(λ − μ) over μ ≠ λ.  Given a vector x, each
+    projection applied to x instead: the factors commute, so they act on x
+    one after another, O(k²) each, and no product is formed.  An exact
+    product starts from its first factor, so a split into two needs no
+    product at all; a float one starts from I, whose product turns a −0.0
+    into 0.0."""
+    if x is not None:  # exact: a = M / e and the vector w / D, in integers
+        M, e = linalg._cleared_matrix(a)
+        out = []
+        for lam in eigenvalues:
+            w, D = list(x), 1
+            for mu in eigenvalues:
+                if mu == lam:
+                    continue
+                (p, q), (r, s) = mu.as_integer_ratio(), (lam - mu).as_integer_ratio()
+                # (a − μ·I)/(λ − μ) · w/D = s·(q·M·w − e·p·w) / (r·e·q·D), then made primitive
+                w = [s * (q * sum(m * y for m, y in zip(row, w)) - e * p * z) for row, z in zip(M, w)]
+                D *= r * e * q
+                g = math.gcd(D, *w) if D > 0 else -math.gcd(D, *w)
+                w, D = [y // g for y in w], D // g
+            out.append([Fraction(y, D) for y in w])
+        return out
     n = len(a)
     projections = []
     I = linalg.identity(n, tol)
@@ -395,12 +426,10 @@ def _multiplication_table(S: OperatorSubspace):
     return R, d, pivots, T
 
 
-def _lift(Q, R, d, pivots, n):
-    """The operator Σ_j x_j·S_j, S_j = R_j / d, whose coordinates x are the
-    k×k matrix Q applied to the coordinates of I: I is 1 at the diagonal
-    pivots and 0 at the others.  Formed in integers, one Fraction per entry."""
-    diag = [j for j, p in enumerate(pivots) if p % (n + 1) == 0]
-    X, dx = linalg._cleared([sum(row[j] for j in diag) for row in Q])
+def _lift(coords, R, d, n):
+    """The operator Σ_j x_j·S_j, S_j = R_j / d, with coordinates x = coords.
+    Formed in integers, one Fraction per entry."""
+    X, dx = linalg._cleared(coords)
     terms, zero = [(x, Rj) for x, Rj in zip(X, R) if x], Fraction(0)
     P = (sum(x * Rj[t] for x, Rj in terms) for t in range(n * n))
     return linalg.unvectorize([Fraction(v, dx * d) if v else zero for v in P], n)
@@ -409,9 +438,10 @@ def _lift(Q, R, d, pivots, n):
 def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     """The projections onto the irreducible factors of A: the eigenprojections
     of a symmetric-centroid element with dim S eigenvalues, one per factor.
-    On exact operands the element, its minimal polynomial, its roots and its
-    eigenprojections are k×k, in S's coordinates, and each projection is
-    lifted to n×n once; float operands split the n×n element itself.
+    On exact operands the element, its minimal polynomial and its roots are
+    k×k, in S's coordinates; the eigenprojections are applied to the
+    coordinates of I as k-vectors, and each is lifted to n×n once.  Float
+    operands split the n×n element itself.
     Raises _NeedNumeric when those eigenvalues are irrational."""
     S = symmetric_centroid(A)
     if S.dim == 0:
@@ -428,8 +458,10 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
             continue  # two factors share an eigenvalue, resample
         eigenvalues = _numeric_eigenvalues(a, A.tol) if A.tol else _rational_roots(mp)
         if len(eigenvalues) == S.dim:
-            projections = _eigenprojections(a, eigenvalues, A.tol)
-            return projections if A.tol else [_lift(Q, R, d, pivots, A.dim) for Q in projections]
+            if A.tol:
+                return _eigenprojections(a, eigenvalues, A.tol)
+            ones = [int(p % (A.dim + 1) == 0) for p in pivots]  # I: 1 at the diagonal pivots
+            return [_lift(x, R, d, A.dim) for x in _eigenprojections(a, eigenvalues, A.tol, ones)]
     raise GenericityFailure(
         f"no separating symmetric centroid element found in {max_retries} draws"
     )

@@ -6,6 +6,12 @@ bi-invariant (J[X,Y] = [JX,Y]) and skew-symmetric with respect to the Gram
 matrix (equivalently, an isometry).  On an algebra with no abelian factor
 the full set of such J is either empty or has exactly 2^k elements, one per
 sign choice on the k irreducible factors.
+
+Each J is a signed sum Σ sᵢ·Kᵢ of k pieces, one per factor.  Exact J's are
+certified from their pieces: the conditions are checked once on the k
+pieces, in integers, which holds iff every J passes
+``verify_complex_structure``.  Float J's are checked one by one with the
+float formulas.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .centroid import Decomposition, centroid_residual, decompose, skew_centroid
+from .centroid import Decomposition, _int_centroid_residual, centroid_residual, decompose, skew_centroid
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -380,34 +386,88 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
 
 
 def _signed_sums(pieces, n: int, tol):
-    """(signs, Σ sᵢ·pieceᵢ) for every sign vector, +1 before −1.  Exact
-    pieces are cleared to one common denominator first, so each sum is
-    formed in integers and divided once per entry."""
-    if tol:
-        for signs in itertools.product((1, -1), repeat=len(pieces)):
-            J = linalg.zeros(n, n, tol)
-            for s, piece in zip(signs, pieces):
-                J = linalg.mat_add(J, linalg.mat_scale(s, piece))
-            yield signs, J
-        return
-    cleared = [linalg._cleared_matrix(piece) for piece in pieces]
-    den = math.lcm(*(d for _, d in cleared))
-    ints = [[[x * (den // d) for x in row] for row in R] for R, d in cleared]
+    """(signs, Σ sᵢ·pieceᵢ) for every sign vector, +1 before −1, in floats."""
     for signs in itertools.product((1, -1), repeat=len(pieces)):
-        yield signs, tuple(tuple(Fraction(sum(s * R[i][j] for s, R in zip(signs, ints)), den)
-                                 for j in range(n)) for i in range(n))
+        J = linalg.zeros(n, n, tol)
+        for s, piece in zip(signs, pieces):
+            J = linalg.mat_add(J, linalg.mat_scale(s, piece))
+        yield signs, J
+
+
+def _int_signed_sums(Z, den, n: int):
+    """(signs, Σ sᵢ·Zᵢ / den) for every sign vector, +1 before −1, for integer
+    pieces Zᵢ: each sum is formed in integers, one Fraction per entry."""
+    flat, zero = [[x for row in Zi for x in row] for Zi in Z], Fraction(0)
+    negated = [[-x for x in f] for f in flat]
+    for signs in itertools.product((1, -1), repeat=len(Z)):
+        terms = (f if s > 0 else g for s, f, g in zip(signs, flat, negated))
+        total = map(sum, zip([0] * (n * n), *terms))
+        yield signs, linalg.unvectorize([Fraction(v, den) if v else zero for v in total], n)
+
+
+def _int_pieces(parts):
+    """The pieces C·J_f·R of exact (C, J_f, R) as integer matrices Zᵢ over one
+    common denominator: each is the integer product chain of its cleared
+    operands, made primitive."""
+    pieces = []
+    for C, Jf, R in parts:
+        (C, dc), (Jf, dj), (R, dr) = (linalg._cleared_matrix(X) for X in (C, Jf, R))
+        Z = linalg._int_product(C, linalg._int_product(Jf, R, len(C)), len(C))
+        g = math.gcd(dc * dj * dr, *(x for row in Z for x in row))
+        pieces.append(([[x // g for x in row] for row in Z], dc * dj * dr // g))
+    den = math.lcm(*(d for _, d in pieces))
+    return [[[x * (den // d) for x in row] for row in Z] for Z, d in pieces], den
+
+
+def _certify_pieces(A: MetricLieAlgebra, Z, den):
+    """Raise InternalAssertionFailure unless every signed sum J = Σ sᵢ·Kᵢ of
+    the exact pieces Kᵢ = Zᵢ / den is an orthogonal bi-invariant complex
+    structure of A, naming the piece or pair that fails.  The bracket and
+    skew residuals are linear in J, so they vanish for every J iff they
+    vanish for every piece; and J·J = Σ Kᵢ² + Σ_{i<j} sᵢ·sⱼ·(KᵢKⱼ + KⱼKᵢ),
+    so J·J = −I for every J iff Σ Kᵢ² = −I and every pair anticommutes.
+    That takes k + k(k−1) integer products, not three per J."""
+    n, add = A.dim, linalg._add_int_product
+    G, g = linalg._cleared_matrix(A.gram)
+    G = linalg._sparse_rows(G)
+    rows, cols = [linalg._sparse_rows(Zi) for Zi in Z], [linalg._sparse_rows(zip(*Zi)) for Zi in Z]
+
+    def zeros():
+        return [[0] * n for _ in range(n)]
+
+    for i, Zi in enumerate(Z):
+        br = _int_centroid_residual(A, Zi, den)
+        sk = linalg._int_max_abs(add(add(zeros(), G, rows[i]), cols[i], G), g * den)  # G·K + Kᵀ·G
+        if br or sk:
+            raise InternalAssertionFailure(f"piece {i} of the complex structures fails: bracket {br}, skew {sk}")
+    square = [[den * den if r == c else 0 for c in range(n)] for r in range(n)]
+    for Zr in rows:
+        add(square, Zr, Zr)
+    sq = linalg._int_max_abs(square, den * den)
+    if sq:
+        raise InternalAssertionFailure(f"the squares of the pieces do not sum to -I: residual {sq}")
+    for i, j in itertools.combinations(range(len(Z)), 2):
+        anti = linalg._int_max_abs(add(add(zeros(), rows[i], rows[j]), rows[j], rows[i]), den * den)
+        if anti:
+            raise InternalAssertionFailure(f"pieces {i} and {j} do not anticommute: residual {anti}")
 
 
 def complex_structures(dec: Decomposition):
     """All orthogonal bi-invariant complex structures, assembled factor-wise.
 
-    Returns the empty list or exactly 2^k verified structures, ordered by
+    Returns the empty list or exactly 2^k certified structures, ordered by
     sign vector (+1 before -1).  A factor's piece is C·J_f·R, where P = C·R:
     C has the echelon carrier basis as columns, so R is P's pivot rows.
+    When every factor's J is exact, the k pieces are formed in integers
+    over one common denominator and certified once (``_certify_pieces``):
+    that holds iff every J passes ``verify_complex_structure``, so each J
+    gets its certificate, all residuals the int 0, and is summed in
+    integers.  Once a factor's J is float, each J is summed and verified
+    with the float formulas.
     """
     work = dec.algebra
     tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
-    pieces = []
+    parts = []
     for f in dec.factors:
         res = _factor_complex_structure(f.induced)
         if res is None:
@@ -419,16 +479,22 @@ def complex_structures(dec: Decomposition):
         if numeric:
             C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
             tol = tol or DEFAULT_TOL
-        pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
+        parts.append((C, Jf, R))
 
+    if not tol:
+        Z, den = _int_pieces(parts)
+        _certify_pieces(work, Z, den)
+        passed = ComplexStructureCertificate(0, 0, 0, True)
+        return [ComplexStructure(J, passed, EXACT, signs) for signs, J in _int_signed_sums(Z, den, work.dim)]
     out = []
+    pieces = [linalg.mat_mul(C, linalg.mat_mul(Jf, R)) for C, Jf, R in parts]
     for signs, J in _signed_sums(pieces, work.dim, tol):
         cert = verify_complex_structure(work, J, tol=tol)
         if not cert.passed:
             raise InternalAssertionFailure(
                 f"assembled structure failed verification: {cert.residuals()}"
             )
-        out.append(ComplexStructure(J, cert, NUMERIC if tol else EXACT, signs))
+        out.append(ComplexStructure(J, cert, NUMERIC, signs))
     return out
 
 

@@ -100,11 +100,26 @@ def _cleared_matrix(M):
     return [ints[i * m:(i + 1) * m] for i in range(len(M))], d
 
 
-def _int_products(rows, cols):
-    """The integer matrix product: entry (i, j) is rows[i] · cols[j]; zero
-    entries of the columns are skipped."""
-    cols = [[(k, b) for k, b in enumerate(col) if b] for col in cols]
-    return [[sum(row[k] * b for k, b in col) for col in cols] for row in rows]
+def _sparse_rows(M):
+    """The rows of M as lists of their nonzero (column, entry) pairs."""
+    return [[(t, x) for t, x in enumerate(row) if x] for row in M]
+
+
+def _add_int_product(D, X, Y):
+    """D += X·Y for integer rows D and X, Y given by ``_sparse_rows``: one
+    product per pair of nonzero entries that meet.  A Y without rows (the
+    empty matrix () of k × 0) adds nothing."""
+    if Y:
+        for Dr, row in zip(D, X):
+            for k, x in row:
+                for c, y in Y[k]:
+                    Dr[c] += x * y
+    return D
+
+
+def _int_product(X, Y, m: int):
+    """X·Y for integer rows X and Y, Y with m columns."""
+    return _add_int_product([[0] * m for _ in X], _sparse_rows(X), _sparse_rows(Y))
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
@@ -115,7 +130,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     cols, db = zip(*map(_cleared, Bt)) if Bt else ((), ())
     return tuple(
         tuple(Fraction(s, da[i] * db[j]) for j, s in enumerate(row))
-        for i, row in enumerate(_int_products(rows, cols))
+        for i, row in enumerate(_int_product(rows, zip(*cols), len(cols)))
     )
 
 
@@ -160,7 +175,7 @@ def mat_max_diff(A: Mat, B: Mat):
 def _int_max_abs(R, den: int):
     """max_abs of the matrix R / den, for integer R: a Fraction, or the int 0
     when R is zero, as max_abs gives it."""
-    m = max((abs(x) for row in R for x in row), default=0)
+    m = max((max(max(row, default=0), -min(row, default=0)) for row in R), default=0)
     return Fraction(m, den) if m else 0
 
 
@@ -180,8 +195,8 @@ def _exact_residual(terms):
             R, d = _cleared_matrix(ops[0])
         else:
             X, Y = ops
-            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(transpose(Y))
-            R, d = _int_products(Xi, Yi), dx * dy
+            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(Y)
+            R, d = _int_product(Xi, Yi, len(Y[0]) if Y else 0), dx * dy
         parts.append((R, p, q * d))
     den = math.lcm(*(d for _, _, d in parts))
     total = None

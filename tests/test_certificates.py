@@ -23,6 +23,7 @@ from metriclie import complexstruct, linalg
 from metriclie.centroid import centroid_residual, decompose, is_orthogonal_projection
 from metriclie.complexstruct import (
     ComplexStructureCertificate,
+    _int_signed_sums,
     _signed_sums,
     enumerate_complex_structures,
     verify_complex_structure,
@@ -37,6 +38,7 @@ from metriclie.core import (
     restrict,
     to_numeric,
 )
+from metriclie.errors import InternalAssertionFailure
 from metriclie.examples import ex48_j1, ex48_j2, example_keys, get_example
 from metriclie.lab import BlockSpec, make_irreducible_metric, random_gram
 
@@ -203,11 +205,15 @@ def test_exact_residual_types_each_term(terms, want):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 3), st.data())
 def test_signed_sums_equal_the_fraction_reference(n, k, data):
+    """Exact pieces are summed as integer matrices over one common
+    denominator; float pieces as floats, bit for bit."""
     kind = data.draw(st.sampled_from(KINDS))
     pieces = [data.draw(operator(n, kind)) for _ in range(k)]
-    assert [_typed(J) for _, J in _signed_sums(pieces, n, 0.0)] == \
-        [_typed(J) for _, J in ref.signed_sums(pieces, n)]
-    assert [s for s, _ in _signed_sums(pieces, n, 0.0)] == [s for s, _ in ref.signed_sums(pieces, n)]
+    ints, den = linalg._cleared([x for P in pieces for row in P for x in row])
+    Z = [[ints[(i * n + r) * n:(i * n + r + 1) * n] for r in range(n)] for i in range(k)]
+    want = ref.signed_sums([ref.fractions(P) for P in pieces], n)
+    assert [_typed(J) for _, J in _int_signed_sums(Z, den, n)] == [_typed(J) for _, J in want]
+    assert [s for s, _ in _int_signed_sums(Z, den, n)] == [s for s, _ in want]
     floats = [linalg.to_float_mat(P) for P in pieces]
     assert [_typed(J) for _, J in _signed_sums(floats, n, 1e-9)] == \
         [_typed(J) for _, J in ref.signed_sums(floats, n, 1e-9)]
@@ -293,18 +299,97 @@ def test_doubling_isometry_residual_catches_a_non_isometric_j(metric_seed):
     assert _typed(got) == _typed(ref.doubling_residuals(A, J))
 
 
-@pytest.mark.parametrize("metric_seed", [None, 3])
-def test_enumerated_structures_equal_the_fraction_assembly(metric_seed):
-    """h3c ⊕ h3c with a block metric has k = 2: four J's, each the signed sum
-    of two pieces, with the certificate of the reference."""
+def _h3c_sum(seeds):
+    """h3c ⊕ ... ⊕ h3c, one summand per seed: the standard metric for None,
+    else a random_gram metric averaged to keep h3c's J an isometry."""
     h3c = get_example("h3c")
-    first = h3c if metric_seed is None else h3c.with_metric(
-        make_irreducible_metric(BlockSpec((h3c,), metric_seed), hermitian_for=h3c.j_marker))
-    dec = decompose(direct_sum(first, h3c))
+    summands = [h3c if s is None else h3c.with_metric(
+        make_irreducible_metric(BlockSpec((h3c,), s), hermitian_for=h3c.j_marker)) for s in seeds]
+    return functools.reduce(direct_sum, summands)
+
+
+@pytest.mark.parametrize("seeds", [
+    pytest.param((None, None), id="None"),
+    pytest.param((3, None), id="3"),
+    pytest.param((None,), id="h3c-standard"),
+    pytest.param((5,), id="h3c-random"),
+    pytest.param((None,) * 3, id="h3c^3-standard"),
+    pytest.param((5, 6, 7), id="h3c^3-random"),
+    pytest.param((None,) * 4, id="h3c^4-standard"),
+    pytest.param((5, 6, 7, 8), id="h3c^4-random"),
+])
+def test_enumerated_structures_equal_the_fraction_assembly(seeds):
+    """h3c^k with k = len(seeds) has 2^k J's, each the signed sum of k
+    pieces.  The pieces are certified once, in integers; each J must still
+    be the reference's per-J assembly, with its per-J certificate."""
+    dec = decompose(_h3c_sum(seeds))
     out = complexstruct.complex_structures(dec)
     want = ref.complex_structures(dec)
-    assert len(out) == len(want) == 4
+    assert dec.k == len(seeds) and len(out) == len(want) == 2 ** len(seeds)
     for s, (signs, J, residuals) in zip(out, want):
         assert s.signs == signs and _typed(s.J) == _typed(J)
         got = (s.certificate.square_residual, s.certificate.bracket_residual, s.certificate.skew_residual)
-        assert _typed(got) == _typed(residuals)
+        assert _typed(got) == _typed(residuals) == _typed((0, 0, 0)) and s.certificate.passed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_enumeration_verifies_no_j(k):
+    """The exact path certifies the k pieces and calls verify_complex_structure
+    for no J; after to_numeric each of the 2^k J's is verified."""
+    A = _h3c_sum((None,) * k)
+    for B, calls in ((A, 0), (to_numeric(A), 2 ** k)):
+        with mock.patch.object(complexstruct, "verify_complex_structure",
+                               wraps=complexstruct.verify_complex_structure) as verify:
+            assert len(enumerate_complex_structures(B)) == 2 ** k
+        assert verify.call_count == calls
+
+
+def _mutated_pieces(mutate):
+    """complex_structures of h3c ⊕ h3c with its integer pieces (Z, den)
+    replaced by mutate(Z, den)."""
+    dec = decompose(_h3c_sum((None, None)))
+    real = complexstruct._int_pieces
+    with mock.patch.object(complexstruct, "_int_pieces", lambda parts: mutate(*real(parts))):
+        return complexstruct.complex_structures(dec)
+
+
+def _conjugated(Z, T, T_inv):
+    """T·Z·T⁻¹ for integer matrices."""
+    return ref.mat_mul(ref.mat_mul(T, Z), T_inv)
+
+
+def _bracket_breaking(Z, den):
+    """Piece 0 with two basis vectors of its block swapped: an orthogonal
+    conjugate, so its square, skewness and products with piece 1 stay, but
+    it no longer commutes with ad: on h3c, [E1, E3] = E5 and [E3, E4] = 0."""
+    b = [r for r in range(len(Z[0])) if any(Z[0][r])]
+    Q = [[int(c == (b[2] if r == b[0] else b[0] if r == b[2] else r)) for c in range(len(Z[0]))]
+         for r in range(len(Z[0]))]
+    return [_conjugated(Z[0], Q, Q), Z[1]], den
+
+
+def _skew_breaking(Z, den):
+    """Piece 0 conjugated by T = I + N, N mapping E1 to the central E5 of its
+    block: N is a centroid element with N² = 0 that does not commute with
+    piece 0, so T·K·T⁻¹ stays bi-invariant with the same square and products
+    with piece 1, but is no longer skew for the standard metric."""
+    n, b = len(Z[0]), [r for r in range(len(Z[0])) if any(Z[0][r])]
+    N = [[int((r, c) == (b[4], b[0])) for c in range(n)] for r in range(n)]
+    T = [[int(r == c) + N[r][c] for c in range(n)] for r in range(n)]
+    T_inv = [[int(r == c) - N[r][c] for c in range(n)] for r in range(n)]
+    return [_conjugated(Z[0], T, T_inv), Z[1]], den
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda Z, den: ([[[2 * x for x in row] for row in Z[0]], Z[1]], den), "squares of the pieces"),
+    # K0' = (3K0 + 5K1)/5, K1' = 4K0/5: K0'² + K1'² = −I, K0'K1' + K1'K0' = −(24/25)·P0
+    (lambda Z, den: ([[[3 * x + 5 * y for x, y in zip(u, v)] for u, v in zip(Z[0], Z[1])],
+                      [[4 * x for x in row] for row in Z[0]]], 5 * den), "pieces 0 and 1 do not anticommute"),
+    (_bracket_breaking, r"piece 0 .* bracket [1-9].*, skew 0$"),
+    (_skew_breaking, r"piece 0 .* bracket 0, skew [1-9]"),
+], ids=["square", "anticommutator", "bracket", "skew"])
+def test_piece_certificate_refuses_broken_pieces(mutate, message):
+    """Each case breaks one condition of the piece certificate and keeps the
+    others, so it is caught by that check alone."""
+    with pytest.raises(InternalAssertionFailure, match=message):
+        _mutated_pieces(mutate)
