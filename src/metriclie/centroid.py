@@ -189,20 +189,14 @@ class ProjectionCertificate:
 
 
 def is_orthogonal_projection(A: MetricLieAlgebra, P) -> ProjectionCertificate:
-    """Check p∘p = p, the bracket condition and G-symmetry, with residuals.
-    On exact operands the residuals are integer matrix identities: with
-    P = Pᵢ/d and G = Gᵢ/g, max|Pᵢ·Pᵢ − d·Pᵢ| / d² and
-    max|Gᵢ·Pᵢ − Pᵢᵀ·Gᵢ| / (g·d)."""
-    tol, G = A.tol, A.gram
-    if linalg._is_exact(P) and linalg._is_exact(G):
-        Pt = linalg.transpose(P)
-        idem = linalg._exact_residual([(1, P, P), (-1, P)])
-        sym = linalg._exact_residual([(1, G, P), (-1, Pt, G)])
-    else:
-        idem = linalg.mat_max_diff(linalg.mat_mul(P, P), P)
-        sym = linalg.mat_max_diff(linalg.mat_mul(G, P), linalg.mat_mul(linalg.transpose(P), G))
+    """Check p∘p = p, the bracket condition and G-symmetry, with residuals;
+    the first and last are ``linalg.residual`` of P·P − P and G·P − Pᵀ·G,
+    integer identities on exact operands and float formulas otherwise."""
+    G = A.gram
+    idem = linalg.residual([(1, P, P), (-1, P)])
+    sym = linalg.residual([(1, G, P), (-1, linalg.transpose(P), G)])
     br = centroid_residual(A, P)
-    passed = all(linalg.is_zero(r, tol) for r in (idem, br, sym))
+    passed = all(linalg.is_zero(r, A.tol) for r in (idem, br, sym))
     return ProjectionCertificate(idem, br, sym, passed)
 
 
@@ -515,15 +509,8 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
     factors.sort(key=_carrier_sort_key)
 
     # completeness: projections sum to the identity
-    n = work.dim
-    I = linalg.identity(n, work.tol)
-    if work.tol:
-        total = linalg.zeros(n, n, work.tol)
-        for f in factors:
-            total = linalg.mat_add(total, f.projection)
-        residual = linalg.mat_max_diff(total, I)
-    else:
-        residual = linalg._exact_residual([(1, f.projection) for f in factors] + [(-1, I)])
+    I = linalg.identity(work.dim, work.tol)
+    residual = linalg.residual([(1, f.projection) for f in factors] + [(-1, I)])
     if not linalg.is_zero(residual, work.tol):
         raise InternalAssertionFailure("factor projections do not sum to the identity")
     return Decomposition(work, tuple(factors), work.backend, seed)

@@ -82,25 +82,17 @@ def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:
     return to_numeric(A) if not A.tol and _holds_float(*operators) else A
 
 
-def verify_complex_structure(A: MetricLieAlgebra, J, tol=None) -> ComplexStructureCertificate:
-    """Residuals for J^2 = -I, bi-invariance and skewness w.r.t. the Gram."""
-    n = A.dim
+def verify_complex_structure(A: MetricLieAlgebra, J) -> ComplexStructureCertificate:
+    """Residuals for J^2 = -I, bi-invariance and skewness w.r.t. the Gram;
+    the first and last are ``linalg.residual`` of J·J + I and G·J + Jᵀ·G,
+    integer identities on exact operands and float formulas otherwise.  A
+    float J on an exact A is judged at DEFAULT_TOL."""
+    n, G = A.dim, A.gram
     if len(J) != n or any(len(r) != n for r in J):
         raise DimensionMismatch("operator dimension differs from algebra dimension")
-    if tol is None:
-        tol = A.tol
-        if _holds_float(J):
-            tol = tol or DEFAULT_TOL
-    G, I = A.gram, linalg.identity(n, A.tol)
-    if not A.tol and linalg._is_exact(J) and linalg._is_exact(G):
-        # integer identities: max|Jᵢ·Jᵢ + d²·I| / d² and max|Gᵢ·Jᵢ + Jᵢᵀ·Gᵢ| / (g·d)
-        sq = linalg._exact_residual([(1, J, J), (1, I)])
-        sk = linalg._exact_residual([(1, G, J), (1, linalg.transpose(J), G)])
-    else:
-        sq = linalg.mat_max_diff(linalg.mat_mul(J, J), linalg.mat_scale(-1, I))
-        sk = linalg.max_abs(
-            linalg.mat_add(linalg.mat_mul(G, J), linalg.mat_mul(linalg.transpose(J), G))
-        )
+    tol = A.tol or (DEFAULT_TOL if _holds_float(J) else 0.0)
+    sq = linalg.residual([(1, J, J), (1, linalg.identity(n, A.tol))])
+    sk = linalg.residual([(1, G, J), (1, linalg.transpose(J), G)])
     br = centroid_residual(A, J)
     passed = all(linalg.is_zero(r, tol) for r in (sq, br, sk))
     return ComplexStructureCertificate(sq, br, sk, passed)
@@ -260,24 +252,25 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     ad_C = [AC.real_form.algebra.ad_matrix(p) for p in range(n2)]
     ad_Phi = linalg.mat_mul(Phit, tuple(linalg.vectorize(D.algebra.ad_matrix(r)) for r in range(n2)))
     rhs = [linalg.mat_mul(linalg.unvectorize(a, n2), Phi) for a in ad_Phi]
-    worst_br = linalg.mat_max_diff(
-        linalg.mat_mul(Phi, tuple(tuple(x for ad in ad_C for x in ad[k]) for k in range(n2))),
-        tuple(tuple(x for M in rhs for x in M[k]) for k in range(n2)),
-    )
+    worst_br = linalg.residual([
+        (1, Phi, tuple(tuple(x for ad in ad_C for x in ad[k]) for k in range(n2))),
+        (-1, tuple(tuple(x for M in rhs for x in M[k]) for k in range(n2))),
+    ])
 
     JJ = tuple(
         tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else z for c in range(n2))
         for r in range(n2)
     )
-    inter = linalg.mat_max_diff(linalg.mat_mul(Phi, AC.i_op), linalg.mat_mul(JJ, Phi))
+    inter = linalg.residual([(1, Phi, AC.i_op), (-1, JJ, Phi)])
 
     # full Hermitian isometry of Phi: Φᵀ·(G ⊕ G)·Φ/2 and Φᵀ·(G·J ⊕ G·(−J))·Φ/2
     # against the real and imaginary parts (G ⊕ G and (G ⊕ G)·i) on g^C; its
     # top-left block is the real copy X -> (X, X), which recovers G
     Gc = AC.real_form.gram
-    re = linalg.mat_scale(half, linalg.mat_mul(Phit, linalg.mat_mul(Gc, Phi)))
-    im = linalg.mat_scale(half, linalg.mat_mul(Phit, linalg.mat_mul(linalg.mat_mul(Gc, JJ), Phi)))
-    worst_iso = max(linalg.mat_max_diff(re, Gc), linalg.mat_max_diff(im, linalg.mat_mul(Gc, AC.i_op)))
+    worst_iso = max(
+        linalg.residual([(half, Phit, linalg.mat_mul(Gc, Phi)), (-1, Gc)]),
+        linalg.residual([(half, Phit, linalg.mat_mul(linalg.mat_mul(Gc, JJ), Phi)), (-1, Gc, AC.i_op)]),
+    )
 
     rk = linalg.rank(Phi, tol)
     passed = rk == n2 and all(
@@ -363,14 +356,8 @@ def _factor_complex_structure(induced: MetricLieAlgebra):
             f"basis dump: {K_space.basis}"
         )
     K = K_space.basis[0]
-    I = linalg.identity(induced.dim, induced.tol)
-    if induced.tol:
-        K2 = linalg.mat_mul(K, K)
-        lam = K2[0][0]
-        scal_res = linalg.mat_max_diff(K2, linalg.mat_scale(lam, I))
-    else:
-        lam = linalg.mat_mul(K[:1], K)[0][0]
-        scal_res = linalg._exact_residual([(1, K, K), (-lam, I)])
+    lam = linalg.mat_mul(K[:1], K)[0][0]
+    scal_res = linalg.residual([(1, K, K), (-lam, linalg.identity(induced.dim, induced.tol))])
     if not linalg.is_zero(scal_res, induced.tol) or not lam < 0:
         raise InternalAssertionFailure(
             f"skew centroid element has non-scalar or non-negative square (lam={lam})"
@@ -489,7 +476,7 @@ def complex_structures(dec: Decomposition):
     out = []
     pieces = [linalg.mat_mul(C, linalg.mat_mul(Jf, R)) for C, Jf, R in parts]
     for signs, J in _signed_sums(pieces, work.dim, tol):
-        cert = verify_complex_structure(work, J, tol=tol)
+        cert = verify_complex_structure(work, J)
         if not cert.passed:
             raise InternalAssertionFailure(
                 f"assembled structure failed verification: {cert.residuals()}"

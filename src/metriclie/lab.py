@@ -196,26 +196,20 @@ def _gram_hash(G) -> str:
 
 def metric_scan(A: MetricLieAlgebra, trials: int, seed: int = 0,
                 spread: int = DEFAULT_SPREAD) -> ScanReport:
-    """Sample random metrics and aggregate (k, J-count) pairs."""
+    """Sample random metrics and aggregate (k, J-count) pairs.  An abelian
+    factor depends on the bracket alone, so it skips every trial."""
+    if has_abelian_factor(A):
+        return ScanReport((), max(trials, 0), {})
     out = []
-    skipped = 0
     for t in range(trials):
         tseed = _derive_seed(seed, "scan", t)
         metric = random_gram(A.dim, tseed, spread)
-        cand = A.with_metric(metric)
-        if has_abelian_factor(cand):
-            skipped += 1
-            continue
-        try:
-            dec = decompose(cand, seed=tseed)
-            structures = complex_structures(dec)
-        except AbelianFactorPresent:
-            skipped += 1
-            continue
+        dec = decompose(A.with_metric(metric), seed=tseed)
+        structures = complex_structures(dec)
         backend = structures[0].backend if structures else dec.backend
         out.append(ScanTrial(t, tseed, _gram_hash(metric.gram), dec.k,
                              len(structures), backend))
     hist = {}
     for tr in out:
         hist[(tr.k, tr.j_count)] = hist.get((tr.k, tr.j_count), 0) + 1
-    return ScanReport(tuple(out), skipped, hist)
+    return ScanReport(tuple(out), 0, hist)

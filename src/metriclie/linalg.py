@@ -22,10 +22,11 @@ pivots of the forward pass.  The centroid systems go through
 ``_int_nullspace``, which returns integer kernel vectors;
 ``_int_canonical_nullspace`` reduces those once more to the canonical basis
 over one common denominator, and ``nullspace_sparse`` turns them into
-Fractions.  Exact certificates are integer matrix identities too, with one
-Fraction per residual (``_exact_residual``), and the leading principal
-minors are Bareiss's integer elimination.  At tol 0 a float entry raises
-TypeError rather than have its binary value reduced exactly.
+Fractions.  Every certificate residual max|Σ c·X·Y| is one primitive,
+``residual``: an integer matrix identity with one Fraction per residual
+when its operands are exact, the float formula otherwise.  The leading
+principal minors are Bareiss's integer elimination.  At tol 0 a float
+entry raises TypeError rather than have its binary value reduced exactly.
 
 Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
 ``canonical_rows`` and the float ``nullspace_sparse``) is ``_float_rref``:
@@ -179,32 +180,36 @@ def _int_max_abs(R, den: int):
     return Fraction(m, den) if m else 0
 
 
-def _exact_residual(terms):
-    """max_abs(Σ c·X·Y) over exact operands, as an integer matrix identity.
+def residual(terms):
+    """max_abs(Σ c·X·Y) over the terms (c, X, Y) for c·X·Y and (c, X) for c·X.
 
-    A term is (c, X, Y) for the product c·X·Y, or (c, X) for c·X, with c an
-    int or a Fraction.  Each operand is cleared to integers over one common
-    denominator, so the terms are integer matrices over a few products of
-    denominators, brought to their lcm; one Fraction is formed, for the
-    largest entry, and a zero residual is the int 0.
+    When every coefficient and every distinct operand is exact, it is an
+    integer matrix identity: each distinct operand is cleared to integers
+    over one common denominator once, and the terms, integer matrices over
+    a few products of denominators, are brought to their lcm; one Fraction
+    is formed, for the largest entry, and a zero residual is the int 0.
+    Otherwise it is the float formula, a ``mat_mul`` per product.  Either
+    way a term is scaled unless c == 1, and the terms are added in order.
     """
-    parts = []  # (R, p, d) for the term p·R / d, R an integer matrix
-    for c, *ops in terms:
-        p, q = c.as_integer_ratio()
-        if len(ops) == 1:
-            R, d = _cleared_matrix(ops[0])
-        else:
-            X, Y = ops
-            (Xi, dx), (Yi, dy) = _cleared_matrix(X), _cleared_matrix(Y)
-            R, d = _int_product(Xi, Yi, len(Y[0]) if Y else 0), dx * dy
-        parts.append((R, p, q * d))
-    den = math.lcm(*(d for _, _, d in parts))
+    operands = {id(M): M for _, *ops in terms for M in ops}
+    exact = _is_exact([[c for c, *_ in terms]]) and all(map(_is_exact, operands.values()))
+    if exact:
+        cleared = {key: _cleared_matrix(M) for key, M in operands.items()}
+        parts = []  # (p, d, R) for the term p·R / d, R an integer matrix
+        for c, *ops in terms:
+            (R, d), *rest = (cleared[id(M)] for M in ops)
+            for Y, e in rest:
+                R, d = _int_product(R, Y, len(Y[0]) if Y else 0), d * e
+            p, q = c.as_integer_ratio()
+            parts.append((p, q * d, R))
+        den = math.lcm(*(d for _, d, _ in parts))
+        terms = [(p * (den // d), R) for p, d, R in parts]
     total = None
-    for R, p, d in parts:
-        f = p * (den // d)
-        R = R if f == 1 else [[f * x for x in row] for row in R]
-        total = R if total is None else [[a + b for a, b in zip(u, v)] for u, v in zip(total, R)]
-    return _int_max_abs(total, den)
+    for c, *ops in terms:
+        M = mat_mul(*ops) if len(ops) == 2 else ops[0]
+        M = M if c == 1 else mat_scale(c, M)
+        total = M if total is None else mat_add(total, M)
+    return _int_max_abs(total, den) if exact else max_abs(total)
 
 
 def rref(rows, tol: float = 0.0):

@@ -144,42 +144,58 @@ def test_complex_structure_certificate_equals_the_fraction_reference(A, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 3), st.data())
 def test_sum_and_square_checks_equal_the_fraction_reference(n, k, data):
-    """decompose's Σ P = I and the scalar-square check on a factor's K."""
+    """decompose's Σ P = I and the scalar-square check on a factor's K, on
+    exact operands, on floats with the float I of the numeric backend, and
+    on exact operands with float entries against the exact I."""
     I = linalg.identity(n)
     Ps = [data.draw(operator(n)) for _ in range(k)]
     if data.draw(st.booleans()):  # make them sum to I
         Ps.append(linalg.mat_sub(I, functools.reduce(linalg.mat_add, Ps)))
-    got = linalg._exact_residual([(1, P) for P in Ps] + [(-1, I)])
-    assert _typed(got) == _typed(ref.projections_sum_residual([ref.fractions(P) for P in Ps], n))
     K = data.draw(operator(n))
-    lam, want = ref.square_scalar(ref.fractions(K))
+    kind = data.draw(st.sampled_from(["exact", "float", "mixed"]))
+    tol = 1e-9 if kind == "float" else 0.0
+    if kind == "float":
+        Ps, K = [linalg.to_float_mat(P) for P in Ps], linalg.to_float_mat(K)
+    elif kind == "mixed":
+        Ps, K = [_float_copy(P, data) for P in Ps], _float_copy(K, data)
+    as_ref = ref.fractions if kind == "exact" else (lambda M: M)
+    I = linalg.identity(n, tol)
+    got = linalg.residual([(1, P) for P in Ps] + [(-1, I)])
+    assert _typed(got) == _typed(ref.projections_sum_residual([as_ref(P) for P in Ps], n, tol))
+    lam, want = ref.square_scalar(as_ref(K), tol)
     assert _typed(linalg.mat_mul(K[:1], K)[0][0]) == _typed(lam)
-    assert _typed(linalg._exact_residual([(1, K, K), (-lam, I)])) == _typed(want)
+    assert _typed(linalg.residual([(1, K, K), (-lam, I)])) == _typed(want)
+
+
+FLOAT_ENTRIES = {"float": st.floats(-4, 4), "float-mixed": st.floats(-4, 4) | ENTRIES["small"]}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
 def test_exact_residual_of_random_terms(n, m, data):
-    """max|Σ c·X·Y| over products of rectangular operands of mixed kinds."""
+    """max|Σ c·X·Y| over products of rectangular operands of mixed kinds.
+    With a float among the operands or coefficients it is the plain formula
+    in the entries' own arithmetic, terms added in order, bit for bit."""
     def matrix(rows, cols):
-        kind = data.draw(st.sampled_from(KINDS))
-        return tuple(tuple(data.draw(ENTRIES[kind]) for _ in range(cols)) for _ in range(rows))
+        kind = data.draw(st.sampled_from(KINDS + sorted(FLOAT_ENTRIES)))
+        entries = FLOAT_ENTRIES[kind] if kind in FLOAT_ENTRIES else ENTRIES[kind]
+        M = tuple(tuple(data.draw(entries) for _ in range(cols)) for _ in range(rows))
+        return M, (M if kind in FLOAT_ENTRIES else ref.fractions(M))
 
     terms, total = [], None
     for _ in range(data.draw(st.integers(1, 3))):
-        c = data.draw(st.sampled_from([1, -1, 2, F(-3, 5), F(4)]))
+        c = data.draw(st.sampled_from([1, -1, 2, F(-3, 5), F(4), -0.5]))
         if data.draw(st.booleans()):
             k = data.draw(st.integers(1, 4))  # a k x 0 matrix is (), whatever k is
-            X, Y = matrix(n, k), matrix(k, m)
+            (X, Xr), (Y, Yr) = matrix(n, k), matrix(k, m)
             terms.append((c, X, Y))
-            value = ref.mat_mul(ref.fractions(X), ref.fractions(Y))
+            value = ref.mat_mul(Xr, Yr)
         else:
-            X = matrix(n, m)
+            X, value = matrix(n, m)
             terms.append((c, X))
-            value = ref.fractions(X)
         value = linalg.mat_scale(c, value)
         total = value if total is None else linalg.mat_add(total, value)
-    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total))
+    assert _typed(linalg.residual(terms)) == _typed(linalg.max_abs(total))
 
 
 @pytest.mark.parametrize("terms, want", [
@@ -199,7 +215,7 @@ def test_exact_residual_types_each_term(terms, want):
         ops = [ref.fractions(X) for X in ops]
         value = linalg.mat_scale(c, ref.mat_mul(*ops) if len(ops) == 2 else ops[0])
         total = value if total is None else linalg.mat_add(total, value)
-    assert _typed(linalg._exact_residual(terms)) == _typed(linalg.max_abs(total)) == _typed(want)
+    assert _typed(linalg.residual(terms)) == _typed(linalg.max_abs(total)) == _typed(want)
 
 
 @settings(max_examples=100, deadline=None)
