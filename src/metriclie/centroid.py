@@ -23,6 +23,13 @@ The Lagrange factors of L_a, applied one after another to the coordinates
 of I (a k-vector), give the coordinates of the factor projections, which
 are lifted back to n×n.
 
+A certified factor projection P = C·R is an idempotent of the centroid, so
+g = im P ⊕ ker P as ideals and the factor's centroid is the compression
+{R·B·C : B ∈ Cent(g)}.  Exact factors take it in integers from the ambient
+integer entries, so an exact decomposition solves one commutant system and
+one symmetric system, and builds no Fraction centroid basis; float factors
+solve their own commutant.
+
 Eigenvalues are the roots of the minimal polynomial, found exactly by
 Sturm-sequence isolation in integer arithmetic when they are all rational;
 otherwise the whole computation falls back to the float backend and reports
@@ -90,19 +97,19 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
     the rows of rref(X).
 
-    On exact operands G and the basis are cleared to integers once (the
-    basis over one common denominator, cached on the algebra), so the
+    On exact operands G is cleared to integers once and the basis is read
+    from ``_int_centroid_entries``, never from its Fraction view, so the
     equations are integer rows, solved by sparse integer elimination, and
     each result row is an integer sum over the nonzero basis entries, with
     one Fraction per matrix entry.  Float operands keep the float formulas.
     """
     n, G, tol = A.dim, A.gram, A.tol
-    basis = A.algebra._centroid_basis
     cleared = A.algebra._int_centroid_entries
     exact = cleared is not None and linalg._is_exact(G)
     if exact:
         (entries, e), (G, _) = cleared, linalg._cleared_matrix(G)
     else:
+        basis = A.algebra._centroid_basis
         entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b] for B in basis]
     eqs = {}  # (r, s) -> {k: coefficient of x_k}
     for k, E in enumerate(entries):
@@ -116,10 +123,10 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
     eqs = [eq for eq in eqs if eq]
     if not exact:
-        coords = linalg._canonical_nullspace(eqs, len(basis), tol)
+        coords = linalg._canonical_nullspace(eqs, len(entries), tol)
         rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
         return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
-    coords, dx = linalg._int_canonical_nullspace(eqs, len(basis))
+    coords, dx = linalg._int_canonical_nullspace(eqs, len(entries))
     out = []
     for x in coords:  # Σ x_k·B_k = Σ (X_k/dx)·(b/e), over the nonzero X_k and b
         M = [0] * (n * n)
@@ -461,6 +468,33 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     )
 
 
+def _pivot_rows(P, carrier: Subspace):
+    """R with P = C·R, C the echelon carrier basis as columns: P's rows at
+    the carrier's pivots, a row's pivot its first entry equal to 1 (before
+    it: 0, or float dust).  R·C = I."""
+    return tuple(P[next(c for c, x in enumerate(b) if x == 1)] for b in carrier.basis)
+
+
+def _compressed_centroid(A: MetricLieAlgebra, P, carrier: Subspace):
+    """The ``_int_centroid_entries`` of the factor im P of an exact A: the
+    compressions R·B_k·C of A's centroid basis, for P = C·R, formed in
+    integers and reduced by ``linalg._int_canonical``.  The reduced basis
+    is unique, so it is the one the factor's own commutant solve gives."""
+    s, (entries, _) = carrier.dim, A.algebra._int_centroid_entries
+    (R, _), (Ct, _) = linalg._cleared_matrix(_pivot_rows(P, carrier)), linalg._cleared_matrix(carrier.basis)
+    r_cols, c_rows = linalg._sparse_rows(zip(*R)), linalg._sparse_rows(zip(*Ct))  # R[·][t] and C[u][·]
+    products = []
+    for E in entries:
+        M = {}  # (R·B_k·C)[a][c] at a·s + c
+        for t, u, b in E:
+            for a, r in r_cols[t]:
+                for c, x in c_rows[u]:
+                    M[a * s + c] = M.get(a * s + c, 0) + r * b * x
+        products.append(M)
+    rows, e = linalg._int_canonical(products, s * s)
+    return tuple(tuple((*divmod(col, s), v) for col, v in sorted(row.items())) for row in rows), e
+
+
 def _carrier_sort_key(f: Factor):
     return (f.carrier.dim, tuple(tuple(x for x in row) for row in f.carrier.basis))
 
@@ -470,10 +504,11 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
 
     One generic symmetric-centroid element separates the factors; each
     carrier is the canonical image of its certified projection, and its own
-    symmetric centroid must be one-dimensional.  Refuses algebras with a
-    non-zero abelian factor, for which uniqueness fails.  Factors are
-    ordered by (dim, carrier basis): exact output is bit-identical across
-    seeds, numeric output agrees to within ``tol``.
+    symmetric centroid must be one-dimensional: an exact factor's centroid
+    is compressed from A's, and for k = 1 the factor is A, whose S was just
+    solved.  Refuses algebras with a non-zero abelian factor, for which
+    uniqueness fails.  Factors are ordered by (dim, carrier basis): exact
+    output is bit-identical across seeds, numeric output within ``tol``.
     """
     if A.dim == 0:
         return Decomposition(A, (), A.backend, seed)
@@ -497,7 +532,10 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
             )
         carrier = _image_subspace(work, P)
         induced = restrict(work, carrier)
-        sdim = symmetric_centroid(induced).dim
+        if len(projections) > 1 and not work.tol:
+            induced.algebra.__dict__["_int_centroid_entries"] = _compressed_centroid(work, P, carrier)
+        # for k = 1, S = span(I) was just solved on this bracket and Gram (Cᵀ·G·C = G for C = I)
+        sdim = 1 if len(projections) == 1 else symmetric_centroid(induced).dim
         if sdim != 1:
             raise InternalAssertionFailure(
                 f"factor is not irreducible: symmetric centroid dim {sdim}"

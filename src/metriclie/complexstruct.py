@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .centroid import Decomposition, _int_centroid_residual, centroid_residual, decompose, skew_centroid
+from .centroid import Decomposition, _int_centroid_residual, _pivot_rows, centroid_residual, decompose, skew_centroid
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -460,9 +460,7 @@ def complex_structures(dec: Decomposition):
         if res is None:
             return []
         Jf, numeric = res
-        C = f.carrier.matrix_columns()
-        # a row's pivot is its first entry equal to 1 (before it: 0, or float dust)
-        R = tuple(f.projection[next(c for c, x in enumerate(b) if x == 1)] for b in f.carrier.basis)
+        C, R = f.carrier.matrix_columns(), _pivot_rows(f.projection, f.carrier)
         if numeric:
             C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
             tol = tol or DEFAULT_TOL

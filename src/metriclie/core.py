@@ -77,9 +77,6 @@ class Subspace:
         A = linalg.transpose(linalg.mat(self.basis))
         return linalg.solve(A, v, self.tol) is not None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def matrix_columns(self):
         """Basis vectors as the columns of an (ambient x dim) matrix."""
         return linalg.transpose(linalg.mat(self.basis)) if self.basis else tuple(() for _ in range(self.ambient_dim))
@@ -204,10 +201,14 @@ class LieAlgebra:
 
     @cached_property
     def _has_abelian_factor(self) -> bool:
-        """Whether Z(g) is not contained in [g, g].  It reads only the
-        bracket, so it is decided once per algebra, like the centroid."""
-        A = MetricLieAlgebra(self, Metric(linalg.identity(self.dim, self.tol)))  # center and [g, g] read no Gram
-        return self.dim > 0 and not derived_subalgebra(A).contains_subspace(center(A))
+        """Whether Z(g) is not contained in [g, g]: rank([g, g] ∪ Z) > rank([g, g]),
+        [g, g] spanned by the brackets of the nonzero pairs.  It reads only
+        the bracket, so it is decided once per algebra, like the centroid."""
+        if not self.dim:
+            return False
+        A = MetricLieAlgebra(self, Metric(linalg.identity(self.dim, self.tol)))  # center reads no Gram
+        derived = [self.bracket_basis(i, j) for (i, j), _ in self.structure]
+        return linalg.rank(derived + list(center(A).basis), self.tol) > linalg.rank(derived, self.tol)
 
 
 # The caches above that read only the bracket: an algebra with the same ad

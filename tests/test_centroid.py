@@ -21,6 +21,8 @@ from metriclie.centroid import (
 )
 from metriclie.complexstruct import enumerate_complex_structures
 from metriclie.core import (
+    LieAlgebra,
+    Metric,
     Subspace,
     bracket,
     direct_sum,
@@ -31,7 +33,7 @@ from metriclie.core import (
 )
 from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure
 from metriclie.examples import example_keys, get_example
-from metriclie.lab import random_gram
+from metriclie.lab import BlockSpec, _hermitize, make_metric_with_factor_count, random_gram
 
 import fraction_reference as ref
 from bruteforce import centroid_space
@@ -447,12 +449,15 @@ def _metric_part_by_entries(A, sign):
     return tuple(linalg.unvectorize(r, n) for r in rows)
 
 
+def _triangular(n):
+    return linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(n)] for i in range(n)])
+
+
 def _dense_basis(key):
     """A bundled example in the basis of the columns of a triangular matrix:
     there the solutions of the small systems are not already echelon."""
     A = get_example(key)
-    T = linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(A.dim)] for i in range(A.dim)])
-    return _in_basis(A, T)
+    return _in_basis(A, _triangular(A.dim))
 
 
 CANONICAL_ALGEBRAS = dict(FACTOR_COUNT_ALGEBRAS,
@@ -499,7 +504,8 @@ def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
 def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
     """For k = 1 the carrier is the standard basis, so the induced algebra
     takes over the ambient centroid: decomposing and enumerating solve the
-    n²-unknown commutant once."""
+    n²-unknown commutant once.  An exact decomposition never forms the
+    Fraction view of the centroid basis."""
     h3c = get_example("h3c")
     A = direct_sum(h3c, h3c).with_metric(random_gram(12, 1))
     if numeric:
@@ -517,11 +523,91 @@ def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
     dec = decompose(A)
     assert dec.k == 1
     induced = dec.factors[0].induced.algebra
-    assert induced._centroid_basis is A.algebra._centroid_basis
+    if numeric:
+        assert induced._centroid_basis is A.algebra._centroid_basis
+    else:
+        assert "_centroid_basis" not in A.algebra.__dict__
     assert induced._int_centroid_entries is A.algebra._int_centroid_entries
     assert induced.structure == A.algebra.structure
     enumerate_complex_structures(A)
     assert cols.count(n * n) == 1
+
+
+def _lab_sum(keys, l, seed):
+    """The direct sum of the bundled blocks with a lab metric of l factors."""
+    blocks = tuple(get_example(key) for key in keys)
+    A = blocks[0]
+    for b in blocks[1:]:
+        A = direct_sum(A, b)
+    return A.with_metric(make_metric_with_factor_count(BlockSpec(blocks, seed), l))
+
+
+def _hermitian_block(seed):
+    """h3c ⊕ h3c with a J-hermitian random Gram on each summand: k = 2."""
+    h3c = get_example("h3c")
+    a, b = (h3c.with_metric(Metric(_hermitize(random_gram(6, seed + i).gram, h3c.j_marker))) for i in (0, 1))
+    return direct_sum(a, b)
+
+
+COMPRESSION_CASES = {
+    **{key: (lambda key=key: get_example(key)) for key in NONABELIAN},
+    **{f"h3^3-l{l}-seed{seed}": (lambda l=l, seed=seed: _lab_sum(["h3"] * 3, l, seed))
+       for l in (2, 3) for seed in range(4)},
+    **{f"h3+h3c+h3-l{l}": (lambda l=l: _lab_sum(["h3", "h3c", "h3"], l, 0)) for l in (2, 3)},
+    "h3c+h3c-random": lambda: direct_sum(get_example("h3c"), get_example("h3c")).with_metric(random_gram(12, 1)),
+    "h3c+h3c-hermitian-block": lambda: _hermitian_block(3),
+    # carriers that are not coordinate subspaces, so R is not Cᵀ
+    "h3h3'": lambda: _dense_basis("h3h3"),
+    "h3c+h3c-hermitian-block'": lambda: _in_basis(_hermitian_block(3), _triangular(12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPRESSION_CASES))
+def test_factor_centroid_is_the_compressed_ambient_centroid(case):
+    """Each exact factor's integer centroid entries, compressed from the
+    ambient ones as R·B·C, are those of its own commutant solve."""
+    dec = decompose(COMPRESSION_CASES[case]())
+    assert dec.backend == "exact"
+    for f in dec.factors:
+        fresh = LieAlgebra(f.induced.dim, f.induced.algebra.structure)
+        assert repr(f.induced.algebra.__dict__["_int_centroid_entries"]) == repr(fresh._int_centroid_entries)
+
+
+@pytest.mark.parametrize("key", ["h3h3", "h3h3-lab"])
+def test_exact_decompose_solves_one_commutant(monkeypatch, key):
+    """A k-factor exact decomposition solves the n²-unknown commutant once
+    and no factor's s²-unknown one.  On h3 ⊕ h3 no other system has n² or
+    s² unknowns: the centre has n = 6, the centroid 10 and a factor's 3."""
+    A = get_example("h3h3") if key == "h3h3" else _lab_sum(["h3", "h3"], 2, 0)
+    cols = []
+    solve = linalg._int_nullspace
+
+    def counting(equations, ncols):
+        cols.append(ncols)
+        return solve(equations, ncols)
+
+    monkeypatch.setattr(linalg, "_int_nullspace", counting)
+    dec = decompose(A)
+    assert dec.k >= 2
+    assert cols.count(A.dim ** 2) == 1
+    assert not {f.carrier.dim ** 2 for f in dec.factors} & set(cols)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
+def test_irreducible_algebra_solves_its_symmetric_centroid_once(monkeypatch, numeric):
+    """For k = 1 the one factor is the algebra itself (C = I, Cᵀ·G·C = G):
+    its symmetric centroid is the one just solved, and is not solved again."""
+    from metriclie import centroid as centroid_module
+
+    A = direct_sum(get_example("h3c"), get_example("h3c")).with_metric(random_gram(12, 1))
+    if numeric:
+        A = to_numeric(A)
+    signs = []
+    metric_part = centroid_module._metric_part
+    monkeypatch.setattr(centroid_module, "_metric_part", lambda B, sign: signs.append(sign) or metric_part(B, sign))
+    dec = decompose(A)
+    assert dec.k == 1 and dec.factors[0].certificate["symmetric_centroid_dim"] == 1
+    assert signs == [1]
 
 
 def _entries_typed(matrices):
