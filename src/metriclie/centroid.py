@@ -97,17 +97,17 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
     the rows of rref(X).
 
-    On exact operands G is cleared to integers once and the basis is read
-    from ``_int_centroid_entries``, never from its Fraction view, so the
+    The algebra's tol picks the branch.  At tol 0, G is cleared to integers
+    once (a float in it raises TypeError) and the basis is read from
+    ``_int_centroid_entries``, never from its Fraction view, so the
     equations are integer rows, solved by sparse integer elimination, and
     each result row is an integer sum over the nonzero basis entries, with
-    one Fraction per matrix entry.  Float operands keep the float formulas.
+    one Fraction per matrix entry.  At tol > 0 the float formulas are kept.
     """
     n, G, tol = A.dim, A.gram, A.tol
-    cleared = A.algebra._int_centroid_entries
-    exact = cleared is not None and linalg._is_exact(G)
-    if exact:
-        (entries, e), (G, _) = cleared, linalg._cleared_matrix(G)
+    if not tol:
+        linalg._require_exact(G, "the metric part of the centroid")
+        (entries, e), (G, _) = A.algebra._int_centroid_entries, linalg._cleared_matrix(G)
     else:
         basis = A.algebra._centroid_basis
         entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b] for B in basis]
@@ -122,7 +122,7 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
     eqs = [eq for eq in eqs if eq]
-    if not exact:
+    if tol:
         coords = linalg._canonical_nullspace(eqs, len(entries), tol)
         rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
         return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
@@ -470,9 +470,8 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
 
 def _pivot_rows(P, carrier: Subspace):
     """R with P = C·R, C the echelon carrier basis as columns: P's rows at
-    the carrier's pivots, a row's pivot its first entry equal to 1 (before
-    it: 0, or float dust).  R·C = I."""
-    return tuple(P[next(c for c, x in enumerate(b) if x == 1)] for b in carrier.basis)
+    the carrier's pivots, a row's pivot its first nonzero entry.  R·C = I."""
+    return tuple(P[next(c for c, x in enumerate(b) if x)] for b in carrier.basis)
 
 
 def _compressed_centroid(A: MetricLieAlgebra, P, carrier: Subspace):

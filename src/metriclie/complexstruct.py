@@ -27,10 +27,8 @@ from .core import (
     DEFAULT_TOL,
     EXACT,
     NUMERIC,
-    Metric,
     MetricLieAlgebra,
     Subspace,
-    direct_sum,
     make_algebra,
     to_numeric,
 )
@@ -221,61 +219,38 @@ class DoublingCertificate:
 
 
 def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
-    """Check that (a,b) -> (a + Jb, a - Jb) is an isometric isomorphism
-    from the complexification onto (g, J) + (g, -J).
+    """Check that Φ(a, b) = (a + Jb, a − Jb) is an isometric isomorphism
+    from the complexification g ⊕ i·g onto (g, J) ⊕ (g, −J).
 
-    Each condition is one matrix identity in Φ, the map's matrix, checked on
-    all pairs of basis vectors at once through ``linalg.mat_mul``.  A float J
-    is checked on to_numeric(A)."""
+    Each identity in Φ splits into blocks over g ⊕ i·g, so it is checked as
+    n × n identities in J, by linearity for any operator J:
+    - bracket: real pairs give 0; a real X_p with an imaginary X_q gives
+      ±[J, ad X_p]·X_q, the centroid residual; two imaginary ones give
+      −([X_p, X_q] + [JX_p, JX_q]), entry k of Jᵀ·Cₖ·J + Cₖ with
+      Cₖ[r][s] = [X_r, X_s]ₖ;
+    - intertwining: Φ·i − (J ⊕ −J)·Φ is 0 on the real block and −(J·J + I)
+      on the imaginary one;
+    - isometry: the real and imaginary parts of the Hermitian forms leave
+      Jᵀ·G·J − G and G·J·J + G;
+    - rank Φ = n + rank J.
+    A float J is checked on to_numeric(A)."""
     A = _backend_for(A, J)
     cert = verify_complex_structure(A, J)
     if not cert.passed:
         raise InvalidComplexStructure(f"residuals {cert.residuals()}")
-    n = A.dim
-    tol = A.tol
-    AC = complexify(A)
-    n2 = AC.dim
-    minusJ = linalg.mat_scale(-1, J)
-    # Phi as a block matrix [[I, J], [I, -J]]
-    I = linalg.identity(n, tol)
-    Phi = tuple(
-        tuple(I[r % n][c] if c < n else (J if r < n else minusJ)[r % n][c - n] for c in range(n2))
-        for r in range(n2)
-    )
-    D = direct_sum(A, A)  # bracket container for the codomain
-    z = 0.0 if tol else Fraction(0)
-    half = 0.5 if tol else Fraction(1, 2)
-    Phit = linalg.transpose(Phi)
-
-    # Φ[e_p, e_q] = [Φe_p, Φe_q] for all p, q: Φ·ad(e_p) = ad(Φe_p)·Φ, the
-    # blocks over p side by side, with ad(Φe_p) = Σ_r Φ[r][p]·ad(X_r) in D
-    ad_C = [AC.real_form.algebra.ad_matrix(p) for p in range(n2)]
-    ad_Phi = linalg.mat_mul(Phit, tuple(linalg.vectorize(D.algebra.ad_matrix(r)) for r in range(n2)))
-    rhs = [linalg.mat_mul(linalg.unvectorize(a, n2), Phi) for a in ad_Phi]
-    worst_br = linalg.residual([
-        (1, Phi, tuple(tuple(x for ad in ad_C for x in ad[k]) for k in range(n2))),
-        (-1, tuple(tuple(x for M in rhs for x in M[k]) for k in range(n2))),
-    ])
-
-    JJ = tuple(
-        tuple((J if r < n else minusJ)[r % n][c % n] if (r < n) == (c < n) else z for c in range(n2))
-        for r in range(n2)
-    )
-    inter = linalg.residual([(1, Phi, AC.i_op), (-1, JJ, Phi)])
-
-    # full Hermitian isometry of Phi: Φᵀ·(G ⊕ G)·Φ/2 and Φᵀ·(G·J ⊕ G·(−J))·Φ/2
-    # against the real and imaginary parts (G ⊕ G and (G ⊕ G)·i) on g^C; its
-    # top-left block is the real copy X -> (X, X), which recovers G
-    Gc = AC.real_form.gram
-    worst_iso = max(
-        linalg.residual([(half, Phit, linalg.mat_mul(Gc, Phi)), (-1, Gc)]),
-        linalg.residual([(half, Phit, linalg.mat_mul(linalg.mat_mul(Gc, JJ), Phi)), (-1, Gc, AC.i_op)]),
-    )
-
-    rk = linalg.rank(Phi, tol)
-    passed = rk == n2 and all(
-        linalg.is_zero(r, tol) for r in (worst_br, inter, worst_iso)
-    )
+    n, G, tol = A.dim, A.gram, A.tol
+    Jt, ads = linalg.transpose(J), [A.algebra.ad_matrix(r) for r in range(n)]
+    # every Jᵀ·Cₖ·J + Cₖ at once: its entry (p, q) is entry ((p, k), q) of ad(JX_p)·J + ad(X_p)
+    # stacked over p, where ad(JX_p) = Σ_r J[r][p]·ad(X_r) is row p of Jᵀ times the vectorised ads
+    adJ = [row for v in linalg.mat_mul(Jt, [linalg.vectorize(ad) for ad in ads])
+           for row in linalg.unvectorize(v, n)]
+    imag = linalg.residual([(1, adJ, J), (1, [row for ad in ads for row in ad])])
+    worst_br = max(centroid_residual(A, J), imag)
+    inter = linalg.residual([(1, J, J), (1, linalg.identity(n, tol))])
+    GJ = linalg.mat_mul(G, J)
+    worst_iso = max(linalg.residual([(1, Jt, GJ), (-1, G)]), linalg.residual([(1, GJ, J), (1, G)]))
+    rk = n + linalg.rank(J, tol)
+    passed = rk == 2 * n and all(linalg.is_zero(r, tol) for r in (worst_br, inter, worst_iso))
     return DoublingCertificate(worst_br, inter, worst_iso, rk, passed)
 
 

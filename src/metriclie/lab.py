@@ -64,10 +64,8 @@ def _hermitize(G, J):
 
 
 def _check_blocks(spec: BlockSpec):
-    from .core import derived_subalgebra
-
     for b in spec.blocks:
-        if derived_subalgebra(b).dim == 0:
+        if not any(b.algebra.ad_entries):
             raise AbelianBlock(f"block {b.name!r} is abelian")
 
 

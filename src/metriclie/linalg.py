@@ -47,6 +47,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InternalAssertionFailure
+
 Vec = tuple
 Mat = tuple
 
@@ -552,7 +554,7 @@ def minimal_polynomial(M: Mat, tol: float = 0.0):
         if coords is not None:
             return [-x for x in coords] + [_zero_one(tol)[1]]
         powers.append(P)
-    raise AssertionError("minimal polynomial search exceeded dimension bound")
+    raise InternalAssertionFailure("minimal polynomial search exceeded dimension bound")
 
 
 def frac_sqrt(x: Fraction):

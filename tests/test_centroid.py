@@ -733,6 +733,16 @@ def test_projection_is_carrier_times_its_pivot_rows(key, numeric):
         assert linalg.mat_max_diff(CR, f.projection) <= A.tol
 
 
+def test_pivot_rows_read_a_float_pivot_that_drifted_from_one():
+    """A carrier row's pivot is its first nonzero entry, so a float pivot of
+    1 + 1e-12 still picks its row of P."""
+    from metriclie.centroid import _pivot_rows
+
+    carrier = Subspace(3, ((1 + 1e-12, 0.0, 0.5), (0.0, 0.0, 1.0)), 1e-9)
+    P = ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0))
+    assert _pivot_rows(P, carrier) == (P[0], P[2])
+
+
 def _h3_over_sqrt2():
     """h3 over Q(sqrt 2) as a 6-dim rational algebra, basis X1, r X1, X2, r X2,
     X3, r X3 with r = sqrt 2, and the trace form of Q(sqrt 2) as its Gram.

@@ -283,11 +283,15 @@ def test_doubling_residuals_equal_the_per_pair_loops(A, J):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["h3", "abelian2n", "h3c"]), st.sampled_from(["small", "mixed"]), st.data())
-def test_doubling_residuals_of_an_arbitrary_operator(key, kind, data):
+@given(st.sampled_from(example_keys()), st.sampled_from([None, 1, 2]), st.sampled_from(["small", "mixed"]),
+       st.data())
+def test_doubling_residuals_of_an_arbitrary_operator(key, metric_seed, kind, data):
     """With the complex-structure check passed over, any operator gives the
-    identities' residuals, mostly nonzero: they equal the per-pair loops."""
+    identities' residuals, mostly nonzero: they equal the per-pair loops, on
+    every bundled algebra with its own metric or a random_gram one."""
     A = get_example(key)
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
     J = data.draw(operator(A.dim, kind))
     passing = ComplexStructureCertificate(0, 0, 0, True)
     with mock.patch.object(complexstruct, "verify_complex_structure", return_value=passing):
@@ -313,6 +317,26 @@ def test_doubling_isometry_residual_catches_a_non_isometric_j(metric_seed):
     assert cert.isometry_residual > 0 and cert.rank == 12 and not cert.passed
     got = (cert.bracket_residual, cert.intertwine_residual, cert.isometry_residual, cert.rank)
     assert _typed(got) == _typed(ref.doubling_residuals(A, J))
+
+
+def test_doubling_isometry_builds_no_doubled_algebra():
+    """The doubling identities are checked on n × n blocks, so a passing
+    certificate on h3c ⊕ h3c needs neither g^C nor g ⊕ g: complexify is not
+    called, and no algebra of dim 24 is built by any route."""
+    h3c = get_example("h3c")
+    A = direct_sum(h3c, h3c)
+    J = enumerate_complex_structures(A)[0].J
+    post_init = MetricLieAlgebra.__post_init__
+
+    def refuse_doubles(self):
+        assert self.dim < 2 * A.dim, "a 2n-dim algebra was built"
+        post_init(self)
+
+    with mock.patch.object(complexstruct, "complexify", side_effect=AssertionError("complexify called")), \
+         mock.patch.object(MetricLieAlgebra, "__post_init__", refuse_doubles):
+        cert = verify_doubling_isometry(A, J)
+    assert cert.passed and cert.rank == 24
+    assert cert.residuals() == {"bracket": 0, "intertwine": 0, "isometry": 0}
 
 
 def _h3c_sum(seeds):

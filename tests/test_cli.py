@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from metriclie import linalg
 from metriclie.cli import main
+from metriclie.core import Metric
 from metriclie.docio import dumps, render_document
 from metriclie.examples import example_keys, get_example
 
@@ -138,6 +141,17 @@ def test_jstructs_numeric_backend(algfile, capsys):
     assert doc["complex_structures"]["count"] == 2
     assert all(s["backend"] == "numeric"
                for s in doc["complex_structures"]["structures"])
+
+
+def test_numeric_decompose_of_a_tiny_gram_exits_with_the_internal_code(algfile, capsys):
+    """h3c with only its Gram scaled by 1e-10 defeats the float minimal
+    polynomial's absolute tolerance (ROADMAP item 5); the failure is named
+    and exits 4, with no traceback."""
+    A = get_example("h3c")
+    tiny = A.with_metric(Metric(linalg.mat_scale(Fraction(1, 10**10), A.gram)))
+    assert main(["--backend", "numeric", "decompose", algfile(render_document(tiny))]) == 4
+    err = capsys.readouterr().err
+    assert "internal assertion failure: minimal polynomial" in err and "Traceback" not in err
 
 
 def test_lab_factor_count(capsys):

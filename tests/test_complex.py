@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from metriclie import linalg
-from metriclie.centroid import decompose
+from metriclie.centroid import decompose, skew_centroid, symmetric_centroid
 from metriclie.complexstruct import (
     commute_check,
     complexify,
@@ -19,6 +19,7 @@ from metriclie.complexstruct import (
 )
 from metriclie.core import (
     Metric,
+    MetricLieAlgebra,
     bracket,
     check_jacobi,
     direct_sum,
@@ -353,6 +354,18 @@ def test_a_float_gram_on_an_exact_algebra_is_refused():
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_a_float_gram_on_an_exact_algebra_is_refused_by_the_metric_parts(scale):
+    """A MetricLieAlgebra built directly does not validate its Gram, so a
+    float one reaches the metric parts of the centroid: they raise TypeError
+    instead of solving exactly from the floats' binary values."""
+    h3c = get_example("h3c")
+    A = MetricLieAlgebra(h3c.algebra, Metric(linalg.mat_scale(scale, linalg.to_float_mat(h3c.gram))))
+    for call in (symmetric_centroid, skew_centroid, decompose):
+        with pytest.raises(TypeError):
+            call(A)
 
 
 def test_float_j_on_an_exact_algebra_is_taken_on_the_float_backend():
