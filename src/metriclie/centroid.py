@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .core import (
     MetricLieAlgebra,
     Subspace,
+    _Record,
     has_abelian_factor,
     restrict,
     to_numeric,
@@ -70,8 +70,7 @@ class _NeedNumeric(Exception):
     """Internal: a minimal polynomial has irrational roots."""
 
 
-@dataclass(frozen=True)
-class OperatorSubspace:
+class OperatorSubspace(_Record):
     """Canonical basis of a linear space of n x n operators."""
 
     ambient: MetricLieAlgebra
@@ -180,8 +179,7 @@ def _int_centroid_residual(A: MetricLieAlgebra, X, d) -> object:
     return linalg._int_max_abs([D], e * d)
 
 
-@dataclass(frozen=True)
-class ProjectionCertificate:
+class ProjectionCertificate(_Record):
     idempotent_residual: object
     bracket_residual: object  # condition (i)
     symmetry_residual: object  # condition (ii)
@@ -207,16 +205,14 @@ def is_orthogonal_projection(A: MetricLieAlgebra, P) -> ProjectionCertificate:
     return ProjectionCertificate(idem, br, sym, passed)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(_Record):
     carrier: Subspace
     projection: tuple
     induced: MetricLieAlgebra
     certificate: dict
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     algebra: MetricLieAlgebra
     factors: tuple
     backend: str

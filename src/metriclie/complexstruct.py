@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -29,6 +28,7 @@ from .core import (
     NUMERIC,
     MetricLieAlgebra,
     Subspace,
+    _Record,
     make_algebra,
     to_numeric,
 )
@@ -40,8 +40,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ComplexStructureCertificate:
+class ComplexStructureCertificate(_Record):
     square_residual: object  # J^2 = -I
     bracket_residual: object  # bi-invariance
     skew_residual: object  # G J = -J^T G
@@ -55,16 +54,14 @@ class ComplexStructureCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(_Record):
     J: tuple
     certificate: ComplexStructureCertificate
     backend: str = EXACT
     signs: tuple = ()
 
 
-@dataclass(frozen=True)
-class HermitianValue:
+class HermitianValue(_Record):
     re: object
     im: object
 
@@ -111,8 +108,7 @@ def hermitian_form(A: MetricLieAlgebra, J, u, v) -> HermitianValue:
 # Complexification as a real doubling.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexifiedAlgebra:
+class ComplexifiedAlgebra(_Record):
     """Real doubling of an algebra, with the multiplication-by-i operator.
 
     Coordinates are (real block, imaginary block) over the original basis.
@@ -202,8 +198,7 @@ def eigensplit(A: MetricLieAlgebra, J):
     return g1, gm1
 
 
-@dataclass(frozen=True)
-class DoublingCertificate:
+class DoublingCertificate(_Record):
     bracket_residual: object
     intertwine_residual: object
     isometry_residual: object
@@ -254,8 +249,7 @@ def verify_doubling_isometry(A: MetricLieAlgebra, J) -> DoublingCertificate:
     return DoublingCertificate(worst_br, inter, worst_iso, rk, passed)
 
 
-@dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(_Record):
     commute: bool
     commutator_image_in_center: bool
     residual: object

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from . import linalg
 from .errors import (
@@ -51,8 +50,62 @@ def format_scalar(value) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _Record:
+    """A frozen record that generates no code, so a cold CLI call imports
+    neither ``inspect`` nor the standard frozen-record module.
+
+    A subclass's own annotated names are its fields, in order, and a class
+    attribute of the same name is a field's default.  Instances of one class
+    compare and hash as the tuple of their fields, and refuse assignment;
+    ``__post_init__`` may still set a field through ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        get = operator.attrgetter(*fields)
+        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # keywords and defaults, in field order
+            try:
+                args += tuple(kwargs.pop(f) if f in kwargs else self._defaults[f]
+                              for f in fields[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing field {exc}") from None
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() got unexpected arguments")
+        # field by field: touching self.__dict__ would materialise it, and
+        # every later attribute read would then be about twice as slow
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Subspace(_Record):
     """A subspace of coordinate space in reduced-echelon canonical form.
 
     Equality of subspaces is literal equality of their canonical bases.
@@ -82,8 +135,7 @@ class Subspace:
         return linalg.transpose(linalg.mat(self.basis)) if self.basis else tuple(() for _ in range(self.ambient_dim))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_Record):
     dim: int
     structure: tuple  # tuple of ((i, j), ((k, c), ...)) with 0-based i < j
     basis_labels: tuple = ()
@@ -217,8 +269,7 @@ _BRACKET_CACHES = ("_ad_matrices", "ad_entries", "_int_ad_entries", "_centroid_b
                    "_int_centroid_entries", "_has_abelian_factor")
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Record):
     gram: tuple
 
     def __post_init__(self):
@@ -249,12 +300,11 @@ def _int_entries_as_fractions(M):
     return linalg.mat((Fraction(x) if type(x) is int else x for x in row) for row in M)
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
+class MetricLieAlgebra(_Record):
     algebra: LieAlgebra
     metric: Metric
     name: str = ""
-    j_marker: Optional[tuple] = None  # optional designated complex-structure matrix
+    j_marker: tuple | None = None  # optional designated complex-structure matrix
 
     def __post_init__(self):
         if len(self.metric.gram) != self.algebra.dim:
@@ -352,10 +402,9 @@ def bracket(A: MetricLieAlgebra, u, v):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(_Record):
     max_residual: object
-    worst_triple: Optional[tuple]
+    worst_triple: tuple | None
     passed: bool
 
 

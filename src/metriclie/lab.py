@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .centroid import decompose, symmetric_centroid
 from .complexstruct import complex_structures, enumerate_complex_structures, verify_complex_structure
-from .core import Metric, MetricLieAlgebra, direct_sum, has_abelian_factor
+from .core import Metric, MetricLieAlgebra, _Record, direct_sum, has_abelian_factor
 from .errors import (
     AbelianBlock,
     AbelianFactorPresent,
@@ -31,8 +30,7 @@ DEFAULT_SPREAD = 5
 MAX_METRIC_RETRIES = 20
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(_Record):
     """Blocks the user asserts to be indecomposable with nonzero derived part."""
 
     blocks: tuple
@@ -104,7 +102,8 @@ def make_irreducible_metric(spec: BlockSpec, hermitian_for=None) -> Metric:
 
 def make_metric_with_factor_count(spec: BlockSpec, l: int, hermitian_for=None) -> Metric:
     """A metric with exactly l irreducible factors: blocks 1..l-1 stay
-    orthogonal, blocks l..k are glued irreducibly."""
+    orthogonal, blocks l..k are glued irreducibly.  Blocks 1..l-1 keep their
+    own Gram; one that is reducible with it raises InvalidL, named."""
     k = len(spec.blocks)
     if not 1 <= l <= k:
         raise InvalidL(f"l={l} must satisfy 1 <= l <= {k}")
@@ -137,12 +136,18 @@ def make_metric_with_factor_count(spec: BlockSpec, l: int, hermitian_for=None) -
         raise AbelianFactorPresent("the direct sum has an abelian factor")
     factors = symmetric_centroid(A.with_metric(metric)).dim
     if factors != l:
+        # head blocks keep their own Gram, so a reducible one adds its factors
+        for b in head:
+            d = symmetric_centroid(b).dim
+            if d > 1:
+                raise InvalidL(f"head block {b.name!r} has {d} irreducible factors with its own "
+                               f"Gram, so the metric has {factors}, not l = {l}; the first l - 1 "
+                               f"blocks keep their Gram and must each be irreducible")
         raise GenericityFailure(f"constructed metric has {factors} factors, wanted {l}")
     return metric
 
 
-@dataclass(frozen=True)
-class JCountReport:
+class JCountReport(_Record):
     l: int
     k: int
     count: int
@@ -170,8 +175,7 @@ def jcount_experiment(spec: BlockSpec, l: int) -> JCountReport:
     return JCountReport(l, len(spec.blocks), count, metric, backend)
 
 
-@dataclass(frozen=True)
-class ScanTrial:
+class ScanTrial(_Record):
     index: int
     seed: int
     gram_hash: str
@@ -180,11 +184,10 @@ class ScanTrial:
     backend: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     trials: tuple
     skipped: int
-    histogram: dict = field(default_factory=dict)
+    histogram: dict
 
 
 def _gram_hash(G) -> str:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailure
 
@@ -137,7 +136,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     )
 
 
-def mat_vec(A: Mat, v: Sequence) -> Vec:
+def mat_vec(A: Mat, v: Vec) -> Vec:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
 
@@ -153,26 +152,22 @@ def mat_scale(c, A: Mat) -> Mat:
     return tuple(tuple(c * a for a in row) for row in A)
 
 
-def dot(u: Sequence, v: Sequence):
+def dot(u: Vec, v: Vec):
     return sum(a * b for a, b in zip(u, v))
 
 
-def bilinear(G: Mat, u: Sequence, v: Sequence):
+def bilinear(G: Mat, u: Vec, v: Vec):
     """u^T G v."""
     return dot(mat_vec(G, v), u)
 
 
-def max_abs(A: Iterable) -> float:
+def max_abs(A: Mat) -> float:
     m = 0
     for row in A:
         for x in row:
             if abs(x) > m:
                 m = abs(x)
     return m
-
-
-def mat_max_diff(A: Mat, B: Mat):
-    return max_abs(mat_sub(A, B))
 
 
 def _int_max_abs(R, den: int):
@@ -319,7 +314,7 @@ def _nullspace_from_rref(rows, pivots, ncols, tol=0.0):
     return basis
 
 
-def solve(A: Mat, b: Sequence, tol: float = 0.0):
+def solve(A: Mat, b: Vec, tol: float = 0.0):
     """One solution of A x = b, or None if inconsistent."""
     if not A:
         return () if all(is_zero(x, tol) for x in b) else None
@@ -537,7 +532,7 @@ def vectorize(M: Mat) -> Vec:
     return tuple(x for row in M for x in row)
 
 
-def unvectorize(v: Sequence, n: int) -> Mat:
+def unvectorize(v: Vec, n: int) -> Mat:
     return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
 
 

@@ -47,6 +47,11 @@ def mat_mul(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
 
 
+def mat_max_diff(A, B):
+    """The largest |A − B| over the entries, in the entries' own arithmetic."""
+    return linalg.max_abs(linalg.mat_sub(A, B))
+
+
 def float_rref(rows, tol):
     """linalg.rref with tol > 0: Gauss-Jordan over Python floats, pivoting on
     the first entry of largest magnitude above tol, snapping to 0.0 at the
@@ -205,17 +210,17 @@ def centroid_residual(A, M):
 
 def projection_residuals(A, P):
     """(idempotent, bracket, symmetry) of is_orthogonal_projection."""
-    idem = linalg.mat_max_diff(mat_mul(P, P), P)
+    idem = mat_max_diff(mat_mul(P, P), P)
     br = centroid_residual(A, P)
     G = A.gram
-    sym = linalg.mat_max_diff(mat_mul(G, P), mat_mul(linalg.transpose(P), G))
+    sym = mat_max_diff(mat_mul(G, P), mat_mul(linalg.transpose(P), G))
     return idem, br, sym
 
 
 def complex_structure_residuals(A, J):
     """(square, bracket, skew) of verify_complex_structure."""
     n = A.dim
-    sq = linalg.mat_max_diff(mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
+    sq = mat_max_diff(mat_mul(J, J), linalg.mat_scale(-1, linalg.identity(n, A.tol)))
     br = centroid_residual(A, J)
     G = A.gram
     sk = linalg.max_abs(
@@ -229,14 +234,14 @@ def projections_sum_residual(projections, n, tol=0.0):
     total = linalg.zeros(n, n, tol)
     for P in projections:
         total = linalg.mat_add(total, P)
-    return linalg.mat_max_diff(total, linalg.identity(n, tol))
+    return mat_max_diff(total, linalg.identity(n, tol))
 
 
 def square_scalar(K, tol=0.0):
     """(λ, max|K·K − λ·I|) with λ = (K·K)[0][0], the check on a factor's K."""
     K2 = mat_mul(K, K)
     lam = K2[0][0]
-    return lam, linalg.mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(len(K), tol)))
+    return lam, mat_max_diff(K2, linalg.mat_scale(lam, linalg.identity(len(K), tol)))
 
 
 def signed_sums(pieces, n, tol=0.0):
@@ -311,7 +316,7 @@ def doubling_residuals(A, J):
               for c in range(n2))
         for r in range(n2)
     )
-    inter = linalg.mat_max_diff(mat_mul(Phi, AC.i_op), mat_mul(JJ, Phi))
+    inter = mat_max_diff(mat_mul(Phi, AC.i_op), mat_mul(JJ, Phi))
 
     worst_iso = 0
     for p in range(n2):

@@ -25,6 +25,7 @@ from metriclie.examples import example_keys, ex48_j1, ex48_j2, get_example
 from metriclie.lab import BlockSpec, jcount_experiment, make_metric_with_factor_count, random_gram
 
 from bruteforce import matches_within, oracle_complex_structures, same_sets
+from fraction_reference import mat_max_diff
 
 TOL = 1e-9
 
@@ -173,7 +174,7 @@ def test_acceptance_7_property_suites():
             total = linalg.zeros(n, n, tol=dec.algebra.tol)
             for f in dec.factors:
                 total = linalg.mat_add(total, f.projection)
-            ok &= linalg.mat_max_diff(
+            ok &= mat_max_diff(
                 total, linalg.identity(n, tol=dec.algebra.tol)) <= (TOL if numeric else 0)
             G = dec.algebra.gram
             for i, fi in enumerate(dec.factors):

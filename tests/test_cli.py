@@ -162,6 +162,16 @@ def test_lab_factor_count(capsys):
     assert len(doc["gram"]) == 6
 
 
+def test_lab_factor_count_names_a_reducible_head_block(capsys):
+    """h3h3 with its own Gram has two factors, so as a head block it makes
+    l = 2 unreachable; the error names it, where it used to report three
+    factors.  As the tail it is glued irreducibly."""
+    assert main(["lab", "factor-count", "--blocks", "h3h3,h3", "--l", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "head block 'h3h3' has 2 irreducible factors" in err and "Traceback" not in err
+    assert main(["lab", "factor-count", "--blocks", "h3,h3h3", "--l", "2"]) == 0
+
+
 def test_lab_jcount(capsys):
     assert main(["--format", "structured", "lab", "jcount",
                  "--blocks", "h3c,h3c", "--l", "2"]) == 0
@@ -237,6 +247,30 @@ def test_each_command_loads_only_its_modules(algfile, cmd, key, extra, backend):
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["schema"] == 1
     assert json.loads(out.stderr.splitlines()[-1]) == sorted(_BASE_MODULES + extra)
+
+
+@pytest.mark.parametrize("cmd,key", [("check", "h3c"), ("decompose", "h3h3"), ("jstructs", "h3c")])
+def test_cold_command_loads_no_record_or_typing_machinery(algfile, cmd, key):
+    """Without ``site`` (``-S``), whose ``.pth`` files may import more, a
+    cold exact command loads neither ``dataclasses`` nor ``inspect`` nor
+    ``typing``: the records are plain classes and no annotation is read."""
+    import os
+    import subprocess
+    import sys
+
+    import metriclie
+
+    code = ("import atexit, json, runpy, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'}\n"
+            "                & set(sys.modules))), file=sys.stderr))\n"
+            f"sys.argv = ['metriclie', '--format', 'structured', {cmd!r}, {algfile(key)!r}]\n"
+            "runpy.run_module('metriclie.cli', run_name='__main__', alter_sys=True)\n")
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["schema"] == 1
+    assert json.loads(out.stderr.splitlines()[-1]) == []
 
 
 def _digest_algebras():

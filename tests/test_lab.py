@@ -195,3 +195,14 @@ def test_metric_scan_skips_abelian():
     report = metric_scan(get_example("abelian2n"), trials=3, seed=0)
     assert report.skipped == 3
     assert report.trials == ()
+
+
+def test_factor_count_names_a_reducible_head_block():
+    """Head blocks keep their own Gram: h3h3 with its standard metric has two
+    factors, so in front it makes l = 2 unreachable, and the InvalidL names
+    it and its count; at the tail it is glued irreducibly."""
+    h3h3 = get_example("h3h3")
+    with pytest.raises(InvalidL, match="head block 'h3h3' has 2 irreducible factors"):
+        make_metric_with_factor_count(BlockSpec((h3h3, H3), 0), 2)
+    metric = make_metric_with_factor_count(BlockSpec((H3, h3h3), 0), 2)
+    assert decompose(direct_sum(H3, h3h3).with_metric(metric)).k == 2
