@@ -96,16 +96,15 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
     the rows of rref(X).
 
-    The algebra's tol picks the branch.  At tol 0, G is cleared to integers
-    once (a float in it raises TypeError) and the basis is read from
-    ``_int_centroid_entries``, never from its Fraction view, so the
+    The algebra's tol picks the branch.  At tol 0, G, exact since the
+    algebra was built, is cleared to integers once and the basis is read
+    from ``_int_centroid_entries``, never from its Fraction view, so the
     equations are integer rows, solved by sparse integer elimination, and
     each result row is an integer sum over the nonzero basis entries, with
     one Fraction per matrix entry.  At tol > 0 the float formulas are kept.
     """
     n, G, tol = A.dim, A.gram, A.tol
     if not tol:
-        linalg._require_exact(G, "the metric part of the centroid")
         (entries, e), (G, _) = A.algebra._int_centroid_entries, linalg._cleared_matrix(G)
     else:
         basis = A.algebra._centroid_basis
@@ -148,7 +147,7 @@ def centroid_residual(A: MetricLieAlgebra, M) -> object:
     """Max over i, j of |M[X_i,X_j] − [MX_i,X_j]|, the largest entry of the
     commutators ad(X_j)·M − M·ad(X_j).  On exact operands they are formed
     in integers (``_int_centroid_residual``)."""
-    if linalg._is_exact(M) and A.algebra._int_ad_entries is not None:
+    if not A.tol and linalg._is_exact(M):
         return _int_centroid_residual(A, *linalg._cleared_matrix(M))
     n = A.dim
     stacked = []  # the n commutators, one below the other
@@ -215,8 +214,11 @@ class Factor(_Record):
 class Decomposition(_Record):
     algebra: MetricLieAlgebra
     factors: tuple
-    backend: str
     seed: int
+
+    @property
+    def backend(self) -> str:
+        return self.algebra.backend
 
     @property
     def k(self) -> int:
@@ -506,7 +508,7 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
     output is bit-identical across seeds, numeric output within ``tol``.
     """
     if A.dim == 0:
-        return Decomposition(A, (), A.backend, seed)
+        return Decomposition(A, (), seed)
     if has_abelian_factor(A):
         raise AbelianFactorPresent(
             "algebra has a non-zero abelian factor; decomposition is not unique"
@@ -546,7 +548,7 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
     residual = linalg.residual([(1, f.projection) for f in factors] + [(-1, I)])
     if not linalg.is_zero(residual, work.tol):
         raise InternalAssertionFailure("factor projections do not sum to the identity")
-    return Decomposition(work, tuple(factors), work.backend, seed)
+    return Decomposition(work, tuple(factors), seed)
 
 
 def is_irreducible(A: MetricLieAlgebra) -> bool:

@@ -32,9 +32,7 @@ def _load(path, args):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     A = docio.parse_document(text, tol=args.tol)
-    if args.backend == NUMERIC and A.backend != NUMERIC:
-        A = to_numeric(A, args.tol)
-    return A
+    return to_numeric(A, args.tol) if args.backend == NUMERIC else A
 
 
 def _emit(args, doc, text_lines):

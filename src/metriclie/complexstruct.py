@@ -66,27 +66,26 @@ class HermitianValue(_Record):
     im: object
 
 
-def _holds_float(*operators) -> bool:
-    return any(isinstance(x, float) for M in operators for row in M for x in row)
-
-
 def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:
     """A, or to_numeric(A) when A is exact and an operator holds a float, as
     the J of an irrational normalizer does: exact eliminations take no
     floats, and float results are judged at the default tol."""
-    return to_numeric(A) if not A.tol and _holds_float(*operators) else A
+    if A.tol or not any(isinstance(x, float) for M in operators for row in M for x in row):
+        return A
+    return to_numeric(A)
 
 
 def verify_complex_structure(A: MetricLieAlgebra, J) -> ComplexStructureCertificate:
     """Residuals for J^2 = -I, bi-invariance and skewness w.r.t. the Gram;
     the first and last are ``linalg.residual`` of J·J + I and G·J + Jᵀ·G,
     integer identities on exact operands and float formulas otherwise.  A
-    float J on an exact A is judged at DEFAULT_TOL."""
-    n, G = A.dim, A.gram
+    float J is checked on to_numeric(A)."""
+    n = A.dim
     if len(J) != n or any(len(r) != n for r in J):
         raise DimensionMismatch("operator dimension differs from algebra dimension")
-    tol = A.tol or (DEFAULT_TOL if _holds_float(J) else 0.0)
-    sq = linalg.residual([(1, J, J), (1, linalg.identity(n, A.tol))])
+    A = _backend_for(A, J)
+    G, tol = A.gram, A.tol
+    sq = linalg.residual([(1, J, J), (1, linalg.identity(n, tol))])
     sk = linalg.residual([(1, G, J), (1, linalg.transpose(J), G)])
     br = centroid_residual(A, J)
     passed = all(linalg.is_zero(r, tol) for r in (sq, br, sk))
@@ -140,7 +139,7 @@ def complexify(A: MetricLieAlgebra) -> ComplexifiedAlgebra:
         for i in range(2 * n)
     ]
     labels = tuple(A.algebra.basis_labels) + tuple(f"i{l}" for l in A.algebra.basis_labels)
-    real_form = make_algebra(2 * n, brackets, gram, f"{A.name}^C", A.backend, A.tol, labels, check=False)
+    real_form = make_algebra(2 * n, brackets, gram, f"{A.name}^C", A.tol, labels, check=False)
     i_op = tuple(
         tuple(
             (-one if (r < n and c == r + n) else (one if (r >= n and c == r - n) else z))
@@ -272,9 +271,10 @@ def commute_check(A: MetricLieAlgebra, J1, J2) -> CommuteReport:
     return CommuteReport(linalg.is_zero(res, A.tol), in_center, res)
 
 
-def jlambda(lam, backend: str = EXACT, tol: float = DEFAULT_TOL):
-    """The 4x4 rotation family J_lambda on abelian R^4, prefactor 1/sqrt(lam^2+1)."""
-    if backend == EXACT:
+def jlambda(lam, tol: float = 0.0):
+    """The 4x4 rotation family J_lambda on abelian R^4, prefactor 1/sqrt(lam^2+1):
+    Fractions at tol 0, floats at tol > 0."""
+    if not tol:
         lam = Fraction(lam)
         s = linalg.frac_sqrt(lam * lam + 1)
         if s is None:
@@ -419,7 +419,7 @@ def complex_structures(dec: Decomposition):
     that holds iff every J passes ``verify_complex_structure``, so each J
     gets its certificate, all residuals the int 0, and is summed in
     integers.  Once a factor's J is float, each J is summed and verified
-    with the float formulas.
+    with the float formulas, on to_numeric of an exact algebra.
     """
     work = dec.algebra
     tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
@@ -441,6 +441,7 @@ def complex_structures(dec: Decomposition):
         passed = ComplexStructureCertificate(0, 0, 0, True)
         return [ComplexStructure(J, passed, EXACT, signs) for signs, J in _int_signed_sums(Z, den, work.dim)]
     out = []
+    work = to_numeric(work)  # once, where verify_complex_structure would take it per J
     pieces = [linalg.mat_mul(C, linalg.mat_mul(Jf, R)) for C, Jf, R in parts]
     for signs, J in _signed_sums(pieces, work.dim, tol):
         cert = verify_complex_structure(work, J)

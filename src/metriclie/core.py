@@ -28,11 +28,12 @@ NUMERIC = "numeric"
 DEFAULT_TOL = 1e-9
 
 
-def parse_scalar(value, backend: str = EXACT):
-    """Parse an int, Fraction, decimal string or "p/q" string into a scalar.
-    The exact backend refuses a float: its decimal input is already lost."""
+def parse_scalar(value, tol: float = 0.0):
+    """Parse an int, Fraction, decimal string or "p/q" string into a scalar:
+    a Fraction at tol 0, a float at tol > 0.  At tol 0 a float is refused:
+    its decimal input is already lost."""
     try:
-        if backend == NUMERIC:
+        if tol:
             if isinstance(value, str) and "/" in value:
                 num, den = value.split("/")
                 return float(num) / float(den)
@@ -42,6 +43,26 @@ def parse_scalar(value, backend: str = EXACT):
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad scalar {value!r}: {exc}") from exc
+
+
+def _scalar(x, tol: float):
+    """x as a scalar of the backend that tol picks: a float at tol > 0, and
+    at tol 0 a Fraction, an int read as the Fraction it equals.  Anything
+    else at tol 0, a float above all, raises TypeError: exact work on a
+    float's binary value would approximate it silently."""
+    if tol:
+        return float(x)
+    if type(x) is int or type(x) is Fraction:
+        return Fraction(x)
+    raise TypeError(f"exact entries are Fractions or ints, not {x!r}; use tol > 0 for floats")
+
+
+def _scalars(M, tol: float):
+    """The matrix M with ``_scalar`` entries, or M itself when it has them."""
+    kind = float if tol else Fraction
+    if all(type(x) is kind for row in M for x in row):
+        return M
+    return linalg.mat((_scalar(x, tol) for x in row) for row in M)
 
 
 def format_scalar(value) -> str:
@@ -136,6 +157,9 @@ class Subspace(_Record):
 
 
 class LieAlgebra(_Record):
+    """Structure constants, stored as ``_scalar`` gives them: an exact
+    algebra refuses a float when it is built, so no exact solve sees one."""
+
     dim: int
     structure: tuple  # tuple of ((i, j), ((k, c), ...)) with 0-based i < j
     basis_labels: tuple = ()
@@ -144,11 +168,10 @@ class LieAlgebra(_Record):
     def __post_init__(self):
         if not self.basis_labels:
             object.__setattr__(self, "basis_labels", tuple(f"X{i+1}" for i in range(self.dim)))
-        if not self.tol and any(type(c) is int for _, terms in self.structure for _, c in terms):
-            # exact constants are stored as Fractions; a float is kept, for the exact checks to refuse
+        tol, kind = self.tol, float if self.tol else Fraction
+        if any(type(c) is not kind for _, terms in self.structure for _, c in terms):
             object.__setattr__(self, "structure", tuple(
-                (pair, tuple((k, Fraction(c) if type(c) is int else c) for k, c in terms))
-                for pair, terms in self.structure))
+                (pair, tuple((k, _scalar(c, tol)) for k, c in terms)) for pair, terms in self.structure))
 
     @property
     def backend(self) -> str:
@@ -177,12 +200,10 @@ class LieAlgebra(_Record):
     @cached_property
     def _int_ad_entries(self):
         """(per i, the entries (r, s, c·e) of ad(X_i); e), over the one common
-        denominator e of all structure constants, or None when one of them
-        is a float."""
-        cs = [c for entries in self.ad_entries for _, _, c in entries]
-        if not linalg._is_exact([cs]):
+        denominator e of all structure constants, or None at tol > 0."""
+        if self.tol:
             return None
-        ints, e = linalg._cleared(cs)
+        ints, e = linalg._cleared([c for entries in self.ad_entries for _, _, c in entries])
         it = iter(ints)
         return tuple(tuple((r, s, next(it)) for r, s, _ in entries) for entries in self.ad_entries), e
 
@@ -291,15 +312,6 @@ class Metric(_Record):
                 raise MetricNotPositiveDefinite(k + 1)
 
 
-def _int_entries_as_fractions(M):
-    """M with its int entries as Fractions, or M itself when it has none.
-    A float entry is kept, so that the exact checks refuse it (TypeError)
-    rather than take its binary value."""
-    if all(type(x) is not int for row in M for x in row):
-        return M
-    return linalg.mat((Fraction(x) if type(x) is int else x for x in row) for row in M)
-
-
 class MetricLieAlgebra(_Record):
     algebra: LieAlgebra
     metric: Metric
@@ -309,12 +321,12 @@ class MetricLieAlgebra(_Record):
     def __post_init__(self):
         if len(self.metric.gram) != self.algebra.dim:
             raise DimensionMismatch("metric dimension differs from algebra dimension")
-        if not self.tol:  # exact data is stored as Fractions
-            G = _int_entries_as_fractions(self.gram)
-            if G is not self.gram:
-                object.__setattr__(self, "metric", Metric(G))
-            if self.j_marker is not None:
-                object.__setattr__(self, "j_marker", _int_entries_as_fractions(self.j_marker))
+        # Gram and marker are stored as ``_scalar`` gives them: a float refused at tol 0
+        G = _scalars(self.gram, self.tol)
+        if G is not self.gram:
+            object.__setattr__(self, "metric", Metric(G))
+        if self.j_marker is not None:
+            object.__setattr__(self, "j_marker", _scalars(self.j_marker, self.tol))
 
     @property
     def dim(self) -> int:
@@ -337,25 +349,18 @@ class MetricLieAlgebra(_Record):
         return MetricLieAlgebra(self.algebra, metric, name or self.name, self.j_marker)
 
 
-def _check_backend(backend, tol):
-    """tol decides the scalars (0: Fraction, > 0: float), so it must agree with backend."""
-    if backend == NUMERIC and not tol > 0:
-        raise ParseError(f"the numeric backend needs a positive tol, got {tol}")
-    if backend != NUMERIC and tol != 0:
-        raise ParseError(f"the exact backend needs tol 0, got {tol}")
-
-
-def make_algebra(dim, brackets, gram=None, name="", backend=EXACT, tol=None,
+def make_algebra(dim, brackets, gram=None, name="", tol=0.0,
                  labels=(), j_marker=None, check=True) -> MetricLieAlgebra:
     """Build a validated MetricLieAlgebra.
 
     ``brackets`` maps (i, j) with 0-based i < j to a list of (k, coeff).
-    Exact constants, Gram and ``j_marker`` entries may be ints; they are
-    stored as Fractions.
+    tol picks the backend: at tol 0 the constants, Gram and ``j_marker``
+    are stored as Fractions, ints among them read as the Fractions they
+    equal, and a float constant is refused (ParseError); at tol > 0 they are
+    stored as floats, whatever their input type.
     """
-    if tol is None:
-        tol = DEFAULT_TOL if backend == NUMERIC else 0.0
-    _check_backend(backend, tol)
+    if not tol >= 0:
+        raise ParseError(f"tol must be 0 (exact) or positive (float), got {tol}")
     structure = []
     for (i, j), terms in sorted(brackets.items()):
         if i == j:
@@ -414,9 +419,8 @@ def check_jacobi(A: MetricLieAlgebra) -> JacobiReport:
     constants, as integers over one denominator e when exact, with one
     Fraction over e² for the result (the int 0 if all residuals are zero).
     The first strictly largest residual in (i, j, k) order names the triple."""
-    cs = [c for _, terms in A.algebra.structure for _, c in terms]
-    exact = not A.tol and linalg._is_exact([cs])
-    e = math.lcm(*(c.denominator for c in cs)) if exact else 1
+    exact = not A.tol
+    e = math.lcm(*(c.denominator for _, terms in A.algebra.structure for _, c in terms)) if exact else 1
     br = {}  # [X_a, X_b] as {l: c·e}, a < b and a > b; ascending l adds floats as a dense bracket does
     for (a, b), terms in A.algebra.structure:
         d = br[(a, b)] = {}
@@ -449,10 +453,10 @@ def center(A: MetricLieAlgebra) -> Subspace:
     system in n unknowns reduced to the canonical basis by
     ``linalg._int_canonical_nullspace``; otherwise it is the nullspace of
     the stacked dense ad matrices."""
-    n, int_ad = A.dim, A.algebra._int_ad_entries
-    if not A.tol and int_ad is not None:
+    n = A.dim
+    if not A.tol:
         rows = []
-        for entries in int_ad[0]:
+        for entries in A.algebra._int_ad_entries[0]:
             per_row = {}
             for r, s, c in entries:
                 per_row.setdefault(r, {})[s] = c
@@ -500,7 +504,7 @@ def direct_sum(A: MetricLieAlgebra, B: MetricLieAlgebra, name: str = "") -> Metr
             + [[z] * n + list(B.j_marker[i]) for i in range(m)]
         )
     return make_algebra(n + m, brackets, gram, name or f"{A.name}+{B.name}",
-                        A.backend, A.tol, labels, j_marker=jm, check=False)
+                        A.tol, labels, j_marker=jm, check=False)
 
 
 def _int_bracket(ads, u, v):
@@ -567,7 +571,7 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
             if terms:
                 brackets[(p, q)] = terms
     gram = linalg.mat_mul(basis, linalg.mat_mul(A.gram, S.matrix_columns()))  # Cᵀ·(G·C)
-    B = make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.backend, A.tol, check=False)
+    B = make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.tol, check=False)
     if shared:
         filled = A.algebra.__dict__  # where cached_property keeps its values
         B.algebra.__dict__.update((key, filled[key]) for key in _BRACKET_CACHES if key in filled)
@@ -575,14 +579,11 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
 
 
 def to_numeric(A: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
-    """Convert an exact algebra to the float backend."""
-    _check_backend(NUMERIC, tol)
-    if A.backend == NUMERIC:
+    """Convert an exact algebra to the float backend; a float one is returned as it is."""
+    if not tol > 0:
+        raise ParseError(f"the numeric backend needs a positive tol, got {tol}")
+    if A.tol:
         return A
-    brackets = {}
-    for (i, j), terms in A.algebra.structure:
-        brackets[(i, j)] = [(k, float(c)) for k, c in terms]
-    gram = linalg.to_float_mat(A.gram)
-    jm = linalg.to_float_mat(A.j_marker) if A.j_marker is not None else None
-    return make_algebra(A.dim, brackets, gram, A.name, NUMERIC, tol,
-                        A.algebra.basis_labels, j_marker=jm, check=False)
+    # the records store every constant, Gram and marker entry as a float at tol > 0
+    return make_algebra(A.dim, dict(A.algebra.structure), A.gram, A.name, tol,
+                        A.algebra.basis_labels, j_marker=A.j_marker, check=False)

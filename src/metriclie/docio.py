@@ -4,8 +4,9 @@ An algebra document is JSON with fields ``name``, ``dim``, ``field``
 ("rational" or "numeric"), ``brackets`` (entries ``{i, j, terms: [{k, c}]}``
 with 1-based i < j and scalar strings like "1" or "3/4"; JSON numbers,
 decimals included, are read exactly), an optional ``gram`` matrix (default
-identity) and an optional ``j`` matrix marking a designated complex
-structure.  Result documents mirror the schema and add result sections.
+identity), an optional ``j`` matrix marking a designated complex structure
+and, for a numeric document, an optional positive ``tol``.  Result
+documents mirror the schema and add result sections.
 Exact scalars serialize as "p/q"; numeric ones as the shortest round-trip
 decimal.
 """
@@ -13,12 +14,12 @@ decimal.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import linalg
 from .core import (
     DEFAULT_TOL,
-    EXACT,
     NUMERIC,
     MetricLieAlgebra,
     format_scalar,
@@ -35,8 +36,10 @@ def _require(cond, msg):
         raise ParseError(msg)
 
 
-def parse_document(doc, backend=None, tol=None) -> MetricLieAlgebra:
-    """Parse a JSON string or already-decoded dict into an algebra."""
+def parse_document(doc, tol=None) -> MetricLieAlgebra:
+    """Parse a JSON string or already-decoded dict into an algebra.  A
+    rational document is exact; a numeric one is parsed at tol, or at its
+    own ``tol`` (default ``DEFAULT_TOL``) when tol is None."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc, parse_float=Fraction)
@@ -48,8 +51,13 @@ def parse_document(doc, backend=None, tol=None) -> MetricLieAlgebra:
     _require(isinstance(dim, int) and dim >= 0, "'dim' must be a nonnegative integer")
     field = doc.get("field", "rational")
     _require(field in ("rational", "numeric"), f"unknown field {field!r}")
-    if backend is None:
-        backend = NUMERIC if field == "numeric" else EXACT
+    if field == "numeric":
+        tol = doc.get("tol", DEFAULT_TOL) if tol is None else tol
+        _require(type(tol) in (int, float, Fraction) and 0 < tol < math.inf,
+                 f"a numeric document needs a positive tol, got {tol!r}")
+        tol = float(tol)
+    else:
+        tol = 0.0
     name = doc.get("name", "")
     labels = tuple(doc.get("basis", ()))
     if labels:
@@ -70,7 +78,7 @@ def parse_document(doc, backend=None, tol=None) -> MetricLieAlgebra:
                      "bracket terms need 'k' and 'c'")
             _require(isinstance(t["k"], int) and 1 <= t["k"] <= dim,
                      f"term index {t.get('k')} out of range")
-            terms.append((t["k"] - 1, parse_scalar(t["c"], backend)))
+            terms.append((t["k"] - 1, parse_scalar(t["c"], tol)))
         _require((i - 1, j - 1) not in brackets, f"duplicate bracket entry ({i},{j})")
         brackets[(i - 1, j - 1)] = terms
 
@@ -79,18 +87,16 @@ def parse_document(doc, backend=None, tol=None) -> MetricLieAlgebra:
         raw = doc["gram"]
         _require(len(raw) == dim and all(len(r) == dim for r in raw),
                  "'gram' must be an n x n matrix")
-        gram = [[parse_scalar(x, backend) for x in row] for row in raw]
+        gram = [[parse_scalar(x, tol) for x in row] for row in raw]
 
     j_marker = None
     if doc.get("j") is not None:
         raw = doc["j"]
         _require(len(raw) == dim and all(len(r) == dim for r in raw),
                  "'j' must be an n x n matrix")
-        j_marker = linalg.mat([[parse_scalar(x, backend) for x in row] for row in raw])
+        j_marker = linalg.mat([[parse_scalar(x, tol) for x in row] for row in raw])
 
-    return make_algebra(dim, brackets, gram, name, backend,
-                        tol if backend == NUMERIC else None,
-                        labels, j_marker=j_marker)
+    return make_algebra(dim, brackets, gram, name, tol, labels, j_marker=j_marker)
 
 
 def matrix_doc(M):

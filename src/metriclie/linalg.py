@@ -18,20 +18,20 @@ back-substitutes over the pivot-row dicts alone (``_int_reduce``), so the
 work follows the nonzero entries and not the columns.  ``rref`` at tol 0,
 and so ``nullspace``, ``solve`` and ``canonical_rows``, reduces its rows
 this way and divides each by its pivot at the end; ``rank`` counts the
-pivots of the forward pass.  The centroid systems go through
-``_int_nullspace``, which returns integer kernel vectors;
-``_int_canonical_nullspace`` reduces those once more to the canonical basis
-over one common denominator, and ``nullspace_sparse`` turns them into
-Fractions.  Every certificate residual max|Σ c·X·Y| is one primitive,
-``residual``: an integer matrix identity with one Fraction per residual
-when its operands are exact, the float formula otherwise.  The leading
-principal minors are Bareiss's integer elimination.  At tol 0 a float
-entry raises TypeError rather than have its binary value reduced exactly.
+pivots of the forward pass.  The exact centroid systems go through
+``_int_nullspace``, which returns integer kernel vectors, and
+``_int_canonical_nullspace`` reduces those once more to the canonical
+basis over one common denominator.  Every certificate residual
+max|Σ c·X·Y| is one primitive, ``residual``: an integer matrix identity
+with one Fraction per residual when its operands are exact, the float
+formula otherwise.  The leading principal minors are Bareiss's integer
+elimination.  At tol 0 a float entry raises TypeError rather than have its
+binary value reduced exactly.
 
 Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
-``canonical_rows`` and the float ``nullspace_sparse``) is ``_float_rref``:
-Gauss-Jordan with partial pivoting over one float64 numpy array, a few
-vectorised steps per pivot column.  It is bit-identical to the same loop
+``canonical_rows`` and ``nullspace_sparse``, which takes float systems
+only) is ``_float_rref``: Gauss-Jordan with partial pivoting over one
+float64 numpy array, a few vectorised steps per pivot column.  It is bit-identical to the same loop
 over Python floats: each entry gets the same IEEE-754 divisions, products
 and differences in the same order, rows within tol at the pivot column are
 left untouched as the loop leaves them, and no BLAS product (whose
@@ -378,38 +378,26 @@ def _to_int_row(row: dict) -> dict:
     return _primitive({c: v for c, v in zip(row, vals) if v})
 
 
-def nullspace_sparse(equations, ncols: int, tol: float = 0.0):
-    """Nullspace basis for a system given as sparse rows {col: coeff}.
+def nullspace_sparse(equations, ncols: int, tol: float):
+    """Nullspace basis of the float system given as sparse rows {col: coeff},
+    at tol > 0: the rows are densified into one float64 array and reduced
+    with ``rref``.  Exact systems go through ``_int_nullspace``."""
+    if not equations:
+        return [basis_vec(ncols, i, tol) for i in range(ncols)]
+    import numpy as np
 
-    Exact rows go through ``_int_nullspace``, and its integer vectors are
-    scaled to x[f] = 1 on their free column f.  The numeric path densifies
-    the rows into one float64 array and reduces it with ``rref``.
-    """
-    if tol:
-        if not equations:
-            return [basis_vec(ncols, i, tol) for i in range(ncols)]
-        import numpy as np
-
-        dense = np.zeros((len(equations), ncols))
-        for i, eq in enumerate(equations):
-            for c, v in eq.items():
-                dense[i, c] = v
-        return _nullspace_from_rref(*rref(dense, tol), ncols, tol)
-    zero = Fraction(0)
-    basis = []
-    for x in _int_nullspace(equations, ncols):
-        d = next(v for v in reversed(x) if v)  # x[f]: x[p] is nonzero only for pivots p < f
-        basis.append(tuple(Fraction(v, d) if v else zero for v in x))
-    return basis
+    dense = np.zeros((len(equations), ncols))
+    for i, eq in enumerate(equations):
+        for c, v in eq.items():
+            dense[i, c] = v
+    return _nullspace_from_rref(*rref(dense, tol), ncols, tol)
 
 
-def _canonical_nullspace(equations, ncols: int, tol: float = 0.0):
-    """Canonical reduced-echelon basis of the nullspace of sparse rows
-    {col: coeff}.  Exact rows are reduced in integers by
-    ``_int_canonical_nullspace``, with one Fraction per nonzero entry."""
-    if tol:
-        return canonical_rows(nullspace_sparse(equations, ncols, tol), ncols, tol)
-    return _fraction_rows(*_int_canonical_nullspace(equations, ncols), ncols)
+def _canonical_nullspace(equations, ncols: int, tol: float):
+    """Canonical reduced-echelon basis of the nullspace of float sparse rows
+    {col: coeff}, at tol > 0.  Exact systems go through
+    ``_int_canonical_nullspace``."""
+    return canonical_rows(nullspace_sparse(equations, ncols, tol), ncols, tol)
 
 
 def _int_canonical_nullspace(equations, ncols: int):

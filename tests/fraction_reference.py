@@ -8,8 +8,9 @@ their own (``mat_mul``, a plain ``sum`` of products), not the integer
 ``linalg.mat_mul`` under test; on float operands that sum is linalg's own
 float path, so float results are compared bit for bit.  ``exact_rref`` is the
 exact Gauss-Jordan elimination in Fractions, dense over all columns, and
-the exact kernel (``int_nullspace``, ``canonical_nullspace``) is built on
-it, not on the linalg eliminations it checks.  ``metric_part`` builds its
+the exact kernel (``int_nullspace``, ``canonical_nullspace``,
+``exact_nullspace_sparse``) is built on it, not on the linalg eliminations
+it checks.  ``metric_part`` builds its
 equations and its result rows in Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
 step as Fraction sums and products from I, as before the centroid and
 metric-part solves ran in sparse integers.  ``float_rref`` is the float
@@ -391,8 +392,15 @@ def int_nullspace(equations, ncols):
     return basis
 
 
+def exact_nullspace_sparse(equations, ncols):
+    """The nullspace of exact sparse rows {col: coeff}, dense in Fractions:
+    one vector per free column f of ``exact_rref``, with x[f] = 1."""
+    dense = [[Fraction(eq.get(c, 0)) for c in range(ncols)] for eq in equations]
+    return _nullspace_from_rref(*exact_rref(dense), ncols, Fraction(0), Fraction(1))
+
+
 def canonical_nullspace(equations, ncols):
-    """linalg._canonical_nullspace on exact rows: the dense rref of the
+    """linalg._int_canonical_nullspace in Fractions: the dense rref of the
     integer kernel vectors."""
     return exact_rref([[Fraction(v) for v in x] for x in int_nullspace(equations, ncols)])[0]
 

@@ -443,8 +443,10 @@ def _metric_part_by_entries(A, sign):
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
     flat = [linalg.vectorize(B) for B in basis]
-    vectors = [tuple(sum(x * v[i] for x, v in zip(xs, flat)) for i in range(n * n))
-               for xs in linalg.nullspace_sparse([eq for eq in eqs if eq], len(basis), tol)]
+    eqs = [eq for eq in eqs if eq]
+    # exact: the dense Fraction reference, not the sparse integer engine under test
+    kernel = linalg.nullspace_sparse(eqs, len(basis), tol) if tol else ref.exact_nullspace_sparse(eqs, len(basis))
+    vectors = [tuple(sum(x * v[i] for x, v in zip(xs, flat)) for i in range(n * n)) for xs in kernel]
     rows = linalg.canonical_rows(vectors, n * n, tol)
     return tuple(linalg.unvectorize(r, n) for r in rows)
 
@@ -486,7 +488,7 @@ def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
     A = get_example("h3c")
     n = A.dim
     cols = []
-    solve = linalg._int_nullspace  # the exact kernel behind nullspace_sparse
+    solve = linalg._int_nullspace  # the exact kernel of the centroid solves
 
     def counting(equations, ncols):
         cols.append(ncols)

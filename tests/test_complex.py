@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from metriclie import linalg
-from metriclie.centroid import decompose, skew_centroid, symmetric_centroid
+from metriclie.centroid import decompose
 from metriclie.complexstruct import (
     commute_check,
     complexify,
@@ -218,9 +218,19 @@ def test_jlambda_zero_is_the_plain_rotation():
 def test_jlambda_irrational_normalizer():
     with pytest.raises(IrrationalNormalizer):
         jlambda(F(1))
-    J = jlambda(1, backend="numeric")
+    J = jlambda(1, tol=1e-9)
     sq = linalg.mat_mul(J, J)
     assert mat_max_diff(sq, linalg.mat_scale(-1.0, linalg.identity(4, tol=1e-9))) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0, F(3, 4), 0.75], ids=["int", "fraction", "float"])
+def test_jlambda_scalars_follow_tol(lam):
+    """Fractions at tol 0 and floats at tol > 0, whatever the type of lam."""
+    for tol, kind in ((0.0, F), (1e-9, float)):
+        if tol or not isinstance(lam, float):
+            J = jlambda(lam, tol)
+            assert {type(x) for row in J for x in row} == {kind}
+            assert J == jlambda(F(lam), tol)
 
 
 def test_distinct_jlambda_values_differ():
@@ -359,14 +369,13 @@ def test_a_float_gram_on_an_exact_algebra_is_refused():
 
 @pytest.mark.parametrize("scale", [1.0, 0.1])
 def test_a_float_gram_on_an_exact_algebra_is_refused_by_the_metric_parts(scale):
-    """A MetricLieAlgebra built directly does not validate its Gram, so a
-    float one reaches the metric parts of the centroid: they raise TypeError
-    instead of solving exactly from the floats' binary values."""
+    """A MetricLieAlgebra built directly does not validate its Gram, but it
+    refuses a float one at tol 0 when it is built (TypeError), so the metric
+    parts of the centroid never see it and never solve exactly from the
+    floats' binary values."""
     h3c = get_example("h3c")
-    A = MetricLieAlgebra(h3c.algebra, Metric(linalg.mat_scale(scale, linalg.to_float_mat(h3c.gram))))
-    for call in (symmetric_centroid, skew_centroid, decompose):
-        with pytest.raises(TypeError):
-            call(A)
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(h3c.algebra, Metric(linalg.mat_scale(scale, linalg.to_float_mat(h3c.gram))))
 
 
 def test_float_j_on_an_exact_algebra_is_taken_on_the_float_backend():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from metriclie import linalg
 from metriclie.core import (
+    DEFAULT_TOL,
     LieAlgebra,
     Metric,
     MetricLieAlgebra,
@@ -49,8 +50,8 @@ def test_parse_scalar_exact():
 
 
 def test_parse_scalar_numeric():
-    assert parse_scalar("3/4", backend="numeric") == 0.75
-    assert isinstance(parse_scalar(1, backend="numeric"), float)
+    assert parse_scalar("3/4", tol=1e-9) == 0.75
+    assert isinstance(parse_scalar(1, tol=1e-9), float)
 
 
 def test_parse_scalar_bad():
@@ -72,14 +73,14 @@ def test_make_algebra_exact_refuses_float_structure_constants():
         make_algebra(3, {(0, 1): [(2, 0.5)]})
     with pytest.raises(ParseError):
         make_algebra(3, {(0, 1): [(2, 0.5)]}, check=False)
-    assert make_algebra(3, {(0, 1): [(2, 0.5)]}, backend="numeric").algebra.structure == (((0, 1), ((2, 0.5),)),)
+    assert make_algebra(3, {(0, 1): [(2, 0.5)]}, tol=1e-9).algebra.structure == (((0, 1), ((2, 0.5),)),)
 
 
 def test_decimal_literals_parse_exactly():
     A = parse_document('{"dim": 1, "gram": [[0.1234567890123]]}')
     assert A.gram == ((F("0.1234567890123"),),)
     assert A.gram[0][0] == F(1234567890123, 10**13)
-    B = parse_document('{"dim": 1, "gram": [[0.1234567890123]]}', backend="numeric", tol=1e-9)
+    B = parse_document('{"dim": 1, "field": "numeric", "gram": [[0.1234567890123]]}', tol=1e-9)
     assert B.gram == ((0.1234567890123,),)
 
 
@@ -92,8 +93,8 @@ def test_an_algebra_built_from_ints_stores_and_renders_fractions():
     """Exact int input, constants, Gram and J marker alike, is stored as
     Fractions, so its rational document prints "1" and "2", not "1.0", and
     parses back to the same algebra; a LieAlgebra built directly stores its
-    constants so too, keeping a float for the exact checks to refuse.  The
-    float backend keeps floats."""
+    constants so too, and refuses a float when it is built.  The float
+    backend keeps floats."""
     brackets, gram = {(0, 1): [(2, 1)]}, ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     J = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
     A = make_algebra(3, brackets, gram, j_marker=J)
@@ -108,14 +109,15 @@ def test_an_algebra_built_from_ints_stores_and_renders_fractions():
     direct = MetricLieAlgebra(LieAlgebra(3, (((0, 1), ((2, 1),)),)), Metric(linalg.identity(3)))
     assert [type(c) for _, terms in direct.algebra.structure for _, c in terms] == [F]
     assert render_document(direct)["brackets"] == doc["brackets"]
-    assert type(LieAlgebra(3, (((0, 1), ((2, 0.5),)),)).structure[0][1][0][1]) is float
+    with pytest.raises(TypeError):
+        LieAlgebra(3, (((0, 1), ((2, 0.5),)),))
     assert doc["gram"] == [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     assert doc["j"] == [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
     B = parse_document(dumps(doc))
     assert B.algebra.structure == A.algebra.structure
     assert [[(type(x), x) for x in row] for row in B.gram] == [[(type(x), x) for x in row] for row in A.gram]
     assert B.j_marker == A.j_marker
-    N = render_document(make_algebra(3, brackets, gram, backend="numeric", j_marker=J))
+    N = render_document(make_algebra(3, brackets, gram, tol=1e-9, j_marker=J))
     assert N["field"] == "numeric"
     assert N["brackets"][0]["terms"] == [{"k": 3, "c": "1.0"}]
     assert N["gram"][0] == ["2.0", "0.0", "0.0"] and N["j"][0] == ["0.0", "-1.0", "0.0"]
@@ -342,7 +344,7 @@ def _restrict_per_pair(A, S):
             if terms:
                 brackets[(p, q)] = terms
     gram = [[linalg.bilinear(A.gram, basis[p], basis[q]) for q in range(s)] for p in range(s)]
-    return make_algebra(s, brackets, gram, backend=A.backend, tol=A.tol, check=False)
+    return make_algebra(s, brackets, gram, tol=A.tol, check=False)
 
 
 def _in_basis(A, T):
@@ -424,7 +426,7 @@ def test_restrict_to_the_standard_basis_merges_like_the_reduction():
     within tol: then the ambient ad matrices keep it and the induced ones
     do not."""
     exact = make_algebra(4, {(0, 1): [(3, 1), (2, F(1, 2)), (2, F(1, 2))]}, check=False)
-    numeric = make_algebra(4, {(0, 1): [(2, 1.0), (3, 1.0), (2, -1.0 + 1e-12)]}, backend="numeric", check=False)
+    numeric = make_algebra(4, {(0, 1): [(2, 1.0), (3, 1.0), (2, -1.0 + 1e-12)]}, tol=1e-9, check=False)
     for A, shared in ((exact, True), (numeric, False)):
         A.algebra._centroid_basis
         S = Subspace(4, linalg.identity(4, A.tol), A.tol)
@@ -537,12 +539,9 @@ def test_abelian_factor_is_metric_independent(seed):
         assert has_abelian_factor(A) == has_abelian_factor(B)
 
 
-@pytest.mark.parametrize("backend,tol", [
-    ("numeric", 0.0), ("numeric", -1e-9), ("exact", 1e-9),
-], ids=["numeric-zero", "numeric-negative", "exact-positive"])
-def test_make_algebra_rejects_backend_contradicting_tol(backend, tol):
-    with pytest.raises(ParseError, match="backend needs"):
-        make_algebra(3, {(0, 1): [(2, 1)]}, backend=backend, tol=tol)
+def test_make_algebra_rejects_a_negative_tol():
+    with pytest.raises(ParseError, match="tol must be"):
+        make_algebra(3, {(0, 1): [(2, 1)]}, tol=-1e-9)
 
 
 def test_to_numeric_rejects_nonpositive_tol():
@@ -558,3 +557,83 @@ def test_backend_is_derived_from_tol():
     assert "backend" not in LieAlgebra._fields
     assert get_example("h3").algebra.backend == "exact"
     assert to_numeric(get_example("h3"), 1e-6).algebra.backend == "numeric"
+
+
+def test_an_exact_record_refuses_a_float_when_it_is_built():
+    """At tol 0 a float structure constant, Gram entry or j_marker entry
+    raises TypeError when the LieAlgebra or MetricLieAlgebra is built, so no
+    exact solve can take its binary value; ints are stored as Fractions."""
+    with pytest.raises(TypeError):  # once solved as the exact 0.1.as_integer_ratio()
+        LieAlgebra(3, (((0, 1), ((2, 0.1),)),))
+    with pytest.raises(TypeError):
+        LieAlgebra(4, (((0, 1), ((2, F(1)),)), ((0, 2), ((3, 1), (1, 0.5)))))
+    h3 = get_example("h3")
+    one_float = ((F(1), F(0), F(0)), (F(0), 2.0, F(0)), (F(0), F(0), F(1)))
+    for G in (linalg.to_float_mat(h3.gram), one_float):
+        with pytest.raises(TypeError):
+            MetricLieAlgebra(h3.algebra, Metric(G))
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(h3.algebra, h3.metric, j_marker=one_float)
+    A = MetricLieAlgebra(h3.algebra, Metric(((1, 0, 0), (0, 2, 0), (0, 0, 1))), j_marker=linalg.identity(3))
+    assert all(type(x) is F for M in (A.gram, A.j_marker) for row in M for x in row)
+
+
+def test_a_float_record_stores_floats():
+    """At tol > 0 every constant, Gram entry and j_marker entry is stored as
+    a float, whatever its input type."""
+    B = LieAlgebra(3, (((0, 1), ((2, F(1, 3)),)),), tol=1e-9)
+    assert B.structure == (((0, 1), ((2, 1 / 3),)),) and type(B.structure[0][1][0][1]) is float
+    A = MetricLieAlgebra(B, Metric(((1, 0, 0), (0, F(1, 2), 0), (0, 0, 1.0))), j_marker=linalg.identity(3))
+    assert all(type(x) is float for M in (A.gram, A.j_marker) for row in M for x in row)
+    assert A.gram[1][1] == 0.5
+
+
+def _types(A):
+    scalars = [c for _, terms in A.algebra.structure for _, c in terms]
+    scalars += [x for M in (A.gram, A.j_marker) for row in M for x in row]
+    return {type(x) for x in scalars}
+
+
+@pytest.mark.parametrize("value", [3, F(3, 4), "3/4", "-2", "0.5"],
+                         ids=["int", "fraction", "ratio", "int-string", "decimal"])
+def test_tol_alone_picks_the_scalars(value):
+    """parse_scalar, make_algebra, parse_document and jlambda give Fractions
+    at tol 0 and floats at tol > 0, whatever the input type; at tol 0 a float
+    is refused."""
+    assert type(parse_scalar(value)) is F and parse_scalar(value) == F(value)
+    assert type(parse_scalar(value, 1e-9)) is float and parse_scalar(value, 1e-9) == float(F(value))
+    c = parse_scalar(value) if isinstance(value, str) else value
+    for tol, kind in ((0.0, F), (1e-9, float)):
+        A = make_algebra(3, {(0, 1): [(2, c)]}, [[c * c, 0, 0], [0, 1, 0], [0, 0, 1]], tol=tol,
+                         j_marker=[[0, c, 0], [-c, 0, 0], [0, 0, 1]])
+        assert _types(A) == {kind} and A.tol == tol
+    doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": value}]}],
+           "j": [[0, value, 0], [0, 0, 0], [0, 0, 0]]}
+    assert _types(parse_document(doc)) == {F}
+    for tol in (None, 1e-9):
+        assert _types(parse_document({**doc, "field": "numeric"}, tol)) == {float}
+    with pytest.raises(ParseError):
+        parse_scalar(0.5)
+    with pytest.raises(ParseError):
+        make_algebra(3, {(0, 1): [(2, 0.5)]})
+    assert type(parse_scalar(0.5, 1e-9)) is float
+
+
+def test_a_numeric_document_reads_back_its_own_tol():
+    """A numeric document is parsed at the tol it was rendered with, unless
+    a tol is given; without one it takes DEFAULT_TOL, and anything but a
+    positive number is a ParseError."""
+    N = to_numeric(get_example("h3c"), 1e-6)
+    text = dumps(render_document(N))
+    assert parse_document(text) == N and parse_document(text).tol == 1e-6
+    assert parse_document(text, tol=1e-9).tol == 1e-9
+    doc = render_document(N)
+    del doc["tol"]
+    assert parse_document(doc).tol == DEFAULT_TOL
+    for bad in (0, -1e-6, "1e-6", None, True, float("inf"), float("nan")):
+        with pytest.raises(ParseError):
+            parse_document({**doc, "tol": bad})
+    for bad in (0.0, -1e-9):
+        with pytest.raises(ParseError):
+            parse_document(text, tol=bad)
+    assert parse_document(render_document(get_example("h3c")), tol=1e-9).tol == 0.0

@@ -84,8 +84,20 @@ def test_sparse_and_dense_nullspace_agree(rows):
         {c: v for c, v in enumerate(row) if v} for row in A
     ]
     dense = linalg.canonical_rows(linalg.nullspace(A), 4)
-    sparse = linalg.canonical_rows(linalg.nullspace_sparse(sparse_eqs, 4), 4)
+    sparse = linalg.canonical_rows(linalg._int_nullspace(sparse_eqs, 4), 4)
     assert dense == sparse
+
+
+def _unit_nullspace(rows, ncols):
+    """The integer kernel vectors of ``linalg._int_nullspace`` as Fractions,
+    each divided by its entry at its free column, its last nonzero one."""
+    return [tuple(F(v, next(v for v in reversed(x) if v)) for v in x)
+            for x in linalg._int_nullspace(rows, ncols)]
+
+
+def _canonical_nullspace(rows, ncols):
+    """``linalg._int_canonical_nullspace`` as dense Fraction rows."""
+    return linalg._fraction_rows(*linalg._int_canonical_nullspace(rows, ncols), ncols)
 
 
 def test_minimal_polynomial_annihilates():
@@ -192,13 +204,13 @@ def test_rref_equals_the_fraction_reference(A):
     ref, ref_pivots = exact_rref(tuple(tuple(F(x) for x in row) for row in A))
     assert pivots == ref_pivots
     assert _typed(got) == _typed(ref)
-    if A:  # nullspace_sparse back-substitutes with the same integer core
+    if A:  # _int_nullspace back-substitutes with the same integer core
         ncols = len(A[0])
         sparse = [{c: v for c, v in enumerate(row) if v} for row in A]
         expected = linalg._nullspace_from_rref(ref, ref_pivots, ncols)
-        assert _typed(linalg.nullspace_sparse(sparse, ncols)) == _typed(expected)
+        assert _typed(_unit_nullspace(sparse, ncols)) == _typed(expected)
         # one reduction of its integer vectors gives the canonical basis
-        assert _typed(linalg._canonical_nullspace(sparse, ncols)) == \
+        assert _typed(_canonical_nullspace(sparse, ncols)) == \
             _typed(linalg.canonical_rows(expected, ncols))
 
 
@@ -309,18 +321,17 @@ def test_int_nullspace_equals_the_dense_back_substitution(system):
     assert all(type(x) is int for x in sum(got, []))
     for x in got:
         assert all(sum(v * x[c] for c, v in row.items()) == 0 for row in rows)
-    canonical = linalg._canonical_nullspace(rows, ncols)
+    canonical = _canonical_nullspace(rows, ncols)
     assert _typed(canonical) == _typed(ref.canonical_nullspace(rows, ncols))
     assert all(isinstance(row, tuple) for row in canonical)
     dense = tuple(tuple(F(row.get(c, 0)) for c in range(ncols)) for row in rows)
     expected = linalg._nullspace_from_rref(*exact_rref(dense), ncols)
-    assert _typed(linalg.nullspace_sparse(rows, ncols)) == _typed(expected)
+    assert _typed(_unit_nullspace(rows, ncols)) == _typed(expected)
 
 
 def test_int_nullspace_of_a_full_rank_system_is_empty():
     rows = [{0: 2, 3: F(1, 3)}, {1: F(-5, 7)}, {2: 1, 1: 4}, {3: 9}, {0: 1, 1: 1, 2: 1, 3: 1}]
     assert linalg._int_nullspace(rows, 4) == []
-    assert linalg._canonical_nullspace(rows, 4) == []
     assert linalg._int_canonical_nullspace(rows, 4) == ([], 1)
 
 

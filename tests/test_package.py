@@ -2,6 +2,7 @@
 from their submodules on first use."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -103,3 +104,21 @@ def test_first_use_loads_the_defining_submodule_and_caches_the_name():
     assert lines == ["False False", "True",
                      "['metriclie', 'metriclie.centroid', 'metriclie.core', "
                      "'metriclie.errors', 'metriclie.linalg']"]
+
+
+def test_no_callable_takes_a_backend_argument():
+    """tol is the one backend switch: no public callable, and no function or
+    method of any submodule, has a ``backend`` parameter."""
+    for name in metriclie.__all__:
+        obj = getattr(metriclie, name)
+        if callable(obj):
+            assert "backend" not in inspect.signature(obj).parameters, name
+    for mod in EXPORTS:
+        module = importlib.import_module(f"metriclie.{mod}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in (getattr(m, "__func__", m) for m in members):  # classmethods unwrapped
+                if inspect.isfunction(f):
+                    assert "backend" not in inspect.signature(f).parameters, f.__qualname__
