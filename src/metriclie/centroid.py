@@ -28,7 +28,8 @@ g = im P ⊕ ker P as ideals and the factor's centroid is the compression
 {R·B·C : B ∈ Cent(g)}.  Exact factors take it in integers from the ambient
 integer entries, so an exact decomposition solves one commutant system and
 one symmetric system, and builds no Fraction centroid basis; float factors
-solve their own commutant.
+solve their own commutant.  Float metric parts sum each entry over the
+nonzero entries of the centroid basis, cached per Lie algebra, alone.
 
 Eigenvalues are the roots of the minimal polynomial, found exactly by
 Sturm-sequence isolation in integer arithmetic when they are all rational;
@@ -51,6 +52,7 @@ from . import linalg
 from .core import (
     MetricLieAlgebra,
     Subspace,
+    _backend_for,
     _Record,
     has_abelian_factor,
     restrict,
@@ -101,14 +103,15 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     from ``_int_centroid_entries``, never from its Fraction view, so the
     equations are integer rows, solved by sparse integer elimination, and
     each result row is an integer sum over the nonzero basis entries, with
-    one Fraction per matrix entry.  At tol > 0 the float formulas are kept.
+    one Fraction per matrix entry.  At tol > 0 the basis is read from
+    ``_float_centroid_entries``, and each entry of Σ x_k·B_k is one ``sum``
+    over its nonzero terms, as float ``mat_mul`` forms it, bit for bit.
     """
     n, G, tol = A.dim, A.gram, A.tol
     if not tol:
         (entries, e), (G, _) = A.algebra._int_centroid_entries, linalg._cleared_matrix(G)
     else:
-        basis = A.algebra._centroid_basis
-        entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b] for B in basis]
+        entries = A.algebra._float_centroid_entries
     eqs = {}  # (r, s) -> {k: coefficient of x_k}
     for k, E in enumerate(entries):
         for t, u, b in E:
@@ -122,7 +125,11 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     eqs = [eq for eq in eqs if eq]
     if tol:
         coords = linalg._canonical_nullspace(eqs, len(entries), tol)
-        rows = linalg.mat_mul(coords, tuple(linalg.vectorize(B) for B in basis))
+        cols = [[] for _ in range(n * n)]  # at t·n + u, the (k, b) with B_k[t][u] = b ≠ 0, in k order
+        for k, E in enumerate(entries):
+            for t, u, b in E:
+                cols[t * n + u].append((k, b))
+        rows = ([sum([x[k] * b for k, b in col], 0.0) for col in cols] for x in coords)
         return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
     coords, dx = linalg._int_canonical_nullspace(eqs, len(entries))
     out = []
@@ -195,12 +202,14 @@ class ProjectionCertificate(_Record):
 def is_orthogonal_projection(A: MetricLieAlgebra, P) -> ProjectionCertificate:
     """Check p∘p = p, the bracket condition and G-symmetry, with residuals;
     the first and last are ``linalg.residual`` of P·P − P and G·P − Pᵀ·G,
-    integer identities on exact operands and float formulas otherwise."""
-    G = A.gram
+    integer identities on exact operands and float formulas otherwise.  A
+    float P on an exact A is judged at to_numeric(A)'s tol; its residuals,
+    formed on A, are to_numeric(A)'s when every entry of P is a float."""
+    G, tol = A.gram, _backend_for(A, P).tol
     idem = linalg.residual([(1, P, P), (-1, P)])
     sym = linalg.residual([(1, G, P), (-1, linalg.transpose(P), G)])
     br = centroid_residual(A, P)
-    passed = all(linalg.is_zero(r, A.tol) for r in (idem, br, sym))
+    passed = all(linalg.is_zero(r, tol) for r in (idem, br, sym))
     return ProjectionCertificate(idem, br, sym, passed)
 
 

@@ -28,7 +28,9 @@ from .core import (
     NUMERIC,
     MetricLieAlgebra,
     Subspace,
+    _backend_for,
     _Record,
+    _scalar,
     make_algebra,
     to_numeric,
 )
@@ -64,15 +66,6 @@ class ComplexStructure(_Record):
 class HermitianValue(_Record):
     re: object
     im: object
-
-
-def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:
-    """A, or to_numeric(A) when A is exact and an operator holds a float, as
-    the J of an irrational normalizer does: exact eliminations take no
-    floats, and float results are judged at the default tol."""
-    if A.tol or not any(isinstance(x, float) for M in operators for row in M for x in row):
-        return A
-    return to_numeric(A)
 
 
 def verify_complex_structure(A: MetricLieAlgebra, J) -> ComplexStructureCertificate:
@@ -273,9 +266,10 @@ def commute_check(A: MetricLieAlgebra, J1, J2) -> CommuteReport:
 
 def jlambda(lam, tol: float = 0.0):
     """The 4x4 rotation family J_lambda on abelian R^4, prefactor 1/sqrt(lam^2+1):
-    Fractions at tol 0, floats at tol > 0."""
+    Fractions at tol 0, floats at tol > 0.  At tol 0 a float lam raises
+    TypeError, as ``core._scalar`` does."""
     if not tol:
-        lam = Fraction(lam)
+        lam = _scalar(lam, tol)
         s = linalg.frac_sqrt(lam * lam + 1)
         if s is None:
             raise IrrationalNormalizer(

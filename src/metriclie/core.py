@@ -273,6 +273,13 @@ class LieAlgebra(_Record):
         return tuple(tuple((*divmod(col, n), b) for col, b in sorted(row.items())) for row in rows), e
 
     @cached_property
+    def _float_centroid_entries(self):
+        """Per centroid basis element B_k of a float algebra, its nonzero
+        entries (t, u, b) in row-major order."""
+        return tuple(tuple((t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b)
+                     for B in self._centroid_basis)
+
+    @cached_property
     def _has_abelian_factor(self) -> bool:
         """Whether Z(g) is not contained in [g, g]: rank([g, g] ∪ Z) > rank([g, g]),
         [g, g] spanned by the brackets of the nonzero pairs.  It reads only
@@ -287,7 +294,7 @@ class LieAlgebra(_Record):
 # The caches above that read only the bracket: an algebra with the same ad
 # matrices may take them over (``restrict`` on the standard basis).
 _BRACKET_CACHES = ("_ad_matrices", "ad_entries", "_int_ad_entries", "_centroid_basis",
-                   "_int_centroid_entries", "_has_abelian_factor")
+                   "_int_centroid_entries", "_float_centroid_entries", "_has_abelian_factor")
 
 
 class Metric(_Record):
@@ -576,6 +583,15 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
         filled = A.algebra.__dict__  # where cached_property keeps its values
         B.algebra.__dict__.update((key, filled[key]) for key in _BRACKET_CACHES if key in filled)
     return B
+
+
+def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:
+    """A, or to_numeric(A) when A is exact and an operator holds a float, as
+    the J of an irrational normalizer does: exact eliminations take no
+    floats, and float results are judged at the default tol."""
+    if A.tol or not any(isinstance(x, float) for M in operators for row in M for x in row):
+        return A
+    return to_numeric(A)
 
 
 def to_numeric(A: MetricLieAlgebra, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:

@@ -36,9 +36,12 @@ over Python floats: each entry gets the same IEEE-754 divisions, products
 and differences in the same order, rows within tol at the pivot column are
 left untouched as the loop leaves them, and no BLAS product (whose
 summation order depends on the build) is used.  numpy is imported there,
-lazily, so exact work never loads it.  Float ``mat_mul`` stays a Python
-``sum``, which is compensated on Python 3.12 and later, so a numpy product
-would not match it.
+lazily, so exact work never loads it.  Float ``mat_mul`` follows the
+nonzeros: on all-float operands each entry is one Python ``sum`` over the
+products of A's nonzero entries, in k order, which for finite entries is the
+dense ``sum(a * b for a, b in zip(row, col))`` bit for bit (a ±0.0 term moves
+neither the sum nor the compensation Python 3.12 adds to it) and which a
+numpy product would not match.  Mixed exact and float operands stay dense.
 """
 
 from __future__ import annotations
@@ -124,8 +127,15 @@ def _int_product(X, Y, m: int):
     return _add_int_product([[0] * m for _ in X], _sparse_rows(X), _sparse_rows(Y))
 
 
+def _is_float(rows) -> bool:
+    return all(type(x) is float for row in rows for x in row)
+
+
 def mat_mul(A: Mat, B: Mat) -> Mat:
     Bt = transpose(B)
+    if _is_float(A) and _is_float(Bt):  # one sum per entry over A's nonzero entries, in k order
+        rows = ([(k, a) for k, a in enumerate(row) if a] for row in A)
+        return tuple(tuple(sum([a * col[k] for k, a in row], 0.0) for col in Bt) for row in rows)
     if not (_is_exact(A) and _is_exact(Bt)):
         return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
     rows, da = zip(*map(_cleared, A)) if A else ((), ())
@@ -162,11 +172,10 @@ def bilinear(G: Mat, u: Vec, v: Vec):
 
 
 def max_abs(A: Mat) -> float:
+    """The largest |entry|, the first in row-major order; the int 0 if A is zero."""
     m = 0
     for row in A:
-        for x in row:
-            if abs(x) > m:
-                m = abs(x)
+        m = max((m, *map(abs, row)))
     return m
 
 
@@ -284,7 +293,7 @@ def rank(A: Mat, tol: float = 0.0) -> int:
 def canonical_rows(vectors, ncols: int, tol: float = 0.0):
     """Canonical reduced-echelon basis of the span of the given vectors."""
     # not redundant: rows within tol still move in _float_rref's row swaps and so pick between tied pivots
-    vs = [v for v in vectors if not all(is_zero(x, tol) for x in v)]
+    vs = [v for v in vectors if (max(map(abs, v), default=0) > tol if tol else any(v))]
     if not vs:
         return []
     rows, _ = rref(vs, tol)

@@ -652,6 +652,42 @@ def test_metric_parts_equal_the_fraction_reference(inputs):
         assert repr(part(An).basis) == repr(ref.metric_part(An, sign))
 
 
+FLOAT_LIFT_ALGEBRAS = {key: get_example(key) for key in NONABELIAN}
+FLOAT_LIFT_ALGEBRAS["h3c+h3c-random"] = direct_sum(get_example("h3c"), get_example("h3c")).with_metric(
+    random_gram(12, 5))
+FLOAT_LIFT_ALGEBRAS["h3c+h3c'-random"] = _in_basis(  # a dense basis: an entry sums up to 30 basis elements
+    FLOAT_LIFT_ALGEBRAS["h3c+h3c-random"], _triangular(12))
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_LIFT_ALGEBRAS))
+def test_float_metric_parts_equal_the_dense_lift(key):
+    """On the float backend Σ x_k·B_k is summed over the cached nonzero
+    entries of the centroid basis.  It equals the dense product of the
+    canonical coordinates with the n²-vectors of the basis, in the
+    reference's own sums, bit for bit: every entry a float of the same hex."""
+    A = to_numeric(FLOAT_LIFT_ALGEBRAS[key])
+    for part, sign in ((symmetric_centroid, 1), (skew_centroid, -1)):
+        got, want = part(A).basis, ref.metric_part(A, sign)
+        assert [[(type(x), x.hex()) for row in M for x in row] for M in got] == \
+            [[(type(x), x.hex()) for row in M for x in row] for M in want]
+    entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b]
+               for B in A.algebra._centroid_basis]
+    assert A.algebra.__dict__["_float_centroid_entries"] == tuple(map(tuple, entries))
+
+
+def test_a_float_projection_on_an_exact_algebra_is_checked_on_its_float_copy():
+    """A float P on an exact algebra is judged on to_numeric(A), at its tol,
+    as a float J is: the matrix of 1/5's on abelian R⁵ is an orthogonal
+    projection up to rounding.  An exact P stays exact."""
+    A = make_algebra(5, {})
+    P = ((0.2,) * 5,) * 5
+    cert = is_orthogonal_projection(A, P)
+    assert cert.passed and 0 < cert.idempotent_residual <= to_numeric(A).tol
+    assert cert == is_orthogonal_projection(to_numeric(A), P)
+    cert = is_orthogonal_projection(A, ((F(1, 5),) * 5,) * 5)
+    assert cert.passed and cert.residuals() == {"idempotent": 0, "bracket": 0, "symmetry": 0}
+
+
 SPLIT_CASES = dict(FACTOR_COUNT_ALGEBRAS)
 SPLIT_CASES["h3c^3"] = direct_sum(FACTOR_COUNT_ALGEBRAS["h3c+h3c"], get_example("h3c"))
 

@@ -233,6 +233,16 @@ def test_jlambda_scalars_follow_tol(lam):
             assert J == jlambda(F(lam), tol)
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.75])
+def test_jlambda_refuses_a_float_at_tol_zero(lam):
+    """At tol 0 a float λ raises TypeError, as the exact records refuse it,
+    rather than have its binary value read exactly: 0.1 would name a λ² + 1
+    with 34-digit terms, and 0.75 would pass as 3/4.  At tol > 0 it is taken."""
+    with pytest.raises(TypeError):
+        jlambda(lam)
+    assert {type(x) for row in jlambda(lam, 1e-9) for x in row} == {float}
+
+
 def test_distinct_jlambda_values_differ():
     assert jlambda(F(0)) != jlambda(F(3, 4))
 

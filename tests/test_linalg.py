@@ -185,6 +185,61 @@ def test_mat_mul_with_a_float_operand_takes_the_float_path(operands, data):
         assert _typed(linalg.mat_mul(X, Y)) == _typed(ref.mat_mul(X, Y))
 
 
+def _hexed(M):
+    """The entries of a float matrix as (type, float.hex), so that 0.0 and
+    −0.0, and 0.0 and 0, differ."""
+    return [[(type(x), x.hex() if type(x) is float else x) for x in row] for row in M]
+
+
+FLOAT_ENTRIES = (st.sampled_from([0.0, -0.0]) | st.sampled_from([0.0, -0.0])
+                 | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.1, 1e16, -1e16])
+                 | st.floats(-1e3, 1e3))
+
+
+@st.composite
+def float_operands(draw):
+    """All-float A (n × k) and B (k × m), about half of their entries ±0.0,
+    with subnormals among the rest; a B whose second row is minus its first
+    and an A whose second column is its first give products that cancel in
+    pairs.  Empty and 1 × 0 shapes are among them."""
+    n, k, m = draw(st.sampled_from([(0, 0, 0), (1, 0, 3), (0, 2, 2), (2, 1, 0)])
+                   | st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    A = [[draw(FLOAT_ENTRIES) for _ in range(k)] for _ in range(n)]
+    B = [[draw(FLOAT_ENTRIES) for _ in range(m)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        B[1] = [-x for x in B[0]]
+        for row in A:
+            row[1] = row[0]
+    return linalg.mat(A), linalg.mat(B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_operands())
+@example((((0.0, -0.0),), ((-0.0,), (-0.0,))))  # no nonzero product: 0.0, not 0 or −0.0
+@example((((1.0, 1.0, 1e-300),), ((1e16,), (-1e16,), (1e-300,))))  # a cancelled pair, then an underflow
+def test_float_mat_mul_equals_the_dense_sums(operands):
+    """A product of float operands, summed over A's nonzero entries only,
+    is the dense formula sum(a·b for a, b in zip(row, col)) entry for entry,
+    bit for bit and a float, in both orders of the operands."""
+    A, B = operands
+    for X, Y in ((A, B), (linalg.transpose(B), linalg.transpose(A))):
+        assert _hexed(linalg.mat_mul(X, Y)) == _hexed(ref.mat_mul(X, Y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_operands())
+def test_max_abs_is_the_first_largest_entry(operands):
+    """max_abs is the largest |entry| met first in row-major order, and the
+    int 0 for a zero matrix, as the loop over the entries gives it."""
+    for M in operands:
+        m = 0
+        for row in M:
+            for x in row:
+                if abs(x) > m:
+                    m = abs(x)
+        assert _hexed([[linalg.max_abs(M)]]) == _hexed([[m]])
+
+
 @st.composite
 def rref_input(draw):
     n, m = draw(st.integers(0, 6)), draw(st.integers(1, 7))
