@@ -29,19 +29,24 @@ elimination.  At tol 0 a float entry raises TypeError rather than have its
 binary value reduced exactly.
 
 Float elimination (``rref`` with tol > 0, and so ``nullspace``, ``solve``,
-``canonical_rows`` and ``nullspace_sparse``, which takes float systems
-only) is ``_float_rref``: Gauss-Jordan with partial pivoting over one
-float64 numpy array, a few vectorised steps per pivot column.  It is bit-identical to the same loop
-over Python floats: each entry gets the same IEEE-754 divisions, products
-and differences in the same order, rows within tol at the pivot column are
-left untouched as the loop leaves them, and no BLAS product (whose
-summation order depends on the build) is used.  numpy is imported there,
-lazily, so exact work never loads it.  Float ``mat_mul`` follows the
-nonzeros: on all-float operands each entry is one Python ``sum`` over the
-products of A's nonzero entries, in k order, which for finite entries is the
-dense ``sum(a * b for a, b in zip(row, col))`` bit for bit (a ±0.0 term moves
-neither the sum nor the compensation Python 3.12 adds to it) and which a
-numpy product would not match.  Mixed exact and float operands stay dense.
+``canonical_rows`` and ``rank``, and ``nullspace_sparse``, which takes float
+systems only) is ``_float_rref``: Gauss-Jordan with partial pivoting over
+sparse row dicts {col: float}, with a column -> rows index, so its work
+follows the nonzero entries.  ``nullspace_sparse`` hands it its rows as
+they are and reads its kernel off the sparse result; ``rref`` turns dense
+rows into dicts and the result back into dense rows.  It is bit-identical to
+the dense loop over Python floats: each entry gets the same IEEE-754
+divisions, products and differences in the same order, the pivot is the
+same row, found by each row's current position, and rows within tol at the
+pivot column are left untouched as the loop leaves them.  No numpy is
+involved: numpy finds float eigenvalues (``centroid._numeric_eigenvalues``)
+and nothing else, so exact work, and float work that draws no eigenvalues,
+never loads it.  Float ``mat_mul`` follows the nonzeros: on all-float
+operands each entry is one Python ``sum`` over the products of A's nonzero
+entries, in k order, which for finite entries is the dense ``sum(a * b for
+a, b in zip(row, col))`` bit for bit (a ±0.0 term moves neither the sum nor
+the compensation Python 3.12 adds to it) and which a numpy product would
+not match.  Mixed exact and float operands stay dense.
 """
 
 from __future__ import annotations
@@ -172,11 +177,12 @@ def bilinear(G: Mat, u: Vec, v: Vec):
 
 
 def max_abs(A: Mat) -> float:
-    """The largest |entry|, the first in row-major order; the int 0 if A is zero."""
+    """The largest |entry|, the first in row-major order; the int 0 if A is
+    zero, and NaN if an entry is NaN, which ``max`` never picks after a number."""
     m = 0
     for row in A:
         m = max((m, *map(abs, row)))
-    return m
+    return math.nan if any(x != x for row in A for x in row) else m
 
 
 def _int_max_abs(R, den: int):
@@ -221,19 +227,25 @@ def residual(terms):
 def rref(rows, tol: float = 0.0):
     """Reduced row echelon form.  Returns (rref_rows, pivot_cols).
 
-    Zero rows are dropped.  With tol > 0 the rows are float64 and
-    ``_float_rref`` reduces them.  With tol == 0 the rows must be exact
-    (Fractions and ints): they are reduced as sparse integer rows by
-    ``_int_echelon`` and ``_int_reduce``, the engine of the exact nullspace
-    solves, and come out as Fractions.  A float among them raises TypeError,
-    since exact elimination of its binary value would be a silent
-    approximation.
+    Zero rows are dropped.  The rows are turned into sparse dicts.  With
+    tol > 0 they are float64 and ``_float_rref`` reduces them.  With tol == 0
+    they must be exact (Fractions and ints): they are reduced as sparse
+    integer rows by ``_int_echelon`` and ``_int_reduce``, the engine of the
+    exact nullspace solves, and come out as Fractions.  A float among them
+    raises TypeError, since exact elimination of its binary value would be a
+    silent approximation.
     """
-    if tol:
-        return _float_rref(rows, tol)
-    _require_exact(rows, "rref")
     ncols = len(rows[0]) if rows else 0
-    ints, d = _int_canonical(({c: x for c, x in enumerate(row) if x} for row in rows), ncols)
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    if tol:
+        rows, pivots = _float_rref(sparse, ncols, tol)
+        dense = [[0.0] * ncols for _ in rows]
+        for out, row in zip(dense, rows):
+            for col, x in row.items():
+                out[col] = x
+        return [tuple(row) for row in dense], pivots
+    _require_exact(rows, "rref")
+    ints, d = _int_canonical(sparse, ncols)
     return _fraction_rows(ints, d, ncols), [min(row) for row in ints]
 
 
@@ -242,45 +254,63 @@ def _require_exact(rows, name):
         raise TypeError(f"{name} at tol 0 takes exact rows (Fractions and ints); use tol > 0 for floats")
 
 
-def _float_rref(rows, tol: float):
-    """Gauss-Jordan elimination of float64 rows with partial pivoting, as one
-    numpy array.  Returns (rref_rows, pivot_cols) like ``rref``.
+def _float_rref(rows, ncols: int, tol: float):
+    """Gauss-Jordan elimination with partial pivoting of the float rows
+    {col: value} with ncols columns, at tol > 0.  Returns (rref_rows,
+    pivot_cols) like ``rref``, the rows as dicts of their entries above tol.
 
-    Per column the pivot is the first entry of largest magnitude at or below
-    the current row, and the column is skipped unless it exceeds tol; the
-    pivot row is divided by the pivot, and f·(pivot row) is subtracted from
-    every other row whose entry f exceeds tol in magnitude, the rest being
-    left untouched.  Entries within tol are snapped to 0.0 at the end.  Each
-    entry goes through the same IEEE-754 divisions, products and differences,
-    in the same order, as in a loop over Python floats, and no BLAS product
-    is used, so the result is the same bit for bit.
+    The rows stay sparse dicts, with a column -> rows index and each row's
+    current position, so the work follows the nonzero entries.  Per column
+    the pivot is the first row, in current order at or below the current
+    one, whose entry is largest in magnitude, and the column is skipped
+    unless it exceeds tol; the pivot row is swapped into place and divided
+    by the pivot, and f·(pivot row) is subtracted, over the pivot row's
+    nonzeros, from every other row whose entry f exceeds tol in magnitude,
+    the rest being left untouched.  An entry that this makes 0.0 is dropped,
+    and so, at the end, is every entry within tol: the dense loop snaps them
+    to 0.0.  For finite entries each entry goes through the same IEEE-754
+    divisions, products and differences, in the same order, as in the dense
+    loop over Python floats, so the result is the same bit for bit:
+    a − f·(±0.0) is a, and a zero's sign moves no later nonzero entry.
     """
-    import numpy as np
-
-    M = np.array(rows, dtype=np.float64)
-    if not M.size:
-        return [], []
-    nrows, ncols = M.shape
+    rows = [dict(row) for row in rows]  # copies; an explicit ±0.0 is never a pivot and moves no entry
+    order = list(range(len(rows)))  # order[position] = row, pos[row] = position
+    pos = list(order)
+    where = [set() for _ in range(ncols)]  # the rows with an entry in each column
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
+        r = len(pivots)
+        if r == len(rows):
             break
-        col = np.abs(M[r:, c])
-        best = int(col.argmax())
-        if not col[best] > tol:
+        hits = [(-a, pos[i], i) for i in where[c] if pos[i] >= r and (a := abs(rows[i][c])) > tol]
+        if not hits:
             continue
-        if best:
-            M[[r, r + best]] = M[[r + best, r]]
-        M[r] /= M[r, c]
-        hit = np.abs(M[:, c]) > tol
-        hit[r] = False
-        M[hit] -= M[hit, c][:, None] * M[r]
+        _, p, i = min(hits)
+        j = order[r]
+        order[r], order[p], pos[i], pos[j] = i, j, r, p
+        piv = rows[i][c]
+        prow = rows[i] = {col: x / piv for col, x in rows[i].items()}
+        for k in [k for k in where[c] if k != i and abs(rows[k][c]) > tol]:
+            row = rows[k]
+            f = row[c]
+            for col, b in prow.items():
+                if col in row:
+                    x = row[col] - f * b
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
+                        where[col].discard(k)
+                else:
+                    x = 0.0 - f * b  # as from an entry ±0.0
+                    if x:
+                        row[col] = x
+                        where[col].add(k)
         pivots.append(c)
-        r += 1
-    out = M[:r]
-    out[np.abs(out) <= tol] = 0.0
-    return [tuple(row) for row in out.tolist()], pivots
+    return [{col: x for col, x in rows[i].items() if not abs(x) <= tol} for i in order[:len(pivots)]], pivots
 
 
 def rank(A: Mat, tol: float = 0.0) -> int:
@@ -389,24 +419,31 @@ def _to_int_row(row: dict) -> dict:
 
 def nullspace_sparse(equations, ncols: int, tol: float):
     """Nullspace basis of the float system given as sparse rows {col: coeff},
-    at tol > 0: the rows are densified into one float64 array and reduced
-    with ``rref``.  Exact systems go through ``_int_nullspace``."""
-    if not equations:
-        return [basis_vec(ncols, i, tol) for i in range(ncols)]
-    import numpy as np
-
-    dense = np.zeros((len(equations), ncols))
-    for i, eq in enumerate(equations):
-        for c, v in eq.items():
-            dense[i, c] = v
-    return _nullspace_from_rref(*rref(dense, tol), ncols, tol)
+    at tol > 0, one vector per free column f, as ``_nullspace_from_rref``
+    gives it: ``_float_rref`` reduces the rows as they are, never densified,
+    and −row[f] is read off the nonzero entries of its sparse rows.  Exact
+    systems go through ``_int_nullspace``."""
+    rows, pivots = _float_rref(equations, ncols, tol)
+    zero = [0.0] * ncols
+    for p in pivots:
+        zero[p] = -0.0  # −row[f] where the pivot row p is 0.0 at f
+    pivset = set(pivots)
+    basis = {f: zero.copy() for f in range(ncols) if f not in pivset}
+    for f, x in basis.items():
+        x[f] = 1.0
+    for row, p in zip(rows, pivots):
+        for col, v in row.items():
+            if col in basis:
+                basis[col][p] = -v
+    return [tuple(x) for x in basis.values()]
 
 
 def _canonical_nullspace(equations, ncols: int, tol: float):
     """Canonical reduced-echelon basis of the nullspace of float sparse rows
-    {col: coeff}, at tol > 0.  Exact systems go through
-    ``_int_canonical_nullspace``."""
-    return canonical_rows(nullspace_sparse(equations, ncols, tol), ncols, tol)
+    {col: coeff}, at tol > 0: ``canonical_rows`` of the kernel vectors,
+    without its filter, which each keeps for its 1.0.  Exact systems go
+    through ``_int_canonical_nullspace``."""
+    return rref(nullspace_sparse(equations, ncols, tol), tol)[0]
 
 
 def _int_canonical_nullspace(equations, ncols: int):

@@ -14,9 +14,10 @@ it checks.  ``metric_part`` builds its
 equations and its result rows in Fractions, and ``generic_element`` and ``eigenprojections`` form the eigen
 step as Fraction sums and products from I, as before the centroid and
 metric-part solves ran in sparse integers.  ``float_rref`` is the float
-Gauss-Jordan elimination as a loop over Python floats, from before it ran
-on one numpy array, with the float ``nullspace``, ``solve``,
-``canonical_rows`` and ``nullspace_sparse`` built on it; ``center`` solves
+Gauss-Jordan elimination as a dense loop over Python floats, which linalg
+replaced with one numpy array and then with sparse row dicts, with the float
+``nullspace``, ``solve``, ``canonical_rows`` and ``nullspace_sparse`` built
+on it; ``center`` solves
 the centre as the dense nullspace of the stacked ad matrices on these two
 eliminations.  ``check_jacobi`` is the dense Jacobi check, six ``bracket``
 calls per basis triple, from before it was expanded over the sparse

@@ -321,6 +321,22 @@ def test_doubling_isometry_residual_catches_a_non_isometric_j(metric_seed):
     assert _typed(got) == _typed(ref.doubling_residuals(A, J))
 
 
+@pytest.mark.parametrize("where", [None, (0, 0), (2, 1)])
+def test_a_nan_operator_fails_its_certificates(where):
+    """A NaN entry, everywhere or in one place of I, makes the residuals NaN
+    (``max`` alone would never pick it after a number, and report 0), so a
+    NaN P is no orthogonal projection and a NaN J no complex structure."""
+    nan = float("nan")
+    A = to_numeric(get_example("h3"))
+    if where is None:
+        M = ((nan,) * 3,) * 3
+    else:
+        M = tuple(tuple(nan if (i, j) == where else float(i == j) for j in range(3)) for i in range(3))
+    for cert in (is_orthogonal_projection(A, M), verify_complex_structure(A, M)):
+        assert not cert.passed
+        assert any(r != r for r in cert.residuals().values())
+
+
 def test_doubling_isometry_builds_no_doubled_algebra():
     """The doubling identities are checked on n × n blocks, so a passing
     certificate on h3c ⊕ h3c needs neither g^C nor g ⊕ g: complexify is not

@@ -273,6 +273,30 @@ def test_cold_command_loads_no_record_or_typing_machinery(algfile, cmd, key):
     assert json.loads(out.stderr.splitlines()[-1]) == []
 
 
+@pytest.mark.parametrize("cmd", ["decompose", "jstructs"])
+def test_float_command_with_one_factor_loads_no_numpy(algfile, cmd):
+    """A float decomposition or enumeration of h3c (k = 1) draws no
+    eigenvalues, and the float eliminations run on Python dicts, so the
+    cold ``--backend numeric`` call loads no numpy."""
+    import os
+    import subprocess
+    import sys
+
+    import metriclie
+
+    code = ("import atexit, json, runpy, sys\n"
+            "atexit.register(lambda: print(json.dumps('numpy' in sys.modules), file=sys.stderr))\n"
+            "sys.argv = ['metriclie', '--backend', 'numeric', '--format', 'structured',\n"
+            f"            {cmd!r}, {algfile('h3c')!r}]\n"
+            "runpy.run_module('metriclie.cli', run_name='__main__', alter_sys=True)\n")
+    src = os.path.dirname(os.path.dirname(metriclie.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["schema"] == 1
+    assert json.loads(out.stderr.splitlines()[-1]) is False
+
+
 def _digest_algebras():
     from metriclie.core import direct_sum
 
@@ -388,11 +412,13 @@ FLOAT_CASES = sorted(EXACT_OUTPUT_DIGESTS, key=str) + [
 def test_numeric_structured_output_equals_the_list_loop(key, metric_seed, cmd, algfile, capsys,
                                                         monkeypatch):
     """With --backend numeric, the structured stdout is the one that the
-    float elimination gives as a loop over Python floats
+    float elimination gives as a dense loop over Python floats
     (``fraction_reference.float_rref``), on the algebras and metrics of the
-    exact digests and on examples in a dense basis.  Both runs are in one
-    process, so numpy's eigenvalues are the same in both, whatever the BLAS
-    build."""
+    exact digests and on examples in a dense basis.  Every float
+    elimination goes through the patched ``linalg._float_rref``, the
+    commutant's n² columns through ``nullspace_sparse`` included.  Both runs
+    are in one process, so numpy's eigenvalues are the same in both,
+    whatever the BLAS build."""
     import fraction_reference as ref
     from metriclie import linalg
     from metriclie.lab import random_gram
@@ -403,12 +429,19 @@ def test_numeric_structured_output_equals_the_list_loop(key, metric_seed, cmd, a
     args = ["--backend", "numeric", "--format", "structured", cmd, algfile(render_document(A))]
     code = main(args)
     out = capsys.readouterr().out
-    calls = []
+    ncols_seen = []
 
-    def list_loop(rows, tol):  # the rows of an array as Python floats
-        calls.append(tol)
-        return ref.float_rref([[float(x) for x in row] for row in rows], tol)
+    def list_loop(rows, ncols, tol):  # the sparse rows as lists of Python floats, and back
+        ncols_seen.append(ncols)
+        dense = [[0.0] * ncols for _ in rows]
+        for row, sparse in zip(dense, rows):
+            for c, x in sparse.items():
+                row[c] = float(x)
+        out, pivots = ref.float_rref(dense, tol)
+        return [{c: x for c, x in enumerate(row) if x} for row in out], pivots
 
     monkeypatch.setattr(linalg, "_float_rref", list_loop)
     assert (main(args), capsys.readouterr().out) == (code, out)
-    assert calls
+    assert ncols_seen
+    # the commutant, through nullspace_sparse, unless the abelian refusal comes first
+    assert A.dim ** 2 in ncols_seen or code == 3

@@ -240,6 +240,14 @@ def test_max_abs_is_the_first_largest_entry(operands):
         assert _hexed([[linalg.max_abs(M)]]) == _hexed([[m]])
 
 
+@pytest.mark.parametrize("M", [((float("nan"),),), ((1.0, float("nan")), (2.0, -3.0)),
+                               ((F(1), 0), (float("nan"), F(-5))), ((0.0, 0.0), (0.0, float("nan")))])
+def test_max_abs_of_a_nan_entry_is_nan(M):
+    """A NaN entry anywhere makes max_abs NaN, so that no certificate reads it as zero."""
+    m = linalg.max_abs(M)
+    assert m != m and not linalg.is_zero(m, 1e-9) and not linalg.is_zero(m)
+
+
 @st.composite
 def rref_input(draw):
     n, m = draw(st.integers(0, 6)), draw(st.integers(1, 7))
@@ -454,3 +462,31 @@ def test_float_elimination_equals_the_list_loop_on_commutant_sized_systems(shape
             row[c] = rng.choice(values) if rng.random() < 0.7 else rng.uniform(-3, 3)
         rows.append(tuple(row))
     _float_kernel_matches(tuple(rows), ncols)
+
+
+@st.composite
+def sparse_float_system(draw):
+    """(rows, ncols): sparse float rows {col: value} that hold explicit 0.0,
+    -0.0 and ±tol entries among ties in magnitude and other floats; some
+    rows have every entry within tol, and some none."""
+    ncols = draw(st.integers(1, 8))
+    small = st.sampled_from([0.0, -0.0, TOL, -TOL, TOL / 2]) | st.floats(-TOL, TOL)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        cols = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=ncols))
+        values = small if draw(st.integers(0, 3)) == 0 else FLOAT_VALUES
+        rows.append({c: draw(values) for c in cols})
+    return rows, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_float_system())
+# a tie at column 2, between rows 1 and 0, goes to row 1, which stands first
+# after the pivot of column 1 swapped row 0 from the top to the bottom
+@example(([{0: TOL, 1: TOL, 2: 0.5}, {2: 0.5}, {1: 2.0}], 3))
+def test_sparse_float_nullspace_equals_the_list_loop(system):
+    """nullspace_sparse reduces the sparse rows as they are given, explicit
+    zeros and entries within tol included, to the reference's output by repr."""
+    rows, ncols = system
+    assert repr(linalg.nullspace_sparse(rows, ncols, TOL)) == \
+        repr(ref.float_nullspace_sparse(rows, ncols, TOL))
