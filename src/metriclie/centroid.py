@@ -13,15 +13,15 @@ eigenspace of an element of S is an orthogonal ideal; with no abelian
 factor the decomposition is unique, so that ideal is a sum of irreducible
 factors.  Hence S is spanned by the projections onto the k irreducible
 factors, and dim S = k.
-Decomposition draws one seeded generic element a of S with a minimal
-polynomial of degree dim S; its k eigenprojections are the factor
-projections.  On exact operands the split is a k×k problem: S's basis is
-in reduced echelon form as n²-vectors, so the coordinates of an element of
-S are its entries at the k pivots, and a acts on S by a k×k matrix L_a with
-a's minimal polynomial, read off S's multiplication table in integers.
-The Lagrange factors of L_a, applied one after another to the coordinates
-of I (a k-vector), give the coordinates of the factor projections, which
-are lifted back to n×n.
+Decomposition draws one seeded generic element a of S with dim S distinct
+eigenvalues; its k eigenprojections are the factor projections.  On both
+backends the split is a k×k problem: S's basis is in reduced echelon form
+as n²-vectors (a float one up to rounding at its pivots), so the
+coordinates of an element of S are its entries at the k pivots, and a acts
+on S by a k×k matrix L_a with a's eigenvalues, read off S's multiplication
+table, in integers when exact.  The Lagrange factors of L_a, applied one
+after another to the coordinates of I (a k-vector), give the coordinates
+of the factor projections, which are lifted back to n×n.
 
 A certified factor projection P = C·R is an idempotent of the centroid, so
 g = im P ⊕ ker P as ideals and the factor's centroid is the compression
@@ -31,10 +31,10 @@ one symmetric system, and builds no Fraction centroid basis; float factors
 solve their own commutant.  Float metric parts sum each entry over the
 nonzero entries of the centroid basis, cached per Lie algebra, alone.
 
-Eigenvalues are the roots of the minimal polynomial, found exactly by
-Sturm-sequence isolation in integer arithmetic when they are all rational;
-otherwise the whole computation falls back to the float backend and reports
-backend="numeric".
+Exact eigenvalues are the roots of L_a's minimal polynomial, found by
+Sturm-sequence isolation in integers when they are all rational; otherwise
+the whole computation falls back to the float backend, backend="numeric",
+where a draw is generic when numpy's eigenvalues of L_a form k clusters.
 
 Every projection is certified (idempotent, bracket condition, G-symmetric)
 and the projections must sum to I.  On exact operands these residuals are
@@ -62,6 +62,7 @@ from .errors import (
     AbelianFactorPresent,
     GenericityFailure,
     InternalAssertionFailure,
+    NotASubalgebra,
 )
 
 GENERIC_COEFF_BOUND = 7
@@ -347,82 +348,71 @@ def _numeric_eigenvalues(M, tol):
     return [sum(c) / len(c) for c in clusters]
 
 
-def _eigenprojections(a, eigenvalues, tol, x=None):
-    """Lagrange interpolation projections onto the eigenspaces of a: the
-    products of (a − μ·I)/(λ − μ) over μ ≠ λ.  Given a vector x, each
-    projection applied to x instead: the factors commute, so they act on x
-    one after another, O(k²) each, and no product is formed.  An exact
-    product starts from its first factor, so a split into two needs no
-    product at all; a float one starts from I, whose product turns a −0.0
-    into 0.0."""
-    if x is not None:  # exact: a = M / e and the vector w / D, in integers
-        M, e = linalg._cleared_matrix(a)
-        out = []
+def _eigenprojections(a, eigenvalues, tol, x):
+    """The Lagrange projections onto the eigenspaces of the k×k matrix a,
+    the products of (a − μ·I)/(λ − μ) over μ ≠ λ, each applied to the
+    k-vector x: the factors commute, so they act on x one after another,
+    O(k²) each, and no product is formed.  Float operands are a plain loop;
+    exact ones stay in integers, a = M / e and the vector w / D."""
+    out = []
+    if tol:
         for lam in eigenvalues:
-            w, D = list(x), 1
-            for mu in eigenvalues:
-                if mu == lam:
-                    continue
-                (p, q), (r, s) = mu.as_integer_ratio(), (lam - mu).as_integer_ratio()
-                # (a − μ·I)/(λ − μ) · w/D = s·(q·M·w − e·p·w) / (r·e·q·D), then made primitive
-                w = [s * (q * sum(m * y for m, y in zip(row, w)) - e * p * z) for row, z in zip(M, w)]
-                D *= r * e * q
-                g = math.gcd(D, *w) if D > 0 else -math.gcd(D, *w)
-                w, D = [y // g for y in w], D // g
-            out.append([Fraction(y, D) for y in w])
+            w = list(x)
+            for mu in (mu for mu in eigenvalues if mu != lam):
+                w = [(sum(m * y for m, y in zip(row, w)) - mu * z) / (lam - mu) for row, z in zip(a, w)]
+            out.append(w)
         return out
-    n = len(a)
-    projections = []
-    I = linalg.identity(n, tol)
+    M, e = linalg._cleared_matrix(a)
     for lam in eigenvalues:
-        P = I
+        w, D = list(x), 1
         for mu in eigenvalues:
             if mu == lam:
                 continue
-            X = linalg.mat_scale(1 / (lam - mu), linalg.mat_sub(a, linalg.mat_scale(mu, I)))
-            P = X if P is I and not tol else linalg.mat_mul(P, X)
-        projections.append(P)
-    return projections
+            (p, q), (r, s) = mu.as_integer_ratio(), (lam - mu).as_integer_ratio()
+            # (a − μ·I)/(λ − μ) · w/D = s·(q·M·w − e·p·w) / (r·e·q·D), then made primitive
+            w = [s * (q * sum(m * y for m, y in zip(row, w)) - e * p * z) for row, z in zip(M, w)]
+            D *= r * e * q
+            g = math.gcd(D, *w) if D > 0 else -math.gcd(D, *w)
+            w, D = [y // g for y in w], D // g
+        out.append([Fraction(y, D) for y in w])
+    return out
 
 
-def _random_generic_element(S: OperatorSubspace, rng, table=None):
+def _random_generic_element(S: OperatorSubspace, rng, table):
     """Σ c_l·S_l with seeded nonzero integer coefficients c_l from [−B, B],
     B = max(GENERIC_COEFF_BOUND, k²) for k = dim S.  Two of the k
     eigenvalues coincide on a hyperplane of coefficients, so by
     Schwartz–Zippel (Schwartz, J. ACM 27, 1980) a draw fails with
-    probability below C(k, 2)/(2B) < 1/4.  On exact operands ``table`` is
-    (T, e) from ``_multiplication_table`` and the element is drawn as its
-    k×k matrix L_a = Σ c_l·T_l / e on S's coordinates; float operands give
-    the n×n sum of the basis."""
-    bound = max(GENERIC_COEFF_BOUND, S.dim ** 2)
+    probability below C(k, 2)/(2B) < 1/4.  ``table`` is (T, e) from
+    ``_multiplication_table``, and the element is drawn as its k×k matrix
+    L_a = Σ c_l·T_l / e on S's coordinates: Fractions on exact operands,
+    floats otherwise."""
+    k, tol = S.dim, S.ambient.tol
+    bound = max(GENERIC_COEFF_BOUND, k ** 2)
     coeffs = []
-    for _ in range(S.dim):
+    for _ in range(k):
         c = 0
         while c == 0:
             c = rng.randint(-bound, bound)
         coeffs.append(c)
-    if table is not None:
-        T, e = table
-        return tuple(tuple(Fraction(sum(c * Tl[i][j] for c, Tl in zip(coeffs, T)), e) for j in range(S.dim))
-                     for i in range(S.dim))
-    n, tol = S.ambient.dim, S.ambient.tol
-    a = linalg.zeros(n, n, tol)
-    for c, B in zip(coeffs, S.basis):
-        a = linalg.mat_add(a, linalg.mat_scale(float(c), B))
-    return a
+    T, e = table
+    sums = [[sum(c * Tl[i][j] for c, Tl in zip(coeffs, T)) for j in range(k)] for i in range(k)]
+    return tuple(tuple(v / e if tol else Fraction(v, e) for v in row) for row in sums)
 
 
 def _multiplication_table(S: OperatorSubspace):
-    """(R, d, pivots, T) for an exact S: its basis as integer n²-vectors
-    S_l = R_l / d over one common denominator; the k pivots of its reduced
-    echelon form (R_l is d at its own pivot, every other R_j is 0 there); and
-    the table T[l][i][j] = (R_l·R_j)[pivot i], so that S_l·S_j = Σ_i
+    """(R, d, pivots, T) for S: its basis as n²-vectors S_l = R_l / d, in
+    integers over one common denominator when exact, as they are with d = 1
+    when float; the k pivots of its reduced echelon form (R_l is d at its own
+    pivot, every other R_j is 0 there; float R_l is 1 up to rounding); and the
+    table T[l][i][j] = (R_l·R_j)[pivot i], so that S_l·S_j = Σ_i
     T[l][i][j]/d²·S_i.  Each entry is one row of R_l times one column of
-    R_j, over the nonzero entries of that row: O(k³·n) integer products."""
+    R_j, over the nonzero entries of that row: O(k³·n) products."""
     n, k = S.ambient.dim, S.dim
-    ints, d = linalg._cleared([x for B in S.basis for row in B for x in row])
-    R = [ints[l * n * n:(l + 1) * n * n] for l in range(k)]
-    pivots = [next(t for t, x in enumerate(Rl) if x) for Rl in R]
+    flat = [x for B in S.basis for row in B for x in row]
+    flat, d = (flat, 1) if S.ambient.tol else linalg._cleared(flat)
+    R = [flat[l * n * n:(l + 1) * n * n] for l in range(k)]
+    pivots = [next(t for t, x in enumerate(Rl) if not linalg.is_zero(x, S.ambient.tol)) for Rl in R]
     T = []
     for Rl in R:
         Tl = []
@@ -434,9 +424,11 @@ def _multiplication_table(S: OperatorSubspace):
     return R, d, pivots, T
 
 
-def _lift(coords, R, d, n):
+def _lift(coords, R, d, n, tol):
     """The operator Σ_j x_j·S_j, S_j = R_j / d, with coordinates x = coords.
-    Formed in integers, one Fraction per entry."""
+    Exact ones are formed in integers, one Fraction per entry."""
+    if tol:
+        return linalg.unvectorize([sum(x * Rj[t] for x, Rj in zip(coords, R)) for t in range(n * n)], n)
     X, dx = linalg._cleared(coords)
     terms, zero = [(x, Rj) for x, Rj in zip(X, R) if x], Fraction(0)
     P = (sum(x * Rj[t] for x, Rj in terms) for t in range(n * n))
@@ -446,30 +438,28 @@ def _lift(coords, R, d, n):
 def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     """The projections onto the irreducible factors of A: the eigenprojections
     of a symmetric-centroid element with dim S eigenvalues, one per factor.
-    On exact operands the element, its minimal polynomial and its roots are
-    k×k, in S's coordinates; the eigenprojections are applied to the
-    coordinates of I as k-vectors, and each is lifted to n×n once.  Float
-    operands split the n×n element itself.
-    Raises _NeedNumeric when those eigenvalues are irrational."""
+    On both backends the element is its k×k matrix L_a on S's coordinates,
+    with the rational roots of its minimal polynomial (exact) or the k
+    clusters of its float eigenvalues; the eigenprojections are applied to
+    the coordinates of I as k-vectors, and each is lifted to n×n once.
+    Raises _NeedNumeric when exact eigenvalues are irrational."""
     S = symmetric_centroid(A)
     if S.dim == 0:
         raise InternalAssertionFailure("symmetric centroid lost the identity operator")
     if S.dim == 1:
         return [linalg.identity(A.dim, A.tol)]
     rng = random.Random(seed)
-    if not A.tol:
-        R, d, pivots, T = _multiplication_table(S)
+    R, d, pivots, T = _multiplication_table(S)
+    ones = [int(p % (A.dim + 1) == 0) for p in pivots]  # I: 1 at the diagonal pivots
     for _ in range(max_retries):
-        a = _random_generic_element(S, rng, None if A.tol else (T, d * d))
-        mp = linalg.minimal_polynomial(a, A.tol)
-        if len(mp) - 1 != S.dim:
-            continue  # two factors share an eigenvalue, resample
-        eigenvalues = _numeric_eigenvalues(a, A.tol) if A.tol else _rational_roots(mp)
-        if len(eigenvalues) == S.dim:
-            if A.tol:
-                return _eigenprojections(a, eigenvalues, A.tol)
-            ones = [int(p % (A.dim + 1) == 0) for p in pivots]  # I: 1 at the diagonal pivots
-            return [_lift(x, R, d, A.dim) for x in _eigenprojections(a, eigenvalues, A.tol, ones)]
+        a = _random_generic_element(S, rng, (T, d * d))
+        if A.tol:
+            eigenvalues = _numeric_eigenvalues(a, A.tol)
+        else:
+            mp = linalg.minimal_polynomial(a)
+            eigenvalues = _rational_roots(mp) if len(mp) - 1 == S.dim else ()
+        if len(eigenvalues) == S.dim:  # else two factors share an eigenvalue: resample
+            return [_lift(x, R, d, A.dim, A.tol) for x in _eigenprojections(a, eigenvalues, A.tol, ones)]
     raise GenericityFailure(
         f"no separating symmetric centroid element found in {max_retries} draws"
     )
@@ -530,14 +520,18 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
         projections = _factor_projections(work, seed, max_retries)
 
     factors = []
-    for P in projections:
+    for i, P in enumerate(projections):
         cert = is_orthogonal_projection(work, P)
         if not cert.passed:
             raise InternalAssertionFailure(
                 f"factor projection failed verification: {cert.residuals()}"
             )
         carrier = _image_subspace(work, P)
-        induced = restrict(work, carrier)
+        try:
+            induced = restrict(work, carrier)
+        except NotASubalgebra as exc:  # the image of a centroid idempotent is an ideal
+            msg = f"carrier of factor {i + 1} (dim {carrier.dim}) is not a subalgebra: {exc}"
+            raise InternalAssertionFailure(msg) from exc
         if len(projections) > 1 and not work.tol:
             induced.algebra.__dict__["_int_centroid_entries"] = _compressed_centroid(work, P, carrier)
         # for k = 1, S = span(I) was just solved on this bracket and Gram (Cᵀ·G·C = G for C = I)

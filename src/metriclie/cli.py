@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: check, decompose, jstructs, lab (factor-count | jcount | scan),
-examples (list | show).  Exit codes: 0 success, 1 parse failure, 2 axiom
-failure, 3 abelian-factor refusal, 4 internal assertion failure.
+examples (list | show).  Exit codes: 0 success, 1 parse failure or input
+refused (every other MetricLieError), 2 axiom failure, 3 abelian-factor
+refusal, 4 internal assertion failure.
 """
 
 from __future__ import annotations

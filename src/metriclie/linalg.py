@@ -39,8 +39,9 @@ the dense loop over Python floats: each entry gets the same IEEE-754
 divisions, products and differences in the same order, the pivot is the
 same row, found by each row's current position, and rows within tol at the
 pivot column are left untouched as the loop leaves them.  No numpy is
-involved: numpy finds float eigenvalues (``centroid._numeric_eigenvalues``)
-and nothing else, so exact work, and float work that draws no eigenvalues,
+involved: numpy finds the eigenvalues of the float k×k matrix L_a of a
+generic symmetric-centroid element (``centroid._numeric_eigenvalues``) and
+nothing else, so exact work, and float work that draws no eigenvalues,
 never loads it.  Float ``mat_mul`` follows the nonzeros: on all-float
 operands each entry is one Python ``sum`` over the products of A's nonzero
 entries, in k order, which for finite entries is the dense ``sum(a * b for
@@ -570,18 +571,18 @@ def unvectorize(v: Vec, n: int) -> Mat:
     return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
 
 
-def minimal_polynomial(M: Mat, tol: float = 0.0):
-    """Monic minimal polynomial of M as coefficients [c0, c1, ..., 1]."""
+def minimal_polynomial(M: Mat):
+    """Monic minimal polynomial of the exact M as coefficients [c0, c1, ..., 1]."""
     n = len(M)
-    P = identity(n, tol)
+    P = identity(n)
     powers = [P]
     for _ in range(n + 1):
         P = mat_mul(P, M)
         target = vectorize(P)
         A = transpose(mat([vectorize(Q) for Q in powers]))
-        coords = solve(A, target, tol)
+        coords = solve(A, target)
         if coords is not None:
-            return [-x for x in coords] + [_zero_one(tol)[1]]
+            return [-x for x in coords] + [Fraction(1)]
         powers.append(P)
     raise InternalAssertionFailure("minimal polynomial search exceeded dimension bound")
 

@@ -434,9 +434,9 @@ def metric_part(A, sign):
 
 
 def generic_element(S, rng):
-    """_random_generic_element as it was: seeded coefficients from
-    [−B, B] ∖ {0}, B = max(GENERIC_COEFF_BOUND, k²), then Fraction or float
-    scalings and sums of the n×n basis from a zero matrix."""
+    """_random_generic_element of an exact S as an n×n matrix: seeded
+    coefficients from [−B, B] ∖ {0}, B = max(GENERIC_COEFF_BOUND, k²), then
+    Fraction scalings and sums of the n×n basis from a zero matrix."""
     bound = max(GENERIC_COEFF_BOUND, S.dim ** 2)
     coeffs = []
     for _ in range(S.dim):
@@ -444,16 +444,15 @@ def generic_element(S, rng):
         while c == 0:
             c = rng.randint(-bound, bound)
         coeffs.append(c)
-    tol = S.ambient.tol
-    a = linalg.zeros(S.ambient.dim, S.ambient.dim, tol)
+    a = linalg.zeros(S.ambient.dim, S.ambient.dim)
     for c, B in zip(coeffs, S.basis):
-        a = linalg.mat_add(a, linalg.mat_scale(float(c) if tol else Fraction(c), B))
+        a = linalg.mat_add(a, linalg.mat_scale(Fraction(c), B))
     return a
 
 
-def eigenprojections(a, eigenvalues, tol):
-    """The Lagrange products (a − μ·I)/(λ − μ), each started from I."""
-    I = linalg.identity(len(a), tol)
+def eigenprojections(a, eigenvalues):
+    """The exact Lagrange products (a − μ·I)/(λ − μ), each started from I."""
+    I = linalg.identity(len(a))
     projections = []
     for lam in eigenvalues:
         P = I

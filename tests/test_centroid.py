@@ -31,7 +31,7 @@ from metriclie.core import (
     restrict,
     to_numeric,
 )
-from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure
+from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, NotASubalgebra
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import BlockSpec, _hermitize, make_metric_with_factor_count, random_gram
 
@@ -695,37 +695,79 @@ SPLIT_CASES["h3c^3"] = direct_sum(FACTOR_COUNT_ALGEBRAS["h3c+h3c"], get_example(
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("key", ["h3h3", "h3^3", "h3c+h3c", "h3c^3"])
 def test_generic_element_and_its_split_equal_the_fraction_reference(key, numeric, monkeypatch):
-    """Exact: the projections lifted from the k coordinates of S equal the
+    """The projections lifted from the k coordinates of S equal the
     reference's n×n Lagrange products of the same draw, Σ c_k·S_k in
-    Fractions, in values and types, and the minimal polynomial and the
-    split see only k×k matrices.  Float: the n×n sum and its Lagrange
-    products from I are the reference's, bit for bit."""
+    Fractions: exact ones in values and types, float ones within tol.  On
+    both backends the draw, the eigenvalues (the minimal polynomial, or the
+    float eigenvalues) and the split see only k×k matrices, and the float
+    backend computes no minimal polynomial."""
     import random
 
     from metriclie import centroid as centroid_module
-    from metriclie.centroid import _eigenprojections, _factor_projections, _random_generic_element
+    from metriclie.centroid import _factor_projections
 
     A = SPLIT_CASES[key]
-    A = to_numeric(A) if numeric else A
     S = symmetric_centroid(A)
     assert S.dim >= 2
-    if numeric:
-        a = _random_generic_element(S, random.Random(7))
-        assert repr(a) == repr(ref.generic_element(S, random.Random(7)))
-        eigenvalues = _numeric_eigenvalues(a, A.tol)
-        got = _eigenprojections(a, eigenvalues, A.tol)
-        assert repr(got) == repr(ref.eigenprojections(a, eigenvalues, A.tol))
-        return
     a = ref.generic_element(S, random.Random(7))
     mp = linalg.minimal_polynomial(a)
     assert len(mp) - 1 == S.dim  # the first draw separates, so one draw suffices below
-    want = ref.eigenprojections(a, _rational_roots(mp), A.tol)
+    want = ref.eigenprojections(a, _rational_roots(mp))
     sizes = []
-    for mod, name in ((linalg, "minimal_polynomial"), (centroid_module, "_eigenprojections")):
-        monkeypatch.setattr(mod, name, lambda M, *args, fn=getattr(mod, name): sizes.append(len(M)) or fn(M, *args))
-    got = _factor_projections(A, 7, 1)
-    assert sizes == [S.dim, S.dim]
-    assert repr(got) == repr(want)
+    for mod, name in ((centroid_module, "_random_generic_element"), (linalg, "minimal_polynomial"),
+                      (centroid_module, "_numeric_eigenvalues"), (centroid_module, "_eigenprojections")):
+        def record(M, *args, fn=getattr(mod, name), name=name):
+            out = fn(M, *args)
+            sizes.append((name, len(out) if name == "_random_generic_element" else len(M)))
+            return out
+        monkeypatch.setattr(mod, name, record)
+    B = to_numeric(A) if numeric else A
+    got = _factor_projections(B, 7, 1)
+    eigen = "_numeric_eigenvalues" if numeric else "minimal_polynomial"
+    assert sizes == [("_random_generic_element", S.dim), (eigen, S.dim), ("_eigenprojections", S.dim)]
+    if not numeric:
+        assert repr(got) == repr(want)
+        return
+    for P, Q in zip(got, want, strict=True):
+        assert all(type(x) is float for row in P for x in row)
+        assert linalg.max_abs(linalg.mat_sub(P, Q)) <= B.tol
+
+
+FLOAT_SPLIT_CASES = dict(SPLIT_CASES)
+FLOAT_SPLIT_CASES["h3h3'"] = _in_basis(get_example("h3h3"), _triangular(6))
+
+
+@pytest.mark.parametrize("metric_seed", [None, 1, 2], ids=["standard", "random1", "random2"])
+@pytest.mark.parametrize("key", sorted(FLOAT_SPLIT_CASES))
+def test_float_decompose_agrees_with_the_exact_one(key, metric_seed):
+    """decompose(to_numeric(A)) finds the k of the exact decompose(A), and
+    each float factor projection lies within tol of its exact counterpart,
+    in the same (dim, carrier basis) order."""
+    A = FLOAT_SPLIT_CASES[key]
+    if metric_seed is not None:
+        A = A.with_metric(random_gram(A.dim, metric_seed))
+    exact, num = decompose(A), decompose(to_numeric(A))
+    assert (exact.backend, num.backend) == ("exact", "numeric")
+    assert num.k == exact.k
+    for f, e in zip(num.factors, exact.factors):
+        assert f.carrier.dim == e.carrier.dim
+        assert linalg.max_abs(linalg.mat_sub(f.projection, e.projection)) <= num.algebra.tol
+
+
+def test_a_float_carrier_that_restrict_refuses_is_an_internal_failure():
+    """The carrier of a certified centroid idempotent is an ideal, so when
+    restrict refuses it the fault is the library's: on h3c ⊕ h3c in a dense
+    rational basis the float split certifies a projection within the
+    absolute tol whose image, ranked at that tol, is not closed under the
+    bracket (ROADMAP item 5).  decompose names the factor and raises
+    InternalAssertionFailure (exit 4), not NotASubalgebra (exit 1)."""
+    from test_core import _dense_rational
+
+    h3c = get_example("h3c")
+    A = to_numeric(_in_basis(direct_sum(h3c, h3c), _dense_rational(12, 2)))
+    with pytest.raises(InternalAssertionFailure, match=r"carrier of factor 1 \(dim 6\) is not a subalgebra") as exc:
+        decompose(A)
+    assert isinstance(exc.value.__cause__, NotASubalgebra)
 
 
 @pytest.mark.parametrize("summand, copies", [("h3", 8), ("r2", 15)])
@@ -742,15 +784,6 @@ def test_many_factor_sums_decompose_at_every_seed(summand, copies):
     assert [dec.k for dec in decs] == [copies] * 5
     got = [repr([f.projection for f in dec.factors]) for dec in decs]
     assert got == [got[0]] * 5
-
-
-def test_float_split_keeps_the_sign_of_zero():
-    """(a − 2·I)/(1 − 2) has −0.0 off the diagonal; the float product from I
-    makes it 0.0, as it always did."""
-    from metriclie.centroid import _eigenprojections
-
-    a = ((1.0, 0.0), (0.0, 2.0))
-    assert repr(_eigenprojections(a, [1.0, 2.0], 1e-9)) == "[((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0))]"
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])

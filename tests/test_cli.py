@@ -144,14 +144,17 @@ def test_jstructs_numeric_backend(algfile, capsys):
 
 
 def test_numeric_decompose_of_a_tiny_gram_exits_with_the_internal_code(algfile, capsys):
-    """h3c with only its Gram scaled by 1e-10 defeats the float minimal
-    polynomial's absolute tolerance (ROADMAP item 5); the failure is named
-    and exits 4, with no traceback."""
+    """h3c with only its Gram scaled by 1e-10 defeats the absolute
+    tolerance of the float metric-part solve (ROADMAP item 5): every
+    equation lies within tol, so S comes out as the whole centroid, J
+    included, and its generic element has complex eigenvalues.  The failure
+    is named and exits 4, with no traceback."""
     A = get_example("h3c")
     tiny = A.with_metric(Metric(linalg.mat_scale(Fraction(1, 10**10), A.gram)))
     assert main(["--backend", "numeric", "decompose", algfile(render_document(tiny))]) == 4
     err = capsys.readouterr().err
-    assert "internal assertion failure: minimal polynomial" in err and "Traceback" not in err
+    assert "internal assertion failure: self-adjoint operator has complex eigenvalues" in err
+    assert "Traceback" not in err
 
 
 def test_lab_factor_count(capsys):

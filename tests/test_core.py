@@ -446,6 +446,18 @@ def _triangular(n):
     return linalg.mat([[F(int(i <= j) * (1 + (i * j) % 3)) for j in range(n)] for i in range(n)])
 
 
+def _dense_rational(n, seed):
+    """An invertible n x n matrix of entries p/q, |p| <= 2 and 1 <= q <= 3,
+    drawn row by row from random.Random(seed): in its basis every bracket
+    of a direct sum has all n constants nonzero."""
+    import random
+
+    rng = random.Random(seed)
+    T = linalg.mat([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+    assert linalg.rank(T) == n
+    return T
+
+
 def _center_cases():
     from metriclie.examples import example_keys
 
