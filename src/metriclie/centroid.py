@@ -24,11 +24,11 @@ after another to the coordinates of I (a k-vector), give the coordinates
 of the factor projections, which are lifted back to n×n.
 
 A certified factor projection P = C·R is an idempotent of the centroid, so
-g = im P ⊕ ker P as ideals and the factor's centroid is the compression
-{R·B·C : B ∈ Cent(g)}.  Exact factors take it in integers from the ambient
-integer entries, so an exact decomposition solves one commutant system and
-one symmetric system, and builds no Fraction centroid basis; float factors
-solve their own commutant.  Float metric parts sum each entry over the
+g = im P ⊕ ker P as ideals, an operator on im P extends by zero, and
+Cᵀ·G·(I − P) = 0: the factor's centroid, symmetric part and skew part are
+the compressions {R·M·C} of A's (Melville, Comm. Algebra 20, 1992), which
+``_compressions`` forms.  So only A's commutant and metric parts are ever
+solved, on both backends.  Float metric parts sum each entry over the
 nonzero entries of the centroid basis, cached per Lie algebra, alone.
 
 Exact eigenvalues are the roots of L_a's minimal polynomial, found by
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .core import (
@@ -133,13 +134,13 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
         rows = ([sum([x[k] * b for k, b in col], 0.0) for col in cols] for x in coords)
         return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
     coords, dx = linalg._int_canonical_nullspace(eqs, len(entries))
-    out = []
+    out, zero = [], Fraction(0)
     for x in coords:  # Σ x_k·B_k = Σ (X_k/dx)·(b/e), over the nonzero X_k and b
         M = [0] * (n * n)
         for k, xk in x.items():
             for t, u, b in entries[k]:
                 M[t * n + u] += xk * b
-        out.append(linalg.unvectorize([Fraction(v, dx * e) for v in M], n))
+        out.append(linalg.unvectorize([Fraction(v, dx * e) if v else zero for v in M], n))
     return OperatorSubspace(A, tuple(out))
 
 
@@ -220,6 +221,12 @@ class Factor(_Record):
     induced: MetricLieAlgebra
     certificate: dict
 
+    @cached_property
+    def _int_split(self):
+        """``_int_rows`` of R and of C, for P = C·R (``_pivot_rows``) on an
+        exact factor: cleared once for its compressions and its J piece."""
+        return _int_rows(_pivot_rows(self.projection, self.carrier)), _int_rows(self.carrier.matrix_columns())
+
 
 class Decomposition(_Record):
     algebra: MetricLieAlgebra
@@ -236,11 +243,6 @@ class Decomposition(_Record):
 
     def carriers(self):
         return [f.carrier for f in self.factors]
-
-
-def _image_subspace(A: MetricLieAlgebra, P) -> Subspace:
-    cols = linalg.transpose(P)
-    return Subspace.from_vectors(len(P), list(cols), A.tol)
 
 
 def _sign_at(p, t):
@@ -442,12 +444,13 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     with the rational roots of its minimal polynomial (exact) or the k
     clusters of its float eigenvalues; the eigenprojections are applied to
     the coordinates of I as k-vectors, and each is lifted to n×n once.
-    Raises _NeedNumeric when exact eigenvalues are irrational."""
+    Returns (projections, S).  Raises _NeedNumeric when exact eigenvalues
+    are irrational."""
     S = symmetric_centroid(A)
     if S.dim == 0:
         raise InternalAssertionFailure("symmetric centroid lost the identity operator")
     if S.dim == 1:
-        return [linalg.identity(A.dim, A.tol)]
+        return [linalg.identity(A.dim, A.tol)], S
     rng = random.Random(seed)
     R, d, pivots, T = _multiplication_table(S)
     ones = [int(p % (A.dim + 1) == 0) for p in pivots]  # I: 1 at the diagonal pivots
@@ -459,7 +462,7 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
             mp = linalg.minimal_polynomial(a)
             eigenvalues = _rational_roots(mp) if len(mp) - 1 == S.dim else ()
         if len(eigenvalues) == S.dim:  # else two factors share an eigenvalue: resample
-            return [_lift(x, R, d, A.dim, A.tol) for x in _eigenprojections(a, eigenvalues, A.tol, ones)]
+            return [_lift(x, R, d, A.dim, A.tol) for x in _eigenprojections(a, eigenvalues, A.tol, ones)], S
     raise GenericityFailure(
         f"no separating symmetric centroid element found in {max_retries} draws"
     )
@@ -471,24 +474,38 @@ def _pivot_rows(P, carrier: Subspace):
     return tuple(P[next(c for c, x in enumerate(b) if x)] for b in carrier.basis)
 
 
-def _compressed_centroid(A: MetricLieAlgebra, P, carrier: Subspace):
-    """The ``_int_centroid_entries`` of the factor im P of an exact A: the
-    compressions R·B_k·C of A's centroid basis, for P = C·R, formed in
-    integers and reduced by ``linalg._int_canonical``.  The reduced basis
-    is unique, so it is the one the factor's own commutant solve gives."""
-    s, (entries, _) = carrier.dim, A.algebra._int_centroid_entries
-    (R, _), (Ct, _) = linalg._cleared_matrix(_pivot_rows(P, carrier)), linalg._cleared_matrix(carrier.basis)
-    r_cols, c_rows = linalg._sparse_rows(zip(*R)), linalg._sparse_rows(zip(*Ct))  # R[·][t] and C[u][·]
-    products = []
-    for E in entries:
-        M = {}  # (R·B_k·C)[a][c] at a·s + c
-        for t, u, b in E:
-            for a, r in r_cols[t]:
-                for c, x in c_rows[u]:
-                    M[a * s + c] = M.get(a * s + c, 0) + r * b * x
-        products.append(M)
+def _int_rows(M):
+    """(rows, d): the rows of the exact M as lists of their nonzero (column,
+    v), for integers v over one denominator d, M = V / d."""
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in M]
+    ints, d = linalg._cleared([x for row in rows for _, x in row])
+    it = iter(ints)
+    return [[(c, next(it)) for c, _ in row] for row in rows], d
+
+
+def _compressions(ops, f: Factor):
+    """The canonical basis of {R·M·C : M ∈ span(ops)}, for the factor's
+    P = C·R, C its echelon carrier basis as columns and R P's pivot rows:
+    the compressions of n×n operators to im P, as s×s matrices.  Exact ones
+    are integer products of ``Factor._int_split`` and the ops' nonzero
+    entries, reduced by ``linalg._int_canonical``, float ones ``mat_mul``
+    products reduced by ``canonical_rows`` at tol.  The canonical basis is
+    unique, so a solve on the factor gives it too.  For P = I the ops, a
+    canonical basis, are returned as they are."""
+    s, n, tol = f.carrier.dim, len(f.projection), f.carrier.tol
+    if s == n:
+        return ops
+    if tol:
+        R, C = _pivot_rows(f.projection, f.carrier), f.carrier.matrix_columns()
+        rows = [linalg.vectorize(linalg.mat_mul(R, linalg.mat_mul(M, C))) for M in ops]
+        return tuple(linalg.unvectorize(r, s) for r in linalg.canonical_rows(rows, s * s, tol))
+    ((R, _), (C, _)), products = f._int_split, []
+    for M in ops:  # R·M·C as {a·s + c: entry}, up to a positive factor
+        RM = linalg._add_int_product([[0] * n for _ in R], R, _int_rows(M)[0])
+        X = linalg._add_int_product([[0] * s for _ in R], linalg._sparse_rows(RM), C)
+        products.append({a * s + c: x for a, row in enumerate(X) for c, x in enumerate(row) if x})
     rows, e = linalg._int_canonical(products, s * s)
-    return tuple(tuple((*divmod(col, s), v) for col, v in sorted(row.items())) for row in rows), e
+    return tuple(linalg.unvectorize(r, s) for r in linalg._fraction_rows(rows, e, s * s))
 
 
 def _carrier_sort_key(f: Factor):
@@ -500,11 +517,11 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
 
     One generic symmetric-centroid element separates the factors; each
     carrier is the canonical image of its certified projection, and its own
-    symmetric centroid must be one-dimensional: an exact factor's centroid
-    is compressed from A's, and for k = 1 the factor is A, whose S was just
-    solved.  Refuses algebras with a non-zero abelian factor, for which
-    uniqueness fails.  Factors are ordered by (dim, carrier basis): exact
-    output is bit-identical across seeds, numeric output within ``tol``.
+    symmetric centroid, the compression of A's S (``_compressions``), must
+    be one-dimensional: a P that merged two factors leaves more.  Refuses
+    algebras with a non-zero abelian factor, for which uniqueness fails.
+    Factors are ordered by (dim, carrier basis): exact output is
+    bit-identical across seeds, numeric output within ``tol``.
     """
     if A.dim == 0:
         return Decomposition(A, (), seed)
@@ -514,10 +531,10 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
         )
     work = A
     try:
-        projections = _factor_projections(work, seed, max_retries)
+        projections, S = _factor_projections(work, seed, max_retries)
     except _NeedNumeric:
         work = to_numeric(A)
-        projections = _factor_projections(work, seed, max_retries)
+        projections, S = _factor_projections(work, seed, max_retries)
 
     factors = []
     for i, P in enumerate(projections):
@@ -526,24 +543,17 @@ def decompose(A: MetricLieAlgebra, seed: int = 0, max_retries: int = MAX_RETRIES
             raise InternalAssertionFailure(
                 f"factor projection failed verification: {cert.residuals()}"
             )
-        carrier = _image_subspace(work, P)
+        carrier = Subspace.from_vectors(work.dim, list(linalg.transpose(P)), work.tol)  # the image of P
         try:
             induced = restrict(work, carrier)
         except NotASubalgebra as exc:  # the image of a centroid idempotent is an ideal
             msg = f"carrier of factor {i + 1} (dim {carrier.dim}) is not a subalgebra: {exc}"
             raise InternalAssertionFailure(msg) from exc
-        if len(projections) > 1 and not work.tol:
-            induced.algebra.__dict__["_int_centroid_entries"] = _compressed_centroid(work, P, carrier)
-        # for k = 1, S = span(I) was just solved on this bracket and Gram (Cᵀ·G·C = G for C = I)
-        sdim = 1 if len(projections) == 1 else symmetric_centroid(induced).dim
+        factor = Factor(carrier, P, induced, {"projection": cert.residuals(), "symmetric_centroid_dim": 1})
+        sdim = len(_compressions(S.basis, factor))
         if sdim != 1:
-            raise InternalAssertionFailure(
-                f"factor is not irreducible: symmetric centroid dim {sdim}"
-            )
-        factors.append(Factor(carrier, P, induced, {
-            "projection": cert.residuals(),
-            "symmetric_centroid_dim": sdim,
-        }))
+            raise InternalAssertionFailure(f"factor is not irreducible: symmetric centroid dim {sdim}")
+        factors.append(factor)
     factors.sort(key=_carrier_sort_key)
 
     # completeness: projections sum to the identity

@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .centroid import Decomposition, _int_centroid_residual, _pivot_rows, centroid_residual, decompose, skew_centroid
+from .centroid import Decomposition, _compressions, _int_centroid_residual, _int_rows, _pivot_rows, centroid_residual
+from .centroid import decompose, skew_centroid
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -303,22 +304,19 @@ def _normalize_sign(J, tol):
     return J
 
 
-def _factor_complex_structure(induced: MetricLieAlgebra):
-    """The canonical J on one irreducible factor, or None.
+def _factor_complex_structure(induced: MetricLieAlgebra, K_basis):
+    """The canonical J on one irreducible factor, or None, from the basis
+    of its skew centroid.
 
     Returns (J, numeric_flag).  The skew centroid of an irreducible factor
     has dimension 0 or 1; anything larger contradicts the theory and is a
     hard error.
     """
-    K_space = skew_centroid(induced)
-    if K_space.dim == 0:
+    if not K_basis:
         return None
-    if K_space.dim > 1:
-        raise InternalAssertionFailure(
-            f"skew centroid of an irreducible factor has dim {K_space.dim}; "
-            f"basis dump: {K_space.basis}"
-        )
-    K = K_space.basis[0]
+    if len(K_basis) > 1:
+        raise InternalAssertionFailure(f"skew centroid of an irreducible factor has dim {len(K_basis)}: {K_basis}")
+    (K,) = K_basis
     lam = linalg.mat_mul(K[:1], K)[0][0]
     scal_res = linalg.residual([(1, K, K), (-lam, linalg.identity(induced.dim, induced.tol))])
     if not linalg.is_zero(scal_res, induced.tol) or not lam < 0:
@@ -356,13 +354,15 @@ def _int_signed_sums(Z, den, n: int):
 
 
 def _int_pieces(parts):
-    """The pieces C·J_f·R of exact (C, J_f, R) as integer matrices Zᵢ over one
-    common denominator: each is the integer product chain of its cleared
-    operands, made primitive."""
+    """The pieces C·J_f·R of the exact (f, J_f, _) in parts, f a factor, as
+    integer matrices Zᵢ over one common denominator: each is the integer
+    product chain of the factor's ``_int_split`` and the cleared J_f, made
+    primitive."""
     pieces = []
-    for C, Jf, R in parts:
-        (C, dc), (Jf, dj), (R, dr) = (linalg._cleared_matrix(X) for X in (C, Jf, R))
-        Z = linalg._int_product(C, linalg._int_product(Jf, R, len(C)), len(C))
+    for f, Jf, _ in parts:
+        ((R, dr), (C, dc)), (Jf, dj) = f._int_split, _int_rows(Jf)
+        JR = linalg._add_int_product([[0] * len(C) for _ in Jf], Jf, R)
+        Z = linalg._add_int_product([[0] * len(C) for _ in C], C, linalg._sparse_rows(JR))
         g = math.gcd(dc * dj * dr, *(x for row in Z for x in row))
         pieces.append(([[x // g for x in row] for row in Z], dc * dj * dr // g))
     den = math.lcm(*(d for _, d in pieces))
@@ -406,8 +406,10 @@ def complex_structures(dec: Decomposition):
     """All orthogonal bi-invariant complex structures, assembled factor-wise.
 
     Returns the empty list or exactly 2^k certified structures, ordered by
-    sign vector (+1 before -1).  A factor's piece is C·J_f·R, where P = C·R:
-    C has the echelon carrier basis as columns, so R is P's pivot rows.
+    sign vector (+1 before -1).  The skew part of the algebra is solved
+    once, and each factor's is its compression R·K·C (``_compressions``),
+    where P = C·R: C has the echelon carrier basis as columns, so R is P's
+    pivot rows.  A factor's piece is C·J_f·R.
     When every factor's J is exact, the k pieces are formed in integers
     over one common denominator and certified once (``_certify_pieces``):
     that holds iff every J passes ``verify_complex_structure``, so each J
@@ -417,26 +419,28 @@ def complex_structures(dec: Decomposition):
     """
     work = dec.algebra
     tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
+    K = skew_centroid(work).basis if dec.factors else ()
     parts = []
     for f in dec.factors:
-        res = _factor_complex_structure(f.induced)
+        res = _factor_complex_structure(f.induced, _compressions(K, f))
         if res is None:
             return []
         Jf, numeric = res
-        C, R = f.carrier.matrix_columns(), _pivot_rows(f.projection, f.carrier)
-        if numeric:
-            C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
-            tol = tol or DEFAULT_TOL
-        parts.append((C, Jf, R))
+        tol = tol or (DEFAULT_TOL if numeric else 0)
+        parts.append((f, Jf, numeric))
 
     if not tol:
         Z, den = _int_pieces(parts)
         _certify_pieces(work, Z, den)
         passed = ComplexStructureCertificate(0, 0, 0, True)
         return [ComplexStructure(J, passed, EXACT, signs) for signs, J in _int_signed_sums(Z, den, work.dim)]
-    out = []
+    out, pieces = [], []
     work = to_numeric(work)  # once, where verify_complex_structure would take it per J
-    pieces = [linalg.mat_mul(C, linalg.mat_mul(Jf, R)) for C, Jf, R in parts]
+    for f, Jf, numeric in parts:
+        C, R = f.carrier.matrix_columns(), _pivot_rows(f.projection, f.carrier)
+        if numeric:
+            C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
+        pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
     for signs, J in _signed_sums(pieces, work.dim, tol):
         cert = verify_complex_structure(work, J)
         if not cert.passed:

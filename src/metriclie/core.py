@@ -83,7 +83,7 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._defaults = {f: getattr(cls, f) for f in fields if f in cls.__dict__}
         get = operator.attrgetter(*fields)
         cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
 
@@ -289,12 +289,6 @@ class LieAlgebra(_Record):
         A = MetricLieAlgebra(self, Metric(linalg.identity(self.dim, self.tol)))  # center reads no Gram
         derived = [self.bracket_basis(i, j) for (i, j), _ in self.structure]
         return linalg.rank(derived + list(center(A).basis), self.tol) > linalg.rank(derived, self.tol)
-
-
-# The caches above that read only the bracket: an algebra with the same ad
-# matrices may take them over (``restrict`` on the standard basis).
-_BRACKET_CACHES = ("_ad_matrices", "ad_entries", "_int_ad_entries", "_centroid_basis",
-                   "_int_centroid_entries", "_float_centroid_entries", "_has_abelian_factor")
 
 
 class Metric(_Record):
@@ -541,26 +535,21 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
     The standard basis, the carrier of every irreducible algebra, needs no
     reduction: the coordinates of [X_p, X_q] are the structure constants,
     merged per k, in ascending k and exact ones as Fractions, as the
-    reduction gives them.  The induced algebra then has the ambient ad
-    matrices and takes over the ambient ``_BRACKET_CACHES`` already filled,
-    the centroid among them.  The Gram is Cᵀ·(G·C) on both paths.
+    reduction gives them.  The Gram is Cᵀ·(G·C) on both paths.  The
+    induced algebra is a new record: it shares no cache with A.
     """
     if S.ambient_dim != A.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
     basis = S.basis
     s = len(basis)
     brackets = {}
-    standard = s == A.dim and all(x == (i == j) for i, b in enumerate(basis) for j, x in enumerate(b))
-    shared = standard
-    if standard:
+    if s == A.dim and all(x == (i == j) for i, b in enumerate(basis) for j, x in enumerate(b)):
         z = 0.0 if A.tol else Fraction(0)
         for pair, terms in A.algebra.structure:
             w = {}
             for k, c in terms:  # in term order, as bracket adds them
                 w[k] = w.get(k, z) + c
             brackets[pair] = [(k, w[k]) for k in sorted(w) if not linalg.is_zero(w[k], A.tol)]
-            # a merged float constant dropped as within tol leaves ad matrices unlike A's
-            shared = shared and len(brackets[pair]) == sum(1 for c in w.values() if c)
     elif s > 1:
         pairs = [(p, q) for p in range(s) for q in range(p + 1, s)]
         int_ad = A.algebra._int_ad_entries if not A.tol and linalg._is_exact(basis) else None
@@ -578,11 +567,7 @@ def restrict(A: MetricLieAlgebra, S: Subspace, name: str = "") -> MetricLieAlgeb
             if terms:
                 brackets[(p, q)] = terms
     gram = linalg.mat_mul(basis, linalg.mat_mul(A.gram, S.matrix_columns()))  # Cᵀ·(G·C)
-    B = make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.tol, check=False)
-    if shared:
-        filled = A.algebra.__dict__  # where cached_property keeps its values
-        B.algebra.__dict__.update((key, filled[key]) for key in _BRACKET_CACHES if key in filled)
-    return B
+    return make_algebra(s, brackets, gram, name or f"{A.name}|sub", A.tol, check=False)
 
 
 def _backend_for(A: MetricLieAlgebra, *operators) -> MetricLieAlgebra:

@@ -262,12 +262,21 @@ def signed_sums(pieces, n, tol=0.0):
 def complex_structures(dec):
     """(signs, J, certificate residuals) for each structure that
     complex_structures assembles on an exact decomposition with a J on
-    every factor: the pieces C·J_f·R and their signed sums."""
-    from metriclie.complexstruct import _factor_complex_structure
+    every factor.  Each factor's K is its own skew centroid, solved afresh
+    on the induced algebra; J_f = K/√(−λ) for K·K = λ·I, with the sign
+    that makes its first nonzero entry positive; the pieces are C·J_f·R and
+    the structures their signed sums."""
+    from metriclie.centroid import skew_centroid
 
     pieces = []
     for f in dec.factors:
-        Jf, _ = _factor_complex_structure(f.induced)
+        (K,) = skew_centroid(f.induced).basis
+        lam, _ = square_scalar(K)
+        num, den = -lam.numerator, lam.denominator
+        root = Fraction(math.isqrt(num), math.isqrt(den))
+        assert root * root == -lam, "the reference handles rational normalizers only"
+        first = next(x for row in K for x in row if x != 0)
+        Jf = linalg.mat_scale((1 if first > 0 else -1) / root, K)
         C = f.carrier.matrix_columns()
         R = tuple(f.projection[next(c for c, x in enumerate(b) if x == 1)] for b in f.carrier.basis)
         pieces.append(mat_mul(C, mat_mul(Jf, R)))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from metriclie import linalg
 from metriclie.centroid import (
+    Factor,
+    _compressions,
     _numeric_eigenvalues,
     _rational_roots,
     centroid,
@@ -19,10 +21,11 @@ from metriclie.centroid import (
     skew_centroid,
     symmetric_centroid,
 )
-from metriclie.complexstruct import enumerate_complex_structures
+from metriclie.complexstruct import complex_structures, enumerate_complex_structures
 from metriclie.core import (
     LieAlgebra,
     Metric,
+    MetricLieAlgebra,
     Subspace,
     bracket,
     direct_sum,
@@ -31,13 +34,13 @@ from metriclie.core import (
     restrict,
     to_numeric,
 )
-from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, NotASubalgebra
+from metriclie.errors import AbelianFactorPresent, InternalAssertionFailure, MetricLieError, NotASubalgebra
 from metriclie.examples import example_keys, get_example
 from metriclie.lab import BlockSpec, _hermitize, make_metric_with_factor_count, random_gram
 
 import fraction_reference as ref
 from bruteforce import centroid_space
-from test_core import _in_basis
+from test_core import _dense_rational, _in_basis
 
 NONABELIAN = ["h3", "h3c", "ex48", "h3h3", "h3h3-paper-metric", "sl2c-real"]
 
@@ -504,10 +507,10 @@ def test_commutant_is_solved_once_per_lie_algebra(monkeypatch):
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
 def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
-    """For k = 1 the carrier is the standard basis, so the induced algebra
-    takes over the ambient centroid: decomposing and enumerating solve the
-    n²-unknown commutant once.  An exact decomposition never forms the
-    Fraction view of the centroid basis."""
+    """For k = 1 the factor's symmetric and skew parts are the ambient ones
+    (P = I), so decomposing and enumerating solve the n²-unknown commutant
+    once, and the induced algebra's commutant never.  An exact
+    decomposition never forms the Fraction view of the centroid basis."""
     h3c = get_example("h3c")
     A = direct_sum(h3c, h3c).with_metric(random_gram(12, 1))
     if numeric:
@@ -524,15 +527,11 @@ def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
     monkeypatch.setattr(linalg, name, counting)
     dec = decompose(A)
     assert dec.k == 1
-    induced = dec.factors[0].induced.algebra
-    if numeric:
-        assert induced._centroid_basis is A.algebra._centroid_basis
-    else:
+    if not numeric:
         assert "_centroid_basis" not in A.algebra.__dict__
-    assert induced._int_centroid_entries is A.algebra._int_centroid_entries
-    assert induced.structure == A.algebra.structure
     enumerate_complex_structures(A)
     assert cols.count(n * n) == 1
+    assert not {"_centroid_basis", "_int_centroid_entries"} & set(vars(dec.factors[0].induced.algebra))
 
 
 def _lab_sum(keys, l, seed):
@@ -564,33 +563,66 @@ COMPRESSION_CASES = {
 }
 
 
+def _own_factor(f):
+    """The factor's induced algebra built afresh, with no cache filled."""
+    return MetricLieAlgebra(LieAlgebra(f.induced.dim, f.induced.algebra.structure), f.induced.metric)
+
+
 @pytest.mark.parametrize("case", sorted(COMPRESSION_CASES))
 def test_factor_centroid_is_the_compressed_ambient_centroid(case):
-    """Each exact factor's integer centroid entries, compressed from the
-    ambient ones as R·B·C, are those of its own commutant solve."""
-    dec = decompose(COMPRESSION_CASES[case]())
+    """A factor's centroid, symmetric part and skew part are the
+    compressions R·M·C of the ambient ones (``_compressions``), in repr the
+    bases of the factor's own solves."""
+    A = COMPRESSION_CASES[case]()
+    dec = decompose(A)
     assert dec.backend == "exact"
     for f in dec.factors:
-        fresh = LieAlgebra(f.induced.dim, f.induced.algebra.structure)
-        assert repr(f.induced.algebra.__dict__["_int_centroid_entries"]) == repr(fresh._int_centroid_entries)
+        for part in (centroid, symmetric_centroid, skew_centroid):
+            assert repr(_compressions(part(A).basis, f)) == repr(part(_own_factor(f)).basis)
 
 
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: at the absolute tol the float skew part of A has dim 1, not 2, and a "
+        "compression of S is 1.3e-9, over tol, where it is 0")))
+    if case == "h3c+h3c-hermitian-block'" else case for case in sorted(COMPRESSION_CASES)])
+def test_float_compressions_lie_within_tol_of_the_factor_solves(case):
+    """After to_numeric, the compressions of the float centroid, symmetric
+    and skew parts by the exact factor's P and carrier, in floats, lie
+    within tol of the factor's own exact solves."""
+    A = COMPRESSION_CASES[case]()
+    An = to_numeric(A)
+    for f in decompose(A).factors:
+        carrier = Subspace(A.dim, linalg.to_float_mat(f.carrier.basis), An.tol)
+        f_n = Factor(carrier, linalg.to_float_mat(f.projection), f.induced, {})
+        for part in (centroid, symmetric_centroid, skew_centroid):
+            want = part(_own_factor(f)).basis
+            got = _compressions(part(An).basis, f_n)
+            assert len(got) == len(want)
+            assert all(ref.mat_max_diff(M, N) <= An.tol for M, N in zip(got, want))
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "float"])
 @pytest.mark.parametrize("key", ["h3h3", "h3h3-lab"])
-def test_exact_decompose_solves_one_commutant(monkeypatch, key):
-    """A k-factor exact decomposition solves the n²-unknown commutant once
-    and no factor's s²-unknown one.  On h3 ⊕ h3 no other system has n² or
-    s² unknowns: the centre has n = 6, the centroid 10 and a factor's 3."""
+def test_decompose_solves_one_commutant(monkeypatch, key, numeric):
+    """A k-factor decomposition and its enumeration, exact or float, solve
+    the n²-unknown commutant once and no factor's s²-unknown one.  On
+    h3 ⊕ h3 no other system has n² or s² unknowns: the centre has n = 6,
+    the centroid 10 and a factor's 3."""
     A = get_example("h3h3") if key == "h3h3" else _lab_sum(["h3", "h3"], 2, 0)
+    if numeric:
+        A = to_numeric(A)
     cols = []
-    solve = linalg._int_nullspace
+    name = "_canonical_nullspace" if numeric else "_int_nullspace"
+    solve = getattr(linalg, name)
 
-    def counting(equations, ncols):
+    def counting(equations, ncols, *tol):
         cols.append(ncols)
-        return solve(equations, ncols)
+        return solve(equations, ncols, *tol)
 
-    monkeypatch.setattr(linalg, "_int_nullspace", counting)
+    monkeypatch.setattr(linalg, name, counting)
     dec = decompose(A)
-    assert dec.k >= 2
+    assert dec.k >= 2 and complex_structures(dec) == []
     assert cols.count(A.dim ** 2) == 1
     assert not {f.carrier.dim ** 2 for f in dec.factors} & set(cols)
 
@@ -650,6 +682,21 @@ def test_metric_parts_equal_the_fraction_reference(inputs):
     for part, sign in ((symmetric_centroid, 1), (skew_centroid, -1)):
         assert _entries_typed(part(A).basis) == _entries_typed(ref.metric_part(A, sign))
         assert repr(part(An).basis) == repr(ref.metric_part(An, sign))
+
+
+def test_float_enumeration_in_a_dense_basis_agrees_or_refuses():
+    """h3c ⊕ h3c in the dense basis of ``_dense_rational(12, 3)`` has k = 2
+    and 4 J's.  After to_numeric the float backend gives those or raises a
+    documented MetricLieError, never another count.  Each factor's skew
+    part is the compression of the ambient one, which is right on this
+    basis; a float solve on the factor itself gives 0 here."""
+    h3c = get_example("h3c")
+    A = to_numeric(_in_basis(direct_sum(h3c, h3c), _dense_rational(12, 3)))
+    try:
+        got = (decompose(A).k, len(enumerate_complex_structures(A)))
+    except MetricLieError:
+        return
+    assert got == (2, 4)
 
 
 FLOAT_LIFT_ALGEBRAS = {key: get_example(key) for key in NONABELIAN}
@@ -722,7 +769,8 @@ def test_generic_element_and_its_split_equal_the_fraction_reference(key, numeric
             return out
         monkeypatch.setattr(mod, name, record)
     B = to_numeric(A) if numeric else A
-    got = _factor_projections(B, 7, 1)
+    got, S_got = _factor_projections(B, 7, 1)
+    assert S_got == symmetric_centroid(B)
     eigen = "_numeric_eigenvalues" if numeric else "minimal_polynomial"
     assert sizes == [("_random_generic_element", S.dim), (eigen, S.dim), ("_eigenprojections", S.dim)]
     if not numeric:

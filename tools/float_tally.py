@@ -14,7 +14,9 @@ and counts each case as one of:
 - ``undocumented``: any other exception;
 - ``wrong``: no exception, but another k or J count.
 
-It prints one JSON line.  Run from the repository root:
+It prints one JSON line and exits 1 if any case is ``wrong`` or
+``undocumented``: a refusal is allowed, a silently wrong float answer is
+not.  Run from the repository root:
 
     PYTHONPATH=src python tools/float_tally.py
 """
@@ -61,7 +63,8 @@ def main():
     counts = {o: sum(c["outcome"] == o for c in cases) for o in ("agree", "refuse", "undocumented", "wrong")}
     print(json.dumps({"tally": "float", "algebra": "h3c+h3c", "bases": "dense p/q, |p| <= 2, 1 <= q <= 3",
                       **counts, "wall_s": round(time.perf_counter() - start, 2), "cases": cases}))
+    return 1 if counts["wrong"] or counts["undocumented"] else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
