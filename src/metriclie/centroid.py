@@ -34,7 +34,7 @@ nonzero entries of the centroid basis, cached per Lie algebra, alone.
 Exact eigenvalues are the roots of L_a's minimal polynomial, found by
 Sturm-sequence isolation in integers when they are all rational; otherwise
 the whole computation falls back to the float backend, backend="numeric",
-where a draw is generic when numpy's eigenvalues of L_a form k clusters.
+where a draw is generic when numpy's k eigenvalues of L_a lie apart.
 
 Every projection is certified (idempotent, bracket condition, G-symmetric)
 and the projections must sum to I.  On exact operands these residuals are
@@ -174,7 +174,8 @@ def centroid_residual(A: MetricLieAlgebra, M) -> object:
 def _int_centroid_residual(A: MetricLieAlgebra, X, d) -> object:
     """centroid_residual of the exact operator X / d on an exact algebra,
     for integer rows X: the commutators of X with the integer ad entries,
-    over e·d, summed over the nonzero entries of X into one flat list."""
+    over e·d, summed over the nonzero entries of X into one flat list.  On
+    a float algebra X holds floats over d = 1, and so do the ad entries."""
     n, (ads, e) = A.dim, A.algebra._int_ad_entries
     rows, cols = linalg._sparse_rows(X), linalg._sparse_rows(zip(*X))
     D = [0] * (n * n * n)  # entry (a, t) of the j-th commutator at (j·n + a)·n + t
@@ -184,7 +185,7 @@ def _int_centroid_residual(A: MetricLieAlgebra, X, d) -> object:
                 D[(j * n + a) * n + t] += c * x
             for t, x in cols[a]:
                 D[(j * n + t) * n + b] -= x * c
-    return linalg._int_max_abs([D], e * d)
+    return linalg._int_max_abs([D], e * d, A.tol)
 
 
 class ProjectionCertificate(_Record):
@@ -334,6 +335,9 @@ def _rational_roots(coeffs):
 
 
 def _numeric_eigenvalues(M, tol):
+    """numpy's eigenvalues of the float matrix M, their real parts sorted,
+    or [] when two adjacent ones lie within 100·max(tol, 1e-8): then two
+    factors share an eigenvalue, and the draw is resampled."""
     import numpy as np
 
     gap = max(tol, 1e-8) * 100
@@ -341,13 +345,7 @@ def _numeric_eigenvalues(M, tol):
     if np.abs(vals.imag).max() > gap:
         raise InternalAssertionFailure(f"self-adjoint operator has complex eigenvalues {vals}")
     vals = sorted(float(v.real) for v in vals)
-    clusters = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [sum(c) / len(c) for c in clusters]
+    return [] if any(b - a <= gap for a, b in zip(vals, vals[1:])) else vals
 
 
 def _eigenprojections(a, eigenvalues, tol, x):
@@ -441,8 +439,8 @@ def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
     """The projections onto the irreducible factors of A: the eigenprojections
     of a symmetric-centroid element with dim S eigenvalues, one per factor.
     On both backends the element is its k×k matrix L_a on S's coordinates,
-    with the rational roots of its minimal polynomial (exact) or the k
-    clusters of its float eigenvalues; the eigenprojections are applied to
+    with the rational roots of its minimal polynomial (exact) or its k
+    float eigenvalues, pairwise apart; the eigenprojections are applied to
     the coordinates of I as k-vectors, and each is lifted to n×n once.
     Returns (projections, S).  Raises _NeedNumeric when exact eigenvalues
     are irrational."""

@@ -7,34 +7,27 @@ matrix (equivalently, an isometry).  On an algebra with no abelian factor
 the full set of such J is either empty or has exactly 2^k elements, one per
 sign choice on the k irreducible factors.
 
-Each J is a signed sum Σ sᵢ·Kᵢ of k pieces, one per factor.  Exact J's are
-certified from their pieces: the conditions are checked once on the k
-pieces, in integers, which holds iff every J passes
-``verify_complex_structure``.  Float J's are checked one by one with the
-float formulas.
+Each J is a signed sum Σ sᵢ·Jᵢ of k pieces, one per factor, and every J
+is certified from the pieces: the conditions are checked once on the k
+pieces, by one code path in integers or in floats as the algebra's tol
+picks.  An exact certificate holds iff every J passes
+``verify_complex_structure``; a float J's certificate bounds its own
+residuals.  A factor with an irrational normalizer √(−λ) keeps its exact
+piece K with K² = λ·I, certified exactly, and its J's are rounded from it
+at output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
 from .centroid import Decomposition, _compressions, _int_centroid_residual, _int_rows, _pivot_rows, centroid_residual
 from .centroid import decompose, skew_centroid
-from .core import (
-    DEFAULT_TOL,
-    EXACT,
-    NUMERIC,
-    MetricLieAlgebra,
-    Subspace,
-    _backend_for,
-    _Record,
-    _scalar,
-    make_algebra,
-    to_numeric,
-)
+from .core import EXACT, NUMERIC, MetricLieAlgebra, Subspace, _backend_for, _Record, _scalar, make_algebra
 from .errors import (
     DimensionMismatch,
     InternalAssertionFailure,
@@ -305,101 +298,115 @@ def _normalize_sign(J, tol):
 
 
 def _factor_complex_structure(induced: MetricLieAlgebra, K_basis):
-    """The canonical J on one irreducible factor, or None, from the basis
-    of its skew centroid.
+    """The canonical (K, λ) on one irreducible factor, K·K = λ·I, or None,
+    from the basis of its skew centroid.  When √(−λ) is rational, or the
+    algebra float, K is divided by it and λ = −1, so K is the factor's J.
+    K's sign makes its first nonzero entry positive.
 
-    Returns (J, numeric_flag).  The skew centroid of an irreducible factor
-    has dimension 0 or 1; anything larger contradicts the theory and is a
-    hard error.
+    The skew centroid of an irreducible factor has dimension 0 or 1;
+    anything larger contradicts the theory and is a hard error.
     """
     if not K_basis:
         return None
     if len(K_basis) > 1:
         raise InternalAssertionFailure(f"skew centroid of an irreducible factor has dim {len(K_basis)}: {K_basis}")
     (K,) = K_basis
+    tol = induced.tol
     lam = linalg.mat_mul(K[:1], K)[0][0]
-    scal_res = linalg.residual([(1, K, K), (-lam, linalg.identity(induced.dim, induced.tol))])
-    if not linalg.is_zero(scal_res, induced.tol) or not lam < 0:
+    scal_res = linalg.residual([(1, K, K), (-lam, linalg.identity(induced.dim, tol))])
+    if not linalg.is_zero(scal_res, tol) or not lam < 0:
         raise InternalAssertionFailure(
             f"skew centroid element has non-scalar or non-negative square (lam={lam})"
         )
-    if induced.tol:
-        J = linalg.mat_scale(1.0 / math.sqrt(-lam), K)
-        return _normalize_sign(J, induced.tol), True
-    root = linalg.frac_sqrt(-lam)
+    root = math.sqrt(-lam) if tol else linalg.frac_sqrt(-lam)
     if root is None:
-        J = linalg.mat_scale(1.0 / math.sqrt(float(-lam)), linalg.to_float_mat(K))
-        return _normalize_sign(J, DEFAULT_TOL), True
-    return _normalize_sign(linalg.mat_scale(1 / root, K), 0.0), False
+        return _normalize_sign(K, tol), lam
+    return _normalize_sign(linalg.mat_scale(1 / root, K), tol), (-1.0 if tol else Fraction(-1))
 
 
-def _signed_sums(pieces, n: int, tol):
-    """(signs, Σ sᵢ·pieceᵢ) for every sign vector, +1 before −1, in floats."""
-    for signs in itertools.product((1, -1), repeat=len(pieces)):
-        J = linalg.zeros(n, n, tol)
-        for s, piece in zip(signs, pieces):
-            J = linalg.mat_add(J, linalg.mat_scale(s, piece))
-        yield signs, J
-
-
-def _int_signed_sums(Z, den, n: int):
-    """(signs, Σ sᵢ·Zᵢ / den) for every sign vector, +1 before −1, for integer
-    pieces Zᵢ: each sum is formed in integers, one Fraction per entry."""
-    flat, zero = [[x for row in Zi for x in row] for Zi in Z], Fraction(0)
-    negated = [[-x for x in f] for f in flat]
-    for signs in itertools.product((1, -1), repeat=len(Z)):
-        terms = (f if s > 0 else g for s, f, g in zip(signs, flat, negated))
-        total = map(sum, zip([0] * (n * n), *terms))
-        yield signs, linalg.unvectorize([Fraction(v, den) if v else zero for v in total], n)
-
-
-def _int_pieces(parts):
-    """The pieces C·J_f·R of the exact (f, J_f, _) in parts, f a factor, as
-    integer matrices Zᵢ over one common denominator: each is the integer
-    product chain of the factor's ``_int_split`` and the cleared J_f, made
-    primitive."""
+def _pieces(parts, tol):
+    """(Z, den, λ's): the pieces C·K_f·R of the (f, K_f, λ_f) in parts, f a
+    factor with P = C·R, as matrices Zᵢ over one common denominator den,
+    and their λ_f.  Exact pieces are integer matrices, each the integer
+    product chain of the factor's ``_int_split`` and the cleared K_f, made
+    primitive; float ones are ``mat_mul`` products over den = 1."""
+    lams = [lam for _, _, lam in parts]
+    if tol:
+        return [linalg.mat_mul(f.carrier.matrix_columns(), linalg.mat_mul(K, _pivot_rows(f.projection, f.carrier)))
+                for f, K, _ in parts], 1, lams
     pieces = []
-    for f, Jf, _ in parts:
-        ((R, dr), (C, dc)), (Jf, dj) = f._int_split, _int_rows(Jf)
-        JR = linalg._add_int_product([[0] * len(C) for _ in Jf], Jf, R)
-        Z = linalg._add_int_product([[0] * len(C) for _ in C], C, linalg._sparse_rows(JR))
-        g = math.gcd(dc * dj * dr, *(x for row in Z for x in row))
-        pieces.append(([[x // g for x in row] for row in Z], dc * dj * dr // g))
+    for f, K, _ in parts:
+        ((R, dr), (C, dc)), (K, dk) = f._int_split, _int_rows(K)
+        KR = linalg._add_int_product([[0] * len(C) for _ in K], K, R)
+        Z = linalg._add_int_product([[0] * len(C) for _ in C], C, linalg._sparse_rows(KR))
+        g = math.gcd(dc * dk * dr, *(x for row in Z for x in row))
+        pieces.append(([[x // g for x in row] for row in Z], dc * dk * dr // g))
     den = math.lcm(*(d for _, d in pieces))
-    return [[[x * (den // d) for x in row] for row in Z] for Z, d in pieces], den
+    return [[[x * (den // d) for x in row] for row in Z] for Z, d in pieces], den, lams
 
 
-def _certify_pieces(A: MetricLieAlgebra, Z, den):
-    """Raise InternalAssertionFailure unless every signed sum J = Σ sᵢ·Kᵢ of
-    the exact pieces Kᵢ = Zᵢ / den is an orthogonal bi-invariant complex
-    structure of A, naming the piece or pair that fails.  The bracket and
-    skew residuals are linear in J, so they vanish for every J iff they
-    vanish for every piece; and J·J = Σ Kᵢ² + Σ_{i<j} sᵢ·sⱼ·(KᵢKⱼ + KⱼKᵢ),
-    so J·J = −I for every J iff Σ Kᵢ² = −I and every pair anticommutes.
-    That takes k + k(k−1) integer products, not three per J."""
-    n, add = A.dim, linalg._add_int_product
-    G, g = linalg._cleared_matrix(A.gram)
+def _certify_pieces(A: MetricLieAlgebra, Z, den, lams) -> ComplexStructureCertificate:
+    """The certificate that every signed sum J = Σ sᵢ·Kᵢ/√(−λᵢ) of the
+    pieces Kᵢ = Zᵢ / den, Kᵢ·Kᵢ = λᵢ·I, carries as an orthogonal
+    bi-invariant complex structure of A.  The bracket and skew residuals are
+    linear in J, so J's are at most the sums of the pieces'; and
+    J·J + I = (Σ Kᵢ²/(−λᵢ) + I) + Σ_{i<j} sᵢ·sⱼ·(JᵢJⱼ + JⱼJᵢ), so J's square
+    residual is at most that of Σ Kᵢ²/λᵢ = I plus the pairs' anticommutators.
+    That takes k + k(k−1) products, not three per J.  Once a bound exceeds
+    A's tol, InternalAssertionFailure names the piece or pair.
+
+    A's tol picks the arithmetic, on one code path.  Exact pieces are
+    integer rows, Σ Kᵢ²/λᵢ = I is exact for any rational λᵢ, and any nonzero
+    residual raises, so every residual is the int 0.  Float pieces are float
+    rows over den = 1 with λᵢ = −1, so Kᵢ is the factor's Jᵢ and the
+    certificate bounds each J's own residuals; their largest entries go
+    through ``max_abs``."""
+    n, tol, add = A.dim, A.tol, linalg._add_int_product
+    if tol:
+        (G, g), (w, m) = (A.gram, 1), ([1 / lam for lam in lams], 1)
+    else:
+        (G, g), (w, m) = linalg._cleared_matrix(A.gram), linalg._cleared([1 / lam for lam in lams])
     G = linalg._sparse_rows(G)
     rows, cols = [linalg._sparse_rows(Zi) for Zi in Z], [linalg._sparse_rows(zip(*Zi)) for Zi in Z]
 
     def zeros():
         return [[0] * n for _ in range(n)]
 
+    br = sk = 0
     for i, Zi in enumerate(Z):
-        br = _int_centroid_residual(A, Zi, den)
-        sk = linalg._int_max_abs(add(add(zeros(), G, rows[i]), cols[i], G), g * den)  # G·K + Kᵀ·G
-        if br or sk:
-            raise InternalAssertionFailure(f"piece {i} of the complex structures fails: bracket {br}, skew {sk}")
-    square = [[den * den if r == c else 0 for c in range(n)] for r in range(n)]
-    for Zr in rows:
-        add(square, Zr, Zr)
-    sq = linalg._int_max_abs(square, den * den)
-    if sq:
-        raise InternalAssertionFailure(f"the squares of the pieces do not sum to -I: residual {sq}")
+        bi = _int_centroid_residual(A, Zi, den)
+        si = linalg._int_max_abs(add(add(zeros(), G, rows[i]), cols[i], G), g * den, tol)  # G·K + Kᵀ·G
+        br, sk = br + bi, sk + si
+        if not (linalg.is_zero(br, tol) and linalg.is_zero(sk, tol)):
+            raise InternalAssertionFailure(f"the residuals summed to piece {i} of the complex structures "
+                                           f"exceed tol: bracket {br}, skew {sk}")
+    square = [[-m * den * den if r == c else 0 for c in range(n)] for r in range(n)]  # Σ wᵢ·Zᵢ² − m·den²·I
+    for wi, Zr in zip(w, rows):
+        add(square, [[(t, wi * x) for t, x in row] for row in Zr], Zr)
+    sq = linalg._int_max_abs(square, m * den * den, tol)
+    if not linalg.is_zero(sq, tol):
+        raise InternalAssertionFailure(f"the squares of the pieces over their λ do not sum to I: residual {sq}")
     for i, j in itertools.combinations(range(len(Z)), 2):
-        anti = linalg._int_max_abs(add(add(zeros(), rows[i], rows[j]), rows[j], rows[i]), den * den)
-        if anti:
-            raise InternalAssertionFailure(f"pieces {i} and {j} do not anticommute: residual {anti}")
+        anti = linalg._int_max_abs(add(add(zeros(), rows[i], rows[j]), rows[j], rows[i]), den * den, tol)
+        sq += anti
+        if not linalg.is_zero(sq, tol):
+            raise InternalAssertionFailure(f"pieces {i} and {j} do not anticommute: residual {anti}, square bound {sq}")
+    return ComplexStructureCertificate(sq, br, sk, True)
+
+
+def _signed_sums(Z, den, n: int, exact: bool):
+    """(signs, Σ sᵢ·Zᵢ / den) for every sign vector, +1 before −1, each
+    entry added left to right from 0.  Exact pieces are integer matrices,
+    summed in integers with one Fraction per entry; float ones (den 1) are
+    summed from 0.0, bit for bit the ``mat_add`` of the signed pieces,
+    which a compensated ``sum`` would not be."""
+    flat, zero = [[x for row in Zi for x in row] for Zi in Z], Fraction(0)
+    negated = [[-x for x in f] for f in flat]
+    for signs in itertools.product((1, -1), repeat=len(Z)):
+        total = [0 if exact else 0.0] * (n * n)
+        for s, f, g in zip(signs, flat, negated):
+            total = list(map(operator.add, total, f if s > 0 else g))
+        yield signs, linalg.unvectorize([Fraction(v, den) if v else zero for v in total] if exact else total, n)
 
 
 def complex_structures(dec: Decomposition):
@@ -409,46 +416,30 @@ def complex_structures(dec: Decomposition):
     sign vector (+1 before -1).  The skew part of the algebra is solved
     once, and each factor's is its compression R·K·C (``_compressions``),
     where P = C·R: C has the echelon carrier basis as columns, so R is P's
-    pivot rows.  A factor's piece is C·J_f·R.
-    When every factor's J is exact, the k pieces are formed in integers
-    over one common denominator and certified once (``_certify_pieces``):
-    that holds iff every J passes ``verify_complex_structure``, so each J
-    gets its certificate, all residuals the int 0, and is summed in
-    integers.  Once a factor's J is float, each J is summed and verified
-    with the float formulas, on to_numeric of an exact algebra.
+    pivot rows.  Each factor gives (K_f, λ_f), K_f² = λ_f·I, and its piece
+    C·K_f·R.  The k pieces are certified once (``_certify_pieces``), on
+    both backends, and every J = Σ sᵢ·C·K_f·R/√(−λ_f) carries that
+    certificate: on an exact algebra all its residuals are the int 0, on a
+    float one they bound the J's own.  Exact J's are summed in integers,
+    float ones left to right.  On an exact algebra with an irrational
+    √(−λ_f), each J is rounded entry by entry from the exact pieces and
+    tagged numeric; its certificate is the exact one.
     """
-    work = dec.algebra
-    tol = work.tol  # becomes DEFAULT_TOL once a factor's J is float
-    K = skew_centroid(work).basis if dec.factors else ()
+    A, n = dec.algebra, dec.algebra.dim
+    K = skew_centroid(A).basis if dec.factors else ()
     parts = []
     for f in dec.factors:
-        res = _factor_complex_structure(f.induced, _compressions(K, f))
-        if res is None:
+        Klam = _factor_complex_structure(f.induced, _compressions(K, f))
+        if Klam is None:
             return []
-        Jf, numeric = res
-        tol = tol or (DEFAULT_TOL if numeric else 0)
-        parts.append((f, Jf, numeric))
-
-    if not tol:
-        Z, den = _int_pieces(parts)
-        _certify_pieces(work, Z, den)
-        passed = ComplexStructureCertificate(0, 0, 0, True)
-        return [ComplexStructure(J, passed, EXACT, signs) for signs, J in _int_signed_sums(Z, den, work.dim)]
-    out, pieces = [], []
-    work = to_numeric(work)  # once, where verify_complex_structure would take it per J
-    for f, Jf, numeric in parts:
-        C, R = f.carrier.matrix_columns(), _pivot_rows(f.projection, f.carrier)
-        if numeric:
-            C, R = linalg.to_float_mat(C), linalg.to_float_mat(R)
-        pieces.append(linalg.mat_mul(C, linalg.mat_mul(Jf, R)))
-    for signs, J in _signed_sums(pieces, work.dim, tol):
-        cert = verify_complex_structure(work, J)
-        if not cert.passed:
-            raise InternalAssertionFailure(
-                f"assembled structure failed verification: {cert.residuals()}"
-            )
-        out.append(ComplexStructure(J, cert, NUMERIC, signs))
-    return out
+        parts.append((f, *Klam))
+    Z, den, lams = _pieces(parts, A.tol)
+    cert = _certify_pieces(A, Z, den, lams)
+    if all(lam == -1 for lam in lams):  # every float λ is −1
+        return [ComplexStructure(J, cert, A.backend, signs) for signs, J in _signed_sums(Z, den, n, not A.tol)]
+    rounded = [[[math.copysign(math.sqrt(Fraction(z * z, den * den) / -lam), z) for z in row] for row in Zi]
+               for Zi, lam in zip(Z, lams)]  # Zᵢ / (den·√(−λᵢ)), each entry from its exact square
+    return [ComplexStructure(J, cert, NUMERIC, signs) for signs, J in _signed_sums(rounded, 1, n, False)]
 
 
 def enumerate_complex_structures(A: MetricLieAlgebra, seed: int = 0):

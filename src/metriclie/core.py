@@ -200,9 +200,10 @@ class LieAlgebra(_Record):
     @cached_property
     def _int_ad_entries(self):
         """(per i, the entries (r, s, c·e) of ad(X_i); e), over the one common
-        denominator e of all structure constants, or None at tol > 0."""
+        denominator e of all structure constants; at tol > 0 the float
+        entries as they are, over e = 1."""
         if self.tol:
-            return None
+            return self.ad_entries, 1
         ints, e = linalg._cleared([c for entries in self.ad_entries for _, _, c in entries])
         it = iter(ints)
         return tuple(tuple((r, s, next(it)) for r, s, _ in entries) for entries in self.ad_entries), e
@@ -219,14 +220,13 @@ class LieAlgebra(_Record):
         """Sparse rows of the commutant equations (ad(X_j)·M − M·ad(X_j))[r][i] = 0.
 
         Unknowns are the entries M[r][s] at index r*n + s.  Rows come in the
-        order (i, j, r) and zero rows are dropped.  On an exact algebra the
-        coefficients are the integer ad entries of ``_int_ad_entries``: the
-        system times their common denominator, with the same solutions.
+        order (i, j, r) and zero rows are dropped.  The coefficients are the
+        ad entries of ``_int_ad_entries``: on an exact algebra the system
+        times their common denominator, with the same solutions.
         """
         n = self.dim
-        int_ad = self._int_ad_entries
         per_j = []
-        for entries in self.ad_entries if int_ad is None else int_ad[0]:
+        for entries in self._int_ad_entries[0]:
             rows = {}
             for a, b, c in entries:
                 for t in range(n):

@@ -84,11 +84,6 @@ def identity(n: int, tol: float = 0.0) -> Mat:
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
 
 
-def basis_vec(n: int, i: int, tol: float = 0.0) -> Vec:
-    z, one = _zero_one(tol)
-    return tuple(one if j == i else z for j in range(n))
-
-
 def transpose(A: Mat) -> Mat:
     return tuple(zip(*A)) if A else ()
 
@@ -186,9 +181,12 @@ def max_abs(A: Mat) -> float:
     return math.nan if any(x != x for row in A for x in row) else m
 
 
-def _int_max_abs(R, den: int):
+def _int_max_abs(R, den: int, tol: float = 0.0):
     """max_abs of the matrix R / den, for integer R: a Fraction, or the int 0
-    when R is zero, as max_abs gives it."""
+    when R is zero, as max_abs gives it.  At tol > 0, R holds floats over
+    den 1, and this is max_abs(R), NaN included."""
+    if tol:
+        return max_abs(R)
     m = max((max(max(row, default=0), -min(row, default=0)) for row in R), default=0)
     return Fraction(m, den) if m else 0
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import sympy
 
+from fraction_reference import basis_vec
 from metriclie import linalg
 from metriclie.core import MetricLieAlgebra, bracket
 
@@ -19,7 +20,7 @@ from metriclie.core import MetricLieAlgebra, bracket
 def _biinvariance_rows(A: MetricLieAlgebra):
     """Rows of {M : M [X_i, X_j] = [M X_i, X_j] for all ordered pairs}."""
     n = A.dim
-    e = [linalg.basis_vec(n, i) for i in range(n)]
+    e = [basis_vec(n, i) for i in range(n)]
     c = {(i, j): bracket(A, e[i], e[j]) for i in range(n) for j in range(n)}
     for i in range(n):
         for j in range(n):

@@ -54,6 +54,12 @@ def mat_max_diff(A, B):
     return linalg.max_abs(linalg.mat_sub(A, B))
 
 
+def basis_vec(n, i, tol=0.0):
+    """The i-th unit vector of length n: Fractions at tol 0, floats at tol > 0."""
+    z, one = (0.0, 1.0) if tol else (Fraction(0), Fraction(1))
+    return tuple(one if j == i else z for j in range(n))
+
+
 def float_rref(rows, tol):
     """linalg.rref with tol > 0: Gauss-Jordan over Python floats, pivoting on
     the first entry of largest magnitude above tol, snapping to 0.0 at the
@@ -166,7 +172,7 @@ def check_jacobi(A):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = (linalg.basis_vec(n, t, tol) for t in (i, j, k))
+                ei, ej, ek = (basis_vec(n, t, tol) for t in (i, j, k))
                 t1 = bracket(A, ei, bracket(A, ej, ek))
                 t2 = bracket(A, ej, bracket(A, ek, ei))
                 t3 = bracket(A, ek, bracket(A, ei, ej))
@@ -315,9 +321,9 @@ def doubling_residuals(A, J):
 
     worst_br = 0
     for p in range(n2):
-        ep = linalg.basis_vec(n2, p, tol)
+        ep = basis_vec(n2, p, tol)
         for q in range(p + 1, n2):
-            eq = linalg.basis_vec(n2, q, tol)
+            eq = basis_vec(n2, q, tol)
             lhs = linalg.mat_vec(Phi, bracket(AC.real_form, ep, eq))
             rhs = bracket(D, linalg.mat_vec(Phi, ep), linalg.mat_vec(Phi, eq))
             worst_br = max([worst_br] + [abs(a - b) for a, b in zip(lhs, rhs)])
@@ -331,10 +337,10 @@ def doubling_residuals(A, J):
 
     worst_iso = 0
     for p in range(n2):
-        ep = linalg.basis_vec(n2, p, tol)
+        ep = basis_vec(n2, p, tol)
         fp = linalg.mat_vec(Phi, ep)
         for q in range(n2):
-            eq = linalg.basis_vec(n2, q, tol)
+            eq = basis_vec(n2, q, tol)
             fq = linalg.mat_vec(Phi, eq)
             re1, im1 = _hermitian(A, J, fp[:n], fq[:n])
             re2, im2 = _hermitian(A, minusJ, fp[n:], fq[n:])

@@ -25,7 +25,7 @@ from metriclie.examples import example_keys, ex48_j1, ex48_j2, get_example
 from metriclie.lab import BlockSpec, jcount_experiment, make_metric_with_factor_count, random_gram
 
 from bruteforce import matches_within, oracle_complex_structures, same_sets
-from fraction_reference import mat_max_diff
+from fraction_reference import basis_vec, mat_max_diff
 
 TOL = 1e-9
 
@@ -51,7 +51,7 @@ def test_acceptance_1_decomposition_uniqueness():
     ok &= base.k == 2
 
     def e(i):
-        return linalg.basis_vec(6, i)
+        return basis_vec(6, i)
 
     carriers = {f.carrier.basis for f in base.factors}
     ok &= carriers == {(e(0), e(2), e(4)), (e(1), e(3), e(5))}

@@ -125,7 +125,7 @@ def test_decompose_bundled(key, k, dims):
 def test_decompose_h3h3_carriers_are_the_summands():
     dec = decompose(get_example("h3h3"))
     def e(i):
-        return linalg.basis_vec(6, i)
+        return ref.basis_vec(6, i)
 
     # canonical order sorts the X2,Y2,Z2 summand first
     assert dec.factors[0].carrier.basis == (e(1), e(3), e(5))
@@ -226,6 +226,26 @@ def test_rational_roots_rejects_irrational():
         _rational_roots([F(-2), F(0), F(1)])  # x^2 - 2
 
 
+def test_rational_roots_rejects_two_roots_between_adjacent_integers():
+    """x³ − 7x + 7 has three real roots, two of them in (1, 2]: bisection
+    isolates them down to that unit interval, where one cannot be an
+    integer, and refuses there, before any root is located alone."""
+    from metriclie.centroid import _NeedNumeric
+
+    with pytest.raises(_NeedNumeric) as excinfo:
+        _rational_roots([7, -7, 0, 1])
+    assert excinfo.traceback[-1].name == "_rational_roots"
+
+
+def test_decompose_without_draws_is_a_genericity_failure():
+    """h3h3 has k = 2, so its split needs a generic draw; with no draw
+    allowed, decompose refuses with GenericityFailure."""
+    from metriclie.errors import GenericityFailure
+
+    with pytest.raises(GenericityFailure, match="in 0 draws"):
+        decompose(get_example("h3h3"), max_retries=0)
+
+
 def _poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -317,11 +337,13 @@ def test_rational_roots_refuses_a_repeated_root():
         _rational_roots([F(1), F(-2), F(1)])  # (x - 1)^2
 
 
-def test_numeric_eigenvalue_clustering():
+def test_numeric_eigenvalues_within_the_gap_are_rejected():
+    """Two eigenvalues within the gap give [], so the draw is resampled;
+    separated ones come back sorted, as numpy gives them, -0.0 included."""
     M = [[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-12, 0.0], [0.0, 0.0, 2.0]]
-    vals = _numeric_eigenvalues(M, 1e-9)
-    assert len(vals) == 2
-    assert abs(vals[0] - 1.0) < 1e-9 and abs(vals[1] - 2.0) < 1e-9
+    assert _numeric_eigenvalues(M, 1e-9) == []
+    vals = _numeric_eigenvalues([[2.0, 0.0], [0.0, -0.0]], 1e-9)
+    assert vals == [0.0, 2.0] and math.copysign(1.0, vals[0]) == -1.0
 
 
 def test_every_bundled_example_validates(bundled):
@@ -347,7 +369,7 @@ RESIDUAL_ALGEBRAS["h3c+h3c"] = direct_sum(get_example("h3c"), get_example("h3c")
 def _bracket_residual(A, M):
     """max over i, j of |M[X_i,X_j] - [MX_i,X_j]|, entrywise, from core.bracket."""
     n = A.dim
-    e = [linalg.basis_vec(n, i, A.tol) for i in range(n)]
+    e = [ref.basis_vec(n, i, A.tol) for i in range(n)]
     worst = 0
     for i in range(n):
         for j in range(n):
@@ -378,7 +400,7 @@ def test_bracket_basis_matches_bracket(key, numeric):
     if numeric:
         A = to_numeric(A)
     n = A.dim
-    e = [linalg.basis_vec(n, i, A.tol) for i in range(n)]
+    e = [ref.basis_vec(n, i, A.tol) for i in range(n)]
     for i in range(n):
         for j in range(n):
             assert A.algebra.bracket_basis(i, j) == bracket(A, e[i], e[j])

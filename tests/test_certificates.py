@@ -11,6 +11,7 @@ must take the float formulas, bit for bit.
 """
 
 import functools
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -23,7 +24,6 @@ from metriclie import complexstruct, linalg
 from metriclie.centroid import centroid_residual, decompose, is_orthogonal_projection
 from metriclie.complexstruct import (
     ComplexStructureCertificate,
-    _int_signed_sums,
     _signed_sums,
     enumerate_complex_structures,
     verify_complex_structure,
@@ -228,10 +228,10 @@ def test_signed_sums_equal_the_fraction_reference(n, k, data):
     ints, den = linalg._cleared([x for P in pieces for row in P for x in row])
     Z = [[ints[(i * n + r) * n:(i * n + r + 1) * n] for r in range(n)] for i in range(k)]
     want = ref.signed_sums([ref.fractions(P) for P in pieces], n)
-    assert [_typed(J) for _, J in _int_signed_sums(Z, den, n)] == [_typed(J) for _, J in want]
-    assert [s for s, _ in _int_signed_sums(Z, den, n)] == [s for s, _ in want]
+    assert [_typed(J) for _, J in _signed_sums(Z, den, n, True)] == [_typed(J) for _, J in want]
+    assert [s for s, _ in _signed_sums(Z, den, n, True)] == [s for s, _ in want]
     floats = [linalg.to_float_mat(P) for P in pieces]
-    assert [_typed(J) for _, J in _signed_sums(floats, n, 1e-9)] == \
+    assert [_typed(J) for _, J in _signed_sums(floats, 1, n, False)] == \
         [_typed(J) for _, J in ref.signed_sums(floats, n, 1e-9)]
 
 
@@ -392,41 +392,43 @@ def test_enumerated_structures_equal_the_fraction_assembly(seeds):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_exact_enumeration_verifies_no_j(k):
-    """The exact path certifies the k pieces and calls verify_complex_structure
-    for no J; after to_numeric each of the 2^k J's is verified."""
+    """Both backends certify the k pieces once and call
+    verify_complex_structure for none of the 2^k J's."""
     A = _h3c_sum((None,) * k)
-    for B, calls in ((A, 0), (to_numeric(A), 2 ** k)):
+    for B in (A, to_numeric(A)):
         with mock.patch.object(complexstruct, "verify_complex_structure",
-                               wraps=complexstruct.verify_complex_structure) as verify:
+                               wraps=complexstruct.verify_complex_structure) as verify, \
+             mock.patch.object(complexstruct, "_certify_pieces", wraps=complexstruct._certify_pieces) as certify:
             assert len(enumerate_complex_structures(B)) == 2 ** k
-        assert verify.call_count == calls
+        assert verify.call_count == 0 and certify.call_count == 1
 
 
-def _mutated_pieces(mutate):
-    """complex_structures of h3c ⊕ h3c with its integer pieces (Z, den)
-    replaced by mutate(Z, den)."""
-    dec = decompose(_h3c_sum((None, None)))
-    real = complexstruct._int_pieces
-    with mock.patch.object(complexstruct, "_int_pieces", lambda parts: mutate(*real(parts))):
+def _mutated_pieces(mutate, numeric=False):
+    """complex_structures of h3c ⊕ h3c, or of to_numeric of it, with its
+    pieces (Z, den, λ's) replaced by mutate(Z, den, λ's)."""
+    A = _h3c_sum((None, None))
+    dec = decompose(to_numeric(A) if numeric else A)
+    real = complexstruct._pieces
+    with mock.patch.object(complexstruct, "_pieces", lambda parts, tol: mutate(*real(parts, tol))):
         return complexstruct.complex_structures(dec)
 
 
 def _conjugated(Z, T, T_inv):
-    """T·Z·T⁻¹ for integer matrices."""
+    """T·Z·T⁻¹ for integer matrices T and T⁻¹."""
     return ref.mat_mul(ref.mat_mul(T, Z), T_inv)
 
 
-def _bracket_breaking(Z, den):
+def _bracket_breaking(Z, den, lams):
     """Piece 0 with two basis vectors of its block swapped: an orthogonal
     conjugate, so its square, skewness and products with piece 1 stay, but
     it no longer commutes with ad: on h3c, [E1, E3] = E5 and [E3, E4] = 0."""
     b = [r for r in range(len(Z[0])) if any(Z[0][r])]
     Q = [[int(c == (b[2] if r == b[0] else b[0] if r == b[2] else r)) for c in range(len(Z[0]))]
          for r in range(len(Z[0]))]
-    return [_conjugated(Z[0], Q, Q), Z[1]], den
+    return [_conjugated(Z[0], Q, Q), Z[1]], den, lams
 
 
-def _skew_breaking(Z, den):
+def _skew_breaking(Z, den, lams):
     """Piece 0 conjugated by T = I + N, N mapping E1 to the central E5 of its
     block: N is a centroid element with N² = 0 that does not commute with
     piece 0, so T·K·T⁻¹ stays bi-invariant with the same square and products
@@ -435,19 +437,71 @@ def _skew_breaking(Z, den):
     N = [[int((r, c) == (b[4], b[0])) for c in range(n)] for r in range(n)]
     T = [[int(r == c) + N[r][c] for c in range(n)] for r in range(n)]
     T_inv = [[int(r == c) - N[r][c] for c in range(n)] for r in range(n)]
-    return [_conjugated(Z[0], T, T_inv), Z[1]], den
+    return [_conjugated(Z[0], T, T_inv), Z[1]], den, lams
 
 
-@pytest.mark.parametrize("mutate, message", [
-    (lambda Z, den: ([[[2 * x for x in row] for row in Z[0]], Z[1]], den), "squares of the pieces"),
-    # K0' = (3K0 + 5K1)/5, K1' = 4K0/5: K0'² + K1'² = −I, K0'K1' + K1'K0' = −(24/25)·P0
-    (lambda Z, den: ([[[3 * x + 5 * y for x, y in zip(u, v)] for u, v in zip(Z[0], Z[1])],
-                      [[4 * x for x in row] for row in Z[0]]], 5 * den), "pieces 0 and 1 do not anticommute"),
-    (_bracket_breaking, r"piece 0 .* bracket [1-9].*, skew 0$"),
-    (_skew_breaking, r"piece 0 .* bracket 0, skew [1-9]"),
-], ids=["square", "anticommutator", "bracket", "skew"])
-def test_piece_certificate_refuses_broken_pieces(mutate, message):
+def _mixed(Z, den, lams):
+    """K0' = (3K0 + 5K1)/5 and K1' = 4K0/5: K0'² + K1'² = −I, but
+    K0'K1' + K1'K0' = −(24/25)·P0.  Integer pieces take the 5 into den,
+    float ones (den 1) into their entries."""
+    K0 = [[3 * x + 5 * y for x, y in zip(u, v)] for u, v in zip(Z[0], Z[1])]
+    K1 = [[4 * x for x in row] for row in Z[0]]
+    if isinstance(Z[0][0][0], float):
+        return [[[x / 5 for x in row] for row in K] for K in (K0, K1)], den, lams
+    return [K0, K1], 5 * den, lams
+
+
+def _nan_piece(Z, den, lams):
+    """Piece 0 with a NaN entry."""
+    return [[[math.nan if (r, c) == (0, 0) else x for c, x in enumerate(row)] for r, row in enumerate(Z[0])],
+            Z[1]], den, lams
+
+
+MUTATIONS = [
+    ("square", lambda Z, den, lams: ([[[2 * x for x in row] for row in Z[0]], Z[1]], den, lams),
+     "squares of the pieces"),
+    ("anticommutator", _mixed, "pieces 0 and 1 do not anticommute"),
+    ("bracket", _bracket_breaking, r"piece 0 .* bracket [1-9].*, skew 0$"),
+    ("skew", _skew_breaking, r"piece 0 .* bracket 0, skew [1-9]"),
+    ("wrong-lambda", lambda Z, den, lams: (Z, den, [2 * lams[0], lams[1]]), "squares of the pieces"),
+]
+
+
+@pytest.mark.parametrize("mutate, message, numeric", [
+    pytest.param(mutate, message, numeric, id=("float-" if numeric else "") + name)
+    for numeric in (False, True) for name, mutate, message in MUTATIONS
+] + [pytest.param(_nan_piece, "piece 0 .* bracket nan", True, id="float-nan")])
+def test_piece_certificate_refuses_broken_pieces(mutate, message, numeric):
     """Each case breaks one condition of the piece certificate and keeps the
-    others, so it is caught by that check alone."""
+    others, so it is caught by that check alone, on both backends; a wrong
+    λ breaks Σ Kᵢ²/λᵢ = I alone, and a NaN entry gives a NaN residual,
+    which is no float within tol."""
     with pytest.raises(InternalAssertionFailure, match=message):
-        _mutated_pieces(mutate)
+        _mutated_pieces(mutate, numeric)
+
+
+def _float_bound_cases():
+    from test_core import _cayley_orthogonal, _dense_rational, _in_basis
+
+    h3c2 = _h3c_sum((None, None))
+    yield pytest.param(lambda: to_numeric(h3c2), id="h3c+h3c")
+    yield pytest.param(lambda: to_numeric(_h3c_sum((5, 6, 7))), id="h3c^3-random")
+    yield pytest.param(lambda: to_numeric(_in_basis(h3c2, _dense_rational(12, 3))), id="h3c+h3c-dense-3")
+    yield pytest.param(lambda: to_numeric(_in_basis(h3c2, _cayley_orthogonal(12, 0))), id="h3c+h3c-cayley-0")
+    for key in ("h3c", "ex48", "sl2c-real"):
+        yield pytest.param(lambda key=key: to_numeric(get_example(key)), id=key)
+
+
+@pytest.mark.parametrize("build", list(_float_bound_cases()))
+def test_float_certificate_bounds_each_js_own_residuals(build):
+    """A float J carries the certificate of its pieces, and its own
+    residuals from verify_complex_structure are at most the certificate's:
+    on coordinate-aligned factors, and in a dense and an orthonormal basis,
+    where the residuals are rounding errors, not 0."""
+    A = build()
+    structures = enumerate_complex_structures(A)
+    assert structures
+    for s in structures:
+        own, bound = verify_complex_structure(A, s.J).residuals(), s.certificate.residuals()
+        assert s.backend == "numeric" and s.certificate.passed
+        assert all(own[key] <= bound[key] <= A.tol for key in own), (own, bound)

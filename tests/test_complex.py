@@ -34,7 +34,7 @@ from metriclie.errors import (
 from metriclie.examples import ex48_j1, ex48_j2, get_example
 
 from bruteforce import oracle_complex_structures, same_sets
-from fraction_reference import mat_max_diff
+from fraction_reference import basis_vec, mat_max_diff
 
 
 def perturbed_h3c():
@@ -76,7 +76,7 @@ def test_ex48_structures_do_not_commute():
     report = commute_check(A, J1, J2)
     assert not report
     assert report.commutator_image_in_center
-    e1 = linalg.basis_vec(6, 0)
+    e1 = basis_vec(6, 0)
     a = linalg.mat_vec(J1, linalg.mat_vec(J2, e1))
     b = linalg.mat_vec(J2, linalg.mat_vec(J1, e1))
     assert a == tuple(F(x) for x in (-1, 0, 0, 0, -1, 0))  # J1 J2 X1 = -X1 - X5
@@ -86,7 +86,7 @@ def test_ex48_structures_do_not_commute():
 def test_hermitian_form_values_on_h3c():
     A = get_example("h3c")
     J = A.j_marker
-    e1, e2 = linalg.basis_vec(6, 0), linalg.basis_vec(6, 1)
+    e1, e2 = basis_vec(6, 0), basis_vec(6, 1)
     h11 = hermitian_form(A, J, e1, e1)
     assert (h11.re, h11.im) == (F(1, 2), F(0))
     h12 = hermitian_form(A, J, e1, e2)
@@ -110,7 +110,7 @@ def test_hermitian_form_identities():
 
 def test_hermitian_form_rejects_invalid_operator():
     A = get_example("h3c")
-    e1 = linalg.basis_vec(6, 0)
+    e1 = basis_vec(6, 0)
     with pytest.raises(InvalidComplexStructure):
         hermitian_form(A, linalg.identity(6), e1, e1)
 
@@ -135,9 +135,9 @@ def test_complexified_hermitian_form():
     A = get_example("h3")
     AC = complexify(A)
     for i in range(3):
-        u = linalg.basis_vec(6, i)
+        u = basis_vec(6, i)
         for j in range(3):
-            v = linalg.basis_vec(6, j)
+            v = basis_vec(6, j)
             h = hermitian_form_complexified(AC, u, v)
             assert (h.re, h.im) == (A.gram[i][j], F(0))
     u = tuple(F(x) for x in (1, 0, 2, 0, 1, 0))
@@ -409,3 +409,19 @@ def test_sl2c_real_structures_are_plus_minus_i():
     A = get_example("sl2c-real")
     out = enumerate_complex_structures(A)
     assert {s.J for s in out} == {A.j_marker, linalg.mat_scale(-1, A.j_marker)}
+
+
+@pytest.mark.parametrize("with_h3c", [False, True], ids=["h3(Q(sqrt-2))", "h3c+h3(Q(sqrt-2))"])
+def test_an_irrational_normalizer_is_certified_exactly(with_h3c):
+    """An irrational √(−λ) keeps the factor's exact K with K² = λ·I: the
+    2^k J's are rounded from the exact pieces and tagged numeric, every
+    certificate residual is the int 0, and each J passes its own check."""
+    A, _ = _h3_over_sqrt_minus2()
+    if with_h3c:
+        A = direct_sum(get_example("h3c"), A)
+    structures = enumerate_complex_structures(A)
+    assert len(structures) == (4 if with_h3c else 2)
+    for s in structures:
+        assert s.backend == "numeric" and all(type(x) is float for row in s.J for x in row)
+        assert [(type(r), r) for r in s.certificate.residuals().values()] == [(int, 0)] * 3
+        assert s.certificate.passed and verify_complex_structure(A, s.J).passed

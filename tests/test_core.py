@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import basis_vec
 from metriclie import linalg
 from metriclie.core import (
     DEFAULT_TOL,
@@ -308,7 +309,7 @@ def test_direct_sum_matches_bundled_h3h3():
 def test_restrict_summand():
     A = get_example("h3h3")
     S = Subspace.from_vectors(6, [
-        linalg.basis_vec(6, 0), linalg.basis_vec(6, 2), linalg.basis_vec(6, 4),
+        basis_vec(6, 0), basis_vec(6, 2), basis_vec(6, 4),
     ])
     B = restrict(A, S)
     assert B.dim == 3
@@ -318,7 +319,7 @@ def test_restrict_summand():
 
 def test_restrict_non_subalgebra():
     A = get_example("h3")
-    S = Subspace.from_vectors(3, [linalg.basis_vec(3, 0), linalg.basis_vec(3, 1)])
+    S = Subspace.from_vectors(3, [basis_vec(3, 0), basis_vec(3, 1)])
     with pytest.raises(NotASubalgebra):
         restrict(A, S)
 
@@ -385,7 +386,7 @@ def test_restrict_equals_per_pair_solves(A, carriers):
     bit for bit, on both backends; so does the refusal of a subspace that is
     not a subalgebra."""
     n = A.dim
-    spans = [Subspace.from_vectors(n, [linalg.basis_vec(n, j, A.tol) for j in (i, i + 1, i + 2)], A.tol)
+    spans = [Subspace.from_vectors(n, [basis_vec(n, j, A.tol) for j in (i, i + 1, i + 2)], A.tol)
              for i in range(n - 2)]
     for S in carriers + spans:
         try:
@@ -452,6 +453,38 @@ def _dense_rational(n, seed):
     T = linalg.mat([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
     assert linalg.rank(T) == n
     return T
+
+
+def _cayley_orthogonal(n, seed):
+    """The rational orthogonal matrix Q = (I − S)(I + S)⁻¹ of the skew S
+    with S[i][j] = p/q for i < j, |p| <= 2 and 1 <= q <= 3, drawn row by
+    row from random.Random(seed).  I + S is invertible since S is skew, and
+    QᵀQ = I, so cond(Q) = 1 and the Gram I stays I in its basis."""
+    import random
+
+    rng = random.Random(seed)
+    S = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            S[i][j] = F(rng.randint(-2, 2), rng.randint(1, 3))
+            S[j][i] = -S[i][j]
+    I = linalg.identity(n)
+    inverse = linalg.transpose([linalg.solve(linalg.mat_add(I, S), e) for e in I])
+    return linalg.mat_mul(linalg.mat_sub(I, S), inverse)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cayley_bases_are_orthonormal(seed):
+    """A Cayley basis is orthogonal and dense, so h3h3 written in it keeps
+    the Gram I, gets dense brackets, and decomposes into its 2 factors."""
+    from metriclie.centroid import decompose
+
+    Q = _cayley_orthogonal(6, seed)
+    assert linalg.mat_mul(linalg.transpose(Q), Q) == linalg.identity(6)
+    A = _in_basis(get_example("h3h3"), Q)
+    assert A.gram == linalg.identity(6)
+    assert len(A.algebra.structure) > len(get_example("h3h3").algebra.structure)
+    assert decompose(A).k == 2
 
 
 def _center_cases():

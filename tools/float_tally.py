@@ -1,12 +1,17 @@
 """Float tally: does the float backend agree with the exact answer on
-dense rational bases?
+dense rational and orthonormal bases?
 
 h3c ⊕ h3c has k = 2 irreducible factors and 4 orthogonal bi-invariant
-complex structures.  The tally writes it in 8 fixed dense bases, the
-columns of ``tests/test_core.py::_dense_rational(12, seed)`` for seeds
-0-7, through the tests' ``_in_basis``; takes each to the float backend with
-``to_numeric``; runs ``decompose`` and ``enumerate_complex_structures``;
-and counts each case as one of:
+complex structures.  The tally writes it in two groups of 8 fixed bases,
+for seeds 0-7, through the tests' ``_in_basis``:
+
+- ``dense``: the columns of ``tests/test_core.py::_dense_rational(12, seed)``;
+- ``orthonormal``: the columns of the rational orthogonal
+  ``tests/test_core.py::_cayley_orthogonal(12, seed)``, in which the Gram
+  stays I (cond 1).
+
+It takes each to the float backend with ``to_numeric``; runs ``decompose``
+and ``enumerate_complex_structures``; and counts each case as one of:
 
 - ``agree``: k = 2 and 4 J's;
 - ``refuse``: a documented ``MetricLieError``, named by its class (README
@@ -14,9 +19,9 @@ and counts each case as one of:
 - ``undocumented``: any other exception;
 - ``wrong``: no exception, but another k or J count.
 
-It prints one JSON line and exits 1 if any case is ``wrong`` or
-``undocumented``: a refusal is allowed, a silently wrong float answer is
-not.  Run from the repository root:
+It prints one JSON line, one entry per group, and exits 1 if any case is
+``wrong`` or ``undocumented``: a refusal is allowed, a silently wrong float
+answer is not.  Run from the repository root:
 
     PYTHONPATH=src python tools/float_tally.py
 """
@@ -36,7 +41,7 @@ from metriclie.core import direct_sum, to_numeric  # noqa: E402
 from metriclie.errors import MetricLieError  # noqa: E402
 from metriclie.examples import get_example  # noqa: E402
 
-from test_core import _dense_rational, _in_basis  # noqa: E402
+from test_core import _cayley_orthogonal, _dense_rational, _in_basis  # noqa: E402
 
 SEEDS = range(8)
 EXPECTED = (2, 4)  # k and the number of J's of h3c ⊕ h3c
@@ -53,17 +58,26 @@ def tally_case(A):
     return {"outcome": "agree" if got == EXPECTED else "wrong", "k": got[0], "js": got[1]}
 
 
+GROUPS = {
+    "dense": ("dense p/q, |p| <= 2, 1 <= q <= 3", _dense_rational),
+    "orthonormal": ("Cayley (I - S)(I + S)^-1, S skew, S[i][j] = p/q, |p| <= 2, 1 <= q <= 3", _cayley_orthogonal),
+}
+
+
 def main():
     h3c = get_example("h3c")
     h3c2 = direct_sum(h3c, h3c)
-    cases, start = [], time.perf_counter()
-    for seed in SEEDS:
-        A = to_numeric(_in_basis(h3c2, _dense_rational(12, seed)))
-        cases.append({"seed": seed, **tally_case(A)})
-    counts = {o: sum(c["outcome"] == o for c in cases) for o in ("agree", "refuse", "undocumented", "wrong")}
-    print(json.dumps({"tally": "float", "algebra": "h3c+h3c", "bases": "dense p/q, |p| <= 2, 1 <= q <= 3",
-                      **counts, "wall_s": round(time.perf_counter() - start, 2), "cases": cases}))
-    return 1 if counts["wrong"] or counts["undocumented"] else 0
+    groups, failed = {}, False
+    for name, (bases, basis) in GROUPS.items():
+        cases, start = [], time.perf_counter()
+        for seed in SEEDS:
+            A = to_numeric(_in_basis(h3c2, basis(12, seed)))
+            cases.append({"seed": seed, **tally_case(A)})
+        counts = {o: sum(c["outcome"] == o for c in cases) for o in ("agree", "refuse", "undocumented", "wrong")}
+        groups[name] = {"bases": bases, **counts, "wall_s": round(time.perf_counter() - start, 2), "cases": cases}
+        failed = failed or counts["wrong"] or counts["undocumented"]
+    print(json.dumps({"tally": "float", "algebra": "h3c+h3c", **groups}))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
