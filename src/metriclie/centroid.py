@@ -28,8 +28,12 @@ g = im P ⊕ ker P as ideals, an operator on im P extends by zero, and
 Cᵀ·G·(I − P) = 0: the factor's centroid, symmetric part and skew part are
 the compressions {R·M·C} of A's (Melville, Comm. Algebra 20, 1992), which
 ``_compressions`` forms.  So only A's commutant and metric parts are ever
-solved, on both backends.  Float metric parts sum each entry over the
-nonzero entries of the centroid basis, cached per Lie algebra, alone.
+solved, on both backends.
+
+Both backends share each function's body: it works on sparse integer rows
+over one denominator when exact and on the floats over 1 when float, and
+only ``linalg``'s helpers that take the tol choose the arithmetic.  The
+Lagrange steps of ``_eigenprojections`` stay two algorithms.
 
 Exact eigenvalues are the roots of L_a's minimal polynomial, found by
 Sturm-sequence isolation in integers when they are all rational; otherwise
@@ -39,7 +43,8 @@ where a draw is generic when numpy's k eigenvalues of L_a lie apart.
 Every projection is certified (idempotent, bracket condition, G-symmetric)
 and the projections must sum to I.  On exact operands these residuals are
 integer matrix identities over common denominators, with one Fraction per
-residual; on float operands they are the float formulas.
+residual; on float operands they are the float formulas.  A float operator
+on an exact algebra is taken on its float copy, ``to_numeric``.
 """
 
 from __future__ import annotations
@@ -100,23 +105,20 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
     n²-vectors, so rref(X·B) = rref(X)·B, and Σ x_k·B_k is formed only for
     the rows of rref(X).
 
-    The algebra's tol picks the branch.  At tol 0, G, exact since the
-    algebra was built, is cleared to integers once and the basis is read
-    from ``_int_centroid_entries``, never from its Fraction view, so the
-    equations are integer rows, solved by sparse integer elimination, and
-    each result row is an integer sum over the nonzero basis entries, with
-    one Fraction per matrix entry.  At tol > 0 the basis is read from
-    ``_float_centroid_entries``, and each entry of Σ x_k·B_k is one ``sum``
-    over its nonzero terms, as float ``mat_mul`` forms it, bit for bit.
+    G is cleared and the basis read from ``_centroid_entries``, never from
+    its Fraction view: when exact, the equations are integer rows, solved by
+    sparse integer elimination, and each result entry is an integer sum
+    with one Fraction per matrix entry; when float, both are the floats over
+    d = 1, and each entry of Σ x_k·B_k is one ``sum`` over its nonzero
+    terms, as float ``mat_mul`` forms it, bit for bit.
     """
-    n, G, tol = A.dim, A.gram, A.tol
-    if not tol:
-        (entries, e), (G, _) = A.algebra._int_centroid_entries, linalg._cleared_matrix(G)
-    else:
-        entries = A.algebra._float_centroid_entries
+    n, tol = A.dim, A.tol
+    (entries, e), (G, _) = A.algebra._centroid_entries, linalg._cleared_matrix(A.gram, tol)
     eqs = {}  # (r, s) -> {k: coefficient of x_k}
+    cols = {}  # t·n + u -> the (k, b) with B_k[t][u] = b ≠ 0, in k order
     for k, E in enumerate(entries):
         for t, u, b in E:
+            cols.setdefault(t * n + u, []).append((k, b))
             for r in range(u + 1):
                 eq = eqs.setdefault((r, u), {})
                 eq[k] = eq.get(k, 0) + G[r][t] * b
@@ -124,24 +126,11 @@ def _metric_part(A: MetricLieAlgebra, sign) -> OperatorSubspace:
                 eq = eqs.setdefault((u, s), {})
                 eq[k] = eq.get(k, 0) - sign * b * G[t][s]
     eqs = [{k: v for k, v in eq.items() if not linalg.is_zero(v, tol)} for eq in eqs.values()]
-    eqs = [eq for eq in eqs if eq]
-    if tol:
-        coords = linalg._canonical_nullspace(eqs, len(entries), tol)
-        cols = [[] for _ in range(n * n)]  # at t·n + u, the (k, b) with B_k[t][u] = b ≠ 0, in k order
-        for k, E in enumerate(entries):
-            for t, u, b in E:
-                cols[t * n + u].append((k, b))
-        rows = ([sum([x[k] * b for k, b in col], 0.0) for col in cols] for x in coords)
-        return OperatorSubspace(A, tuple(linalg.unvectorize(r, n) for r in rows))
-    coords, dx = linalg._int_canonical_nullspace(eqs, len(entries))
-    out, zero = [], Fraction(0)
-    for x in coords:  # Σ x_k·B_k = Σ (X_k/dx)·(b/e), over the nonzero X_k and b
-        M = [0] * (n * n)
-        for k, xk in x.items():
-            for t, u, b in entries[k]:
-                M[t * n + u] += xk * b
-        out.append(linalg.unvectorize([Fraction(v, dx * e) if v else zero for v in M], n))
-    return OperatorSubspace(A, tuple(out))
+    coords, dx = linalg._canonical_nullspace([eq for eq in eqs if eq], len(entries), tol)
+    rows = ({i: v for i, col in cols.items() if (v := sum([x[k] * b for k, b in col if k in x], 0))}
+            for x in coords)
+    return OperatorSubspace(A, tuple(linalg.unvectorize(r, n)
+                                     for r in linalg._fraction_rows(rows, dx * e, n * n, tol)))
 
 
 def symmetric_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
@@ -154,37 +143,29 @@ def skew_centroid(A: MetricLieAlgebra) -> OperatorSubspace:
 
 def centroid_residual(A: MetricLieAlgebra, M) -> object:
     """Max over i, j of |M[X_i,X_j] − [MX_i,X_j]|, the largest entry of the
-    commutators ad(X_j)·M − M·ad(X_j).  On exact operands they are formed
-    in integers (``_int_centroid_residual``)."""
-    if not A.tol and linalg._is_exact(M):
-        return _int_centroid_residual(A, *linalg._cleared_matrix(M))
-    n = A.dim
-    stacked = []  # the n commutators, one below the other
-    for entries in A.algebra.ad_entries:
-        D = [[0] * n for _ in range(n)]
-        for a, b, c in entries:
-            Mb, Da = M[b], D[a]
-            for t in range(n):
-                Da[t] += c * Mb[t]
-                D[t][b] -= M[t][a] * c
-        stacked += D
-    return linalg.max_abs(stacked)
+    commutators ad(X_j)·M − M·ad(X_j), formed by ``_int_centroid_residual``
+    from M cleared.  A float M on an exact A is taken on to_numeric(A)."""
+    A = _backend_for(A, M)
+    return _int_centroid_residual(A, *linalg._cleared_matrix(M, A.tol))
 
 
 def _int_centroid_residual(A: MetricLieAlgebra, X, d) -> object:
-    """centroid_residual of the exact operator X / d on an exact algebra,
-    for integer rows X: the commutators of X with the integer ad entries,
-    over e·d, summed over the nonzero entries of X into one flat list.  On
-    a float algebra X holds floats over d = 1, and so do the ad entries."""
+    """centroid_residual of the operator X / d, for X cleared as A's tol
+    picks (integer rows, or floats over d = 1): the commutators of X with
+    the ad entries of ``_int_ad_entries``, over e·d, in one flat list.  Per
+    ad entry (a, b, c) and ascending t, over the nonzero entries of X,
+    c·X[b][t] is added at (a, t) and then X[t][a]·c subtracted at (t, b),
+    so float entries add in the order of the dense formula."""
     n, (ads, e) = A.dim, A.algebra._int_ad_entries
-    rows, cols = linalg._sparse_rows(X), linalg._sparse_rows(zip(*X))
     D = [0] * (n * n * n)  # entry (a, t) of the j-th commutator at (j·n + a)·n + t
     for j, entries in enumerate(ads):
         for a, b, c in entries:
-            for t, x in rows[b]:
-                D[(j * n + a) * n + t] += c * x
-            for t, x in cols[a]:
-                D[(j * n + t) * n + b] -= x * c
+            Xb = X[b]
+            for t in range(n):
+                if x := Xb[t]:
+                    D[(j * n + a) * n + t] += c * x
+                if x := X[t][a]:
+                    D[(j * n + t) * n + b] -= x * c
     return linalg._int_max_abs([D], e * d, A.tol)
 
 
@@ -206,9 +187,9 @@ def is_orthogonal_projection(A: MetricLieAlgebra, P) -> ProjectionCertificate:
     """Check p∘p = p, the bracket condition and G-symmetry, with residuals;
     the first and last are ``linalg.residual`` of P·P − P and G·P − Pᵀ·G,
     integer identities on exact operands and float formulas otherwise.  A
-    float P on an exact A is judged at to_numeric(A)'s tol; its residuals,
-    formed on A, are to_numeric(A)'s when every entry of P is a float."""
-    G, tol = A.gram, _backend_for(A, P).tol
+    float P on an exact A is checked on to_numeric(A)."""
+    A = _backend_for(A, P)
+    G, tol = A.gram, A.tol
     idem = linalg.residual([(1, P, P), (-1, P)])
     sym = linalg.residual([(1, G, P), (-1, linalg.transpose(P), G)])
     br = centroid_residual(A, P)
@@ -224,9 +205,10 @@ class Factor(_Record):
 
     @cached_property
     def _int_split(self):
-        """``_int_rows`` of R and of C, for P = C·R (``_pivot_rows``) on an
-        exact factor: cleared once for its compressions and its J piece."""
-        return _int_rows(_pivot_rows(self.projection, self.carrier)), _int_rows(self.carrier.matrix_columns())
+        """``_int_rows`` of R and of C, for P = C·R (``_pivot_rows``): cleared
+        once for the factor's compressions and its J piece."""
+        R, C = _pivot_rows(self.projection, self.carrier), self.carrier.matrix_columns()
+        return _int_rows(R, self.carrier.tol), _int_rows(C, self.carrier.tol)
 
 
 class Decomposition(_Record):
@@ -410,7 +392,7 @@ def _multiplication_table(S: OperatorSubspace):
     R_j, over the nonzero entries of that row: O(k³·n) products."""
     n, k = S.ambient.dim, S.dim
     flat = [x for B in S.basis for row in B for x in row]
-    flat, d = (flat, 1) if S.ambient.tol else linalg._cleared(flat)
+    flat, d = linalg._cleared(flat, S.ambient.tol)
     R = [flat[l * n * n:(l + 1) * n * n] for l in range(k)]
     pivots = [next(t for t, x in enumerate(Rl) if not linalg.is_zero(x, S.ambient.tol)) for Rl in R]
     T = []
@@ -425,14 +407,13 @@ def _multiplication_table(S: OperatorSubspace):
 
 
 def _lift(coords, R, d, n, tol):
-    """The operator Σ_j x_j·S_j, S_j = R_j / d, with coordinates x = coords.
-    Exact ones are formed in integers, one Fraction per entry."""
-    if tol:
-        return linalg.unvectorize([sum(x * Rj[t] for x, Rj in zip(coords, R)) for t in range(n * n)], n)
-    X, dx = linalg._cleared(coords)
-    terms, zero = [(x, Rj) for x, Rj in zip(X, R) if x], Fraction(0)
-    P = (sum(x * Rj[t] for x, Rj in terms) for t in range(n * n))
-    return linalg.unvectorize([Fraction(v, dx * d) if v else zero for v in P], n)
+    """The operator Σ_j x_j·S_j, S_j = R_j / d, with coordinates x = coords,
+    cleared as tol picks: each entry one sum over the nonzero x_j, with one
+    Fraction per entry when exact."""
+    X, dx = linalg._cleared(coords, tol)
+    terms = [(x, Rj) for x, Rj in zip(X, R) if x]
+    P = {t: v for t in range(n * n) if (v := sum(x * Rj[t] for x, Rj in terms))}
+    return linalg.unvectorize(linalg._fraction_rows([P], dx * d, n * n, tol)[0], n)
 
 
 def _factor_projections(A: MetricLieAlgebra, seed: int, max_retries: int):
@@ -472,11 +453,11 @@ def _pivot_rows(P, carrier: Subspace):
     return tuple(P[next(c for c, x in enumerate(b) if x)] for b in carrier.basis)
 
 
-def _int_rows(M):
-    """(rows, d): the rows of the exact M as lists of their nonzero (column,
-    v), for integers v over one denominator d, M = V / d."""
+def _int_rows(M, tol):
+    """(rows, d): the rows of M = V / d as lists of their nonzero (column, v),
+    cleared as tol picks: integers v over one denominator d, or floats over 1."""
     rows = [[(c, x) for c, x in enumerate(row) if x] for row in M]
-    ints, d = linalg._cleared([x for row in rows for _, x in row])
+    ints, d = linalg._cleared([x for row in rows for _, x in row], tol)
     it = iter(ints)
     return [[(c, next(it)) for c, _ in row] for row in rows], d
 
@@ -484,26 +465,22 @@ def _int_rows(M):
 def _compressions(ops, f: Factor):
     """The canonical basis of {R·M·C : M ∈ span(ops)}, for the factor's
     P = C·R, C its echelon carrier basis as columns and R P's pivot rows:
-    the compressions of n×n operators to im P, as s×s matrices.  Exact ones
-    are integer products of ``Factor._int_split`` and the ops' nonzero
-    entries, reduced by ``linalg._int_canonical``, float ones ``mat_mul``
-    products reduced by ``canonical_rows`` at tol.  The canonical basis is
-    unique, so a solve on the factor gives it too.  For P = I the ops, a
-    canonical basis, are returned as they are."""
+    the compressions of n×n operators to im P, as s×s matrices.  Each is
+    the product R·(M·C) of ``Factor._int_split`` and the op's nonzero
+    entries, in integers up to a positive factor when exact, reduced by
+    ``linalg._canonical``.  The canonical basis is unique, so a solve on the
+    factor gives it too.  For P = I the ops, a canonical basis, are
+    returned as they are."""
     s, n, tol = f.carrier.dim, len(f.projection), f.carrier.tol
     if s == n:
         return ops
-    if tol:
-        R, C = _pivot_rows(f.projection, f.carrier), f.carrier.matrix_columns()
-        rows = [linalg.vectorize(linalg.mat_mul(R, linalg.mat_mul(M, C))) for M in ops]
-        return tuple(linalg.unvectorize(r, s) for r in linalg.canonical_rows(rows, s * s, tol))
     ((R, _), (C, _)), products = f._int_split, []
-    for M in ops:  # R·M·C as {a·s + c: entry}, up to a positive factor
-        RM = linalg._add_int_product([[0] * n for _ in R], R, _int_rows(M)[0])
-        X = linalg._add_int_product([[0] * s for _ in R], linalg._sparse_rows(RM), C)
+    for M in ops:  # R·(M·C) as {a·s + c: entry}
+        MC = linalg._add_int_product(linalg._zero_rows(n, s), _int_rows(M, tol)[0], C)
+        X = linalg._add_int_product(linalg._zero_rows(s, s), R, linalg._sparse_rows(MC))
         products.append({a * s + c: x for a, row in enumerate(X) for c, x in enumerate(row) if x})
-    rows, e = linalg._int_canonical(products, s * s)
-    return tuple(linalg.unvectorize(r, s) for r in linalg._fraction_rows(rows, e, s * s))
+    rows, e = linalg._canonical(products, s * s, tol)
+    return tuple(linalg.unvectorize(r, s) for r in linalg._fraction_rows(rows, e, s * s, tol))
 
 
 def _carrier_sort_key(f: Factor):

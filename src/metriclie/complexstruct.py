@@ -25,7 +25,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .centroid import Decomposition, _compressions, _int_centroid_residual, _int_rows, _pivot_rows, centroid_residual
+from .centroid import Decomposition, _compressions, _int_centroid_residual, _int_rows, centroid_residual
 from .centroid import decompose, skew_centroid
 from .core import EXACT, NUMERIC, MetricLieAlgebra, Subspace, _backend_for, _Record, _scalar, make_algebra
 from .errors import (
@@ -327,22 +327,21 @@ def _factor_complex_structure(induced: MetricLieAlgebra, K_basis):
 def _pieces(parts, tol):
     """(Z, den, λ's): the pieces C·K_f·R of the (f, K_f, λ_f) in parts, f a
     factor with P = C·R, as matrices Zᵢ over one common denominator den,
-    and their λ_f.  Exact pieces are integer matrices, each the integer
-    product chain of the factor's ``_int_split`` and the cleared K_f, made
-    primitive; float ones are ``mat_mul`` products over den = 1."""
-    lams = [lam for _, _, lam in parts]
-    if tol:
-        return [linalg.mat_mul(f.carrier.matrix_columns(), linalg.mat_mul(K, _pivot_rows(f.projection, f.carrier)))
-                for f, K, _ in parts], 1, lams
+    and their λ_f.  Each is the product chain C·(K_f·R) of the factor's
+    ``_int_split`` and K_f cleared as tol picks: an integer matrix, made
+    primitive, when exact, and a float one over den = 1."""
     pieces = []
     for f, K, _ in parts:
-        ((R, dr), (C, dc)), (K, dk) = f._int_split, _int_rows(K)
-        KR = linalg._add_int_product([[0] * len(C) for _ in K], K, R)
-        Z = linalg._add_int_product([[0] * len(C) for _ in C], C, linalg._sparse_rows(KR))
-        g = math.gcd(dc * dk * dr, *(x for row in Z for x in row))
-        pieces.append(([[x // g for x in row] for row in Z], dc * dk * dr // g))
+        ((R, dr), (C, dc)), (K, dk) = f._int_split, _int_rows(K, tol)
+        KR = linalg._add_int_product(linalg._zero_rows(len(K), len(C)), K, R)
+        Z = linalg._add_int_product(linalg._zero_rows(len(C), len(C), tol), C, linalg._sparse_rows(KR))
+        d = dc * dk * dr
+        if not tol:
+            g = math.gcd(d, *(x for row in Z for x in row))
+            Z, d = [[x // g for x in row] for row in Z], d // g
+        pieces.append((Z, d))
     den = math.lcm(*(d for _, d in pieces))
-    return [[[x * (den // d) for x in row] for row in Z] for Z, d in pieces], den, lams
+    return [[[x * (den // d) for x in row] for row in Z] for Z, d in pieces], den, [lam for _, _, lam in parts]
 
 
 def _certify_pieces(A: MetricLieAlgebra, Z, den, lams) -> ComplexStructureCertificate:
@@ -361,21 +360,14 @@ def _certify_pieces(A: MetricLieAlgebra, Z, den, lams) -> ComplexStructureCertif
     rows over den = 1 with λᵢ = −1, so Kᵢ is the factor's Jᵢ and the
     certificate bounds each J's own residuals; their largest entries go
     through ``max_abs``."""
-    n, tol, add = A.dim, A.tol, linalg._add_int_product
-    if tol:
-        (G, g), (w, m) = (A.gram, 1), ([1 / lam for lam in lams], 1)
-    else:
-        (G, g), (w, m) = linalg._cleared_matrix(A.gram), linalg._cleared([1 / lam for lam in lams])
+    n, tol, add, zeros = A.dim, A.tol, linalg._add_int_product, linalg._zero_rows
+    (G, g), (w, m) = linalg._cleared_matrix(A.gram, tol), linalg._cleared([1 / lam for lam in lams], tol)
     G = linalg._sparse_rows(G)
     rows, cols = [linalg._sparse_rows(Zi) for Zi in Z], [linalg._sparse_rows(zip(*Zi)) for Zi in Z]
-
-    def zeros():
-        return [[0] * n for _ in range(n)]
-
     br = sk = 0
     for i, Zi in enumerate(Z):
         bi = _int_centroid_residual(A, Zi, den)
-        si = linalg._int_max_abs(add(add(zeros(), G, rows[i]), cols[i], G), g * den, tol)  # G·K + Kᵀ·G
+        si = linalg._int_max_abs(add(add(zeros(n, n), G, rows[i]), cols[i], G), g * den, tol)  # G·K + Kᵀ·G
         br, sk = br + bi, sk + si
         if not (linalg.is_zero(br, tol) and linalg.is_zero(sk, tol)):
             raise InternalAssertionFailure(f"the residuals summed to piece {i} of the complex structures "
@@ -387,7 +379,7 @@ def _certify_pieces(A: MetricLieAlgebra, Z, den, lams) -> ComplexStructureCertif
     if not linalg.is_zero(sq, tol):
         raise InternalAssertionFailure(f"the squares of the pieces over their λ do not sum to I: residual {sq}")
     for i, j in itertools.combinations(range(len(Z)), 2):
-        anti = linalg._int_max_abs(add(add(zeros(), rows[i], rows[j]), rows[j], rows[i]), den * den, tol)
+        anti = linalg._int_max_abs(add(add(zeros(n, n), rows[i], rows[j]), rows[j], rows[i]), den * den, tol)
         sq += anti
         if not linalg.is_zero(sq, tol):
             raise InternalAssertionFailure(f"pieces {i} and {j} do not anticommute: residual {anti}, square bound {sq}")

@@ -202,9 +202,7 @@ class LieAlgebra(_Record):
         """(per i, the entries (r, s, c·e) of ad(X_i); e), over the one common
         denominator e of all structure constants; at tol > 0 the float
         entries as they are, over e = 1."""
-        if self.tol:
-            return self.ad_entries, 1
-        ints, e = linalg._cleared([c for entries in self.ad_entries for _, _, c in entries])
+        ints, e = linalg._cleared([c for entries in self.ad_entries for _, _, c in entries], self.tol)
         it = iter(ints)
         return tuple(tuple((r, s, next(it)) for r, s, _ in entries) for entries in self.ad_entries), e
 
@@ -248,36 +246,23 @@ class LieAlgebra(_Record):
     @cached_property
     def _centroid_basis(self) -> tuple:
         """Canonical basis of the centroid, the commutant of ad(g), as n x n
-        matrices.  It reads only the bracket, so it is solved once per algebra
-        and shared by every metric on it.  On an exact algebra it is the
-        sparse integer basis ``_int_centroid_entries`` divided out."""
+        matrices: ``_centroid_entries`` divided out.  It reads only the
+        bracket, so it is solved once per algebra and shared by every metric
+        on it."""
         n = self.dim
-        if self.tol:
-            basis = linalg._canonical_nullspace(list(self._commutant_rows()), n * n, self.tol)
-            return tuple(linalg.unvectorize(r, n) for r in basis)
-        entries, e = self._int_centroid_entries
+        entries, e = self._centroid_entries
         rows = [{t * n + u: b for t, u, b in E} for E in entries]
-        return tuple(linalg.unvectorize(r, n) for r in linalg._fraction_rows(rows, e, n * n))
+        return tuple(linalg.unvectorize(r, n) for r in linalg._fraction_rows(rows, e, n * n, self.tol))
 
     @cached_property
-    def _int_centroid_entries(self):
+    def _centroid_entries(self):
         """(per centroid basis element B_k, its nonzero entries (t, u, b·e) in
         row-major order; e), over the one common denominator e of the whole
-        basis, or None on the float backend.  The integer commutant rows are
-        solved and reduced by sparse integer elimination
-        (``linalg._int_canonical_nullspace``)."""
-        if self.tol:
-            return None
+        basis, and e = 1 on a float algebra: the commutant rows solved and
+        reduced by ``linalg._canonical_nullspace``."""
         n = self.dim
-        rows, e = linalg._int_canonical_nullspace(list(self._commutant_rows()), n * n)
+        rows, e = linalg._canonical_nullspace(list(self._commutant_rows()), n * n, self.tol)
         return tuple(tuple((*divmod(col, n), b) for col, b in sorted(row.items())) for row in rows), e
-
-    @cached_property
-    def _float_centroid_entries(self):
-        """Per centroid basis element B_k of a float algebra, its nonzero
-        entries (t, u, b) in row-major order."""
-        return tuple(tuple((t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b)
-                     for B in self._centroid_basis)
 
     @cached_property
     def _has_abelian_factor(self) -> bool:
@@ -449,25 +434,18 @@ def check_jacobi(A: MetricLieAlgebra) -> JacobiReport:
 
 
 def center(A: MetricLieAlgebra) -> Subspace:
-    """The common kernel of the adjoint maps.  On an exact algebra its rows
-    are the rows of the integer ad matrices (``_int_ad_entries``), a sparse
-    system in n unknowns reduced to the canonical basis by
-    ``linalg._int_canonical_nullspace``; otherwise it is the nullspace of
-    the stacked dense ad matrices."""
-    n = A.dim
-    if not A.tol:
-        rows = []
-        for entries in A.algebra._int_ad_entries[0]:
-            per_row = {}
-            for r, s, c in entries:
-                per_row.setdefault(r, {})[s] = c
-            rows += per_row.values()
-        return Subspace(n, tuple(linalg._fraction_rows(*linalg._int_canonical_nullspace(rows, n), n)))
-    rows = []
-    for j in range(n):
-        rows.extend(A.algebra.ad_matrix(j))
-    basis = linalg.nullspace(linalg.mat(rows), A.tol)
-    return Subspace.from_vectors(n, basis, A.tol)
+    """The common kernel of the adjoint maps: its rows are the rows of the
+    ad matrices (``_int_ad_entries``, integers when exact), a sparse system
+    in n unknowns reduced to the canonical basis by
+    ``linalg._canonical_nullspace``."""
+    n, rows = A.dim, []
+    for entries in A.algebra._int_ad_entries[0]:
+        per_row = {}
+        for r, s, c in entries:
+            per_row.setdefault(r, {})[s] = c
+        rows += per_row.values()
+    rows, d = linalg._canonical_nullspace(rows, n, A.tol)
+    return Subspace(n, tuple(linalg._fraction_rows(rows, d, n, A.tol)), A.tol)
 
 
 def derived_subalgebra(A: MetricLieAlgebra) -> Subspace:

@@ -18,10 +18,7 @@ back-substitutes over the pivot-row dicts alone (``_int_reduce``), so the
 work follows the nonzero entries and not the columns.  ``rref`` at tol 0,
 and so ``nullspace``, ``solve`` and ``canonical_rows``, reduces its rows
 this way and divides each by its pivot at the end; ``rank`` counts the
-pivots of the forward pass.  The exact centroid systems go through
-``_int_nullspace``, which returns integer kernel vectors, and
-``_int_canonical_nullspace`` reduces those once more to the canonical
-basis over one common denominator.  Every certificate residual
+pivots of the forward pass.  Every certificate residual
 max|Σ c·X·Y| is one primitive, ``residual``: an integer matrix identity
 with one Fraction per residual when its operands are exact, the float
 formula otherwise.  The leading principal minors are Bareiss's integer
@@ -48,6 +45,15 @@ entries, in k order, which for finite entries is the dense ``sum(a * b for
 a, b in zip(row, col))`` bit for bit (a ±0.0 term moves neither the sum nor
 the compensation Python 3.12 adds to it) and which a numpy product would
 not match.  Mixed exact and float operands stay dense.
+
+The centroid layer works on one format on both backends: sparse integer
+rows over one denominator d when exact, the floats over d = 1 when float.
+Only the private helpers that take ``tol`` choose the arithmetic:
+``_cleared``, ``_cleared_matrix`` and ``_zero_rows``; ``_canonical_nullspace``
+and ``_canonical``, the canonical bases of a nullspace and of a span as
+(sparse rows, d), via ``_int_nullspace`` and ``_int_canonical`` or via
+``nullspace_sparse`` and ``_float_rref``; and ``_fraction_rows``, which
+turns sparse rows into dense Fractions or floats.
 """
 
 from __future__ import annotations
@@ -92,18 +98,27 @@ def _is_exact(rows) -> bool:
     return all(type(x) is Fraction or type(x) is int for row in rows for x in row)
 
 
-def _cleared(row):
-    """Integers R and the common denominator d with row = R / d."""
+def _cleared(row, tol: float = 0.0):
+    """Integers R and the common denominator d with row = R / d; at tol > 0
+    the entries as they are, over d = 1."""
+    if tol:
+        return list(row), 1
     pairs = [x.as_integer_ratio() for x in row]
     d = math.lcm(*(q for _, q in pairs))
     return [p * (d // q) for p, q in pairs], d
 
 
-def _cleared_matrix(M):
-    """Integer rows R and one common denominator d with M = R / d."""
-    ints, d = _cleared([x for row in M for x in row])
+def _cleared_matrix(M, tol: float = 0.0):
+    """Integer rows R and one common denominator d with M = R / d; at tol > 0
+    the rows as they are, over d = 1."""
+    ints, d = _cleared([x for row in M for x in row], tol)
     m = len(M[0]) if M else 0
     return [ints[i * m:(i + 1) * m] for i in range(len(M))], d
+
+
+def _zero_rows(n: int, m: int, tol: float = 0.0):
+    """n lists of m zeros to add cleared entries into: ints, or 0.0 at tol > 0."""
+    return [[0.0 if tol else 0] * m for _ in range(n)]
 
 
 def _sparse_rows(M):
@@ -112,9 +127,10 @@ def _sparse_rows(M):
 
 
 def _add_int_product(D, X, Y):
-    """D += X·Y for integer rows D and X, Y given by ``_sparse_rows``: one
-    product per pair of nonzero entries that meet.  A Y without rows (the
-    empty matrix () of k × 0) adds nothing."""
+    """D += X·Y for cleared rows D and X, Y given by ``_sparse_rows``
+    (integers, or floats over d = 1): one product per pair of nonzero
+    entries that meet, added to each entry of D in k order.  A Y without
+    rows (the empty matrix () of k × 0) adds nothing."""
     if Y:
         for Dr, row in zip(D, X):
             for k, x in row:
@@ -238,11 +254,7 @@ def rref(rows, tol: float = 0.0):
     sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
     if tol:
         rows, pivots = _float_rref(sparse, ncols, tol)
-        dense = [[0.0] * ncols for _ in rows]
-        for out, row in zip(dense, rows):
-            for col, x in row.items():
-                out[col] = x
-        return [tuple(row) for row in dense], pivots
+        return _fraction_rows(rows, 1, ncols, tol), pivots
     _require_exact(rows, "rref")
     ints, d = _int_canonical(sparse, ncols)
     return _fraction_rows(ints, d, ncols), [min(row) for row in ints]
@@ -438,19 +450,25 @@ def nullspace_sparse(equations, ncols: int, tol: float):
 
 
 def _canonical_nullspace(equations, ncols: int, tol: float):
-    """Canonical reduced-echelon basis of the nullspace of float sparse rows
-    {col: coeff}, at tol > 0: ``canonical_rows`` of the kernel vectors,
-    without its filter, which each keeps for its 1.0.  Exact systems go
-    through ``_int_canonical_nullspace``."""
-    return rref(nullspace_sparse(equations, ncols, tol), tol)[0]
+    """(rows, d): the canonical reduced-echelon basis of the nullspace of the
+    sparse rows {col: coeff}, as ``_canonical`` gives it for the kernel
+    vectors: exact ones from ``_int_nullspace``, float ones from
+    ``nullspace_sparse``, without ``_canonical``'s filter, which each keeps
+    for its 1.0."""
+    kernel = nullspace_sparse(equations, ncols, tol) if tol else _int_nullspace(equations, ncols)
+    vectors = [{c: v for c, v in enumerate(x) if v} for x in kernel]
+    return (_float_rref(vectors, ncols, tol)[0], 1) if tol else _int_canonical(vectors, ncols)
 
 
-def _int_canonical_nullspace(equations, ncols: int):
-    """(rows, d): the canonical reduced-echelon basis of the nullspace of
-    exact sparse rows {col: coeff}, as ``_int_canonical`` gives it for the
-    integer vectors of ``_int_nullspace``."""
-    vectors = ({c: v for c, v in enumerate(x) if v} for x in _int_nullspace(equations, ncols))
-    return _int_canonical(vectors, ncols)
+def _canonical(rows, ncols: int, tol: float):
+    """(rows, d): the reduced-echelon basis of the span of the sparse rows
+    {col: coeff}, as sparse rows in pivot order over one denominator d.
+    Exact rows go through ``_int_canonical``; float ones through
+    ``_float_rref`` over d = 1, after ``canonical_rows``' filter of the rows
+    within tol."""
+    if not tol:
+        return _int_canonical(rows, ncols)
+    return _float_rref([row for row in rows if max(map(abs, row.values()), default=0) > tol], ncols, tol)[0], 1
 
 
 def _int_canonical(rows, ncols: int):
@@ -462,15 +480,16 @@ def _int_canonical(rows, ncols: int):
     return [{col: v * (d // row[c]) for col, v in row.items()} for c, row in sorted(pivot_rows.items())], d
 
 
-def _fraction_rows(rows, d: int, ncols: int):
-    """The sparse integer rows {col: v} over the denominator d as dense
-    Fraction rows of length ncols."""
-    zero = Fraction(0)
+def _fraction_rows(rows, d: int, ncols: int, tol: float = 0.0):
+    """The sparse rows {col: v} over the denominator d as dense rows of
+    length ncols: integer rows as Fractions, float rows (d = 1) as their
+    floats, with 0.0 where a row has no entry."""
+    zero = _zero_one(tol)[0]
     out = []
     for row in rows:
         dense = [zero] * ncols
         for col, v in row.items():
-            dense[col] = Fraction(v, d)
+            dense[col] = v if tol else Fraction(v, d)
         out.append(tuple(dense))
     return out
 
@@ -597,6 +616,3 @@ def frac_sqrt(x: Fraction):
         return Fraction(pn, pd)
     return None
 
-
-def to_float_mat(A: Mat) -> Mat:
-    return tuple(tuple(float(x) for x in row) for row in A)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import sympy
 
-from fraction_reference import basis_vec
+from fraction_reference import basis_vec, to_float_mat
 from metriclie import linalg
 from metriclie.core import MetricLieAlgebra, bracket
 
@@ -127,7 +127,7 @@ def oracle_complex_structures(A: MetricLieAlgebra, max_params: int = 3):
         else:
             coeffs = [float(v) for v in vals]
             J = linalg.zeros(n, n, tol=1e-9)
-            ks_local = [linalg.to_float_mat(K) for K in ks]
+            ks_local = [to_float_mat(K) for K in ks]
         for idx, cf in enumerate(coeffs):
             K = ks[idx] if isinstance(cf, Fraction) else ks_local[idx]
             J = linalg.mat_add(J, linalg.mat_scale(cf, K))
@@ -139,7 +139,7 @@ def matches_within(J, oracle_set, tol=0.0):
     """Is J equal to some oracle matrix (exactly, or entrywise within tol)?"""
     for O in oracle_set:
         if tol:
-            if linalg.max_abs(linalg.mat_sub(linalg.to_float_mat(J), linalg.to_float_mat(O))) <= tol:
+            if linalg.max_abs(linalg.mat_sub(to_float_mat(J), to_float_mat(O))) <= tol:
                 return True
         elif J == O:
             return True

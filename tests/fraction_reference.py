@@ -54,6 +54,11 @@ def mat_max_diff(A, B):
     return linalg.max_abs(linalg.mat_sub(A, B))
 
 
+def to_float_mat(A):
+    """The matrix A with its entries as floats."""
+    return tuple(tuple(float(x) for x in row) for row in A)
+
+
 def basis_vec(n, i, tol=0.0):
     """The i-th unit vector of length n: Fractions at tol 0, floats at tol > 0."""
     z, one = (0.0, 1.0) if tol else (Fraction(0), Fraction(1))
@@ -416,7 +421,7 @@ def exact_nullspace_sparse(equations, ncols):
 
 
 def canonical_nullspace(equations, ncols):
-    """linalg._int_canonical_nullspace in Fractions: the dense rref of the
+    """linalg._canonical_nullspace at tol 0 in Fractions: the dense rref of the
     integer kernel vectors."""
     return exact_rref([[Fraction(v) for v in x] for x in int_nullspace(equations, ncols)])[0]
 

@@ -25,7 +25,7 @@ from metriclie.examples import example_keys, ex48_j1, ex48_j2, get_example
 from metriclie.lab import BlockSpec, jcount_experiment, make_metric_with_factor_count, random_gram
 
 from bruteforce import matches_within, oracle_complex_structures, same_sets
-from fraction_reference import basis_vec, mat_max_diff
+from fraction_reference import basis_vec, mat_max_diff, to_float_mat
 
 TOL = 1e-9
 
@@ -189,7 +189,7 @@ def test_acceptance_7_property_suites():
             for s in structures:
                 ok &= matches_within(linalg.mat_scale(-1, s.J), Js, tol=tol)
                 for f in dec.factors:
-                    imgs = [linalg.mat_vec(linalg.to_float_mat(s.J) if tol else s.J, v)
+                    imgs = [linalg.mat_vec(to_float_mat(s.J) if tol else s.J, v)
                             for v in f.carrier.basis]
                     img = Subspace.from_vectors(n, imgs, tol)
                     ok &= all(img.contains(v) for v in f.carrier.basis) and img.dim == f.carrier.dim

@@ -40,7 +40,7 @@ from metriclie.lab import BlockSpec, _hermitize, make_metric_with_factor_count, 
 
 import fraction_reference as ref
 from bruteforce import centroid_space
-from test_core import _dense_rational, _in_basis
+from test_core import _cayley_orthogonal, _dense_rational, _in_basis
 
 NONABELIAN = ["h3", "h3c", "ex48", "h3h3", "h3h3-paper-metric", "sl2c-real"]
 
@@ -388,7 +388,7 @@ def test_centroid_residual_value(key, data):
     M = tuple(tuple(data.draw(st.lists(small, min_size=n, max_size=n))) for _ in range(n))
     assert centroid_residual(A, M) == _bracket_residual(A, M)
     B = to_numeric(A)
-    Mf = linalg.to_float_mat(M)
+    Mf = ref.to_float_mat(M)
     got, want = centroid_residual(B, Mf), _bracket_residual(B, Mf)
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -553,7 +553,7 @@ def test_irreducible_factor_shares_the_ambient_centroid(monkeypatch, numeric):
         assert "_centroid_basis" not in A.algebra.__dict__
     enumerate_complex_structures(A)
     assert cols.count(n * n) == 1
-    assert not {"_centroid_basis", "_int_centroid_entries"} & set(vars(dec.factors[0].induced.algebra))
+    assert not {"_centroid_basis", "_centroid_entries"} & set(vars(dec.factors[0].induced.algebra))
 
 
 def _lab_sum(keys, l, seed):
@@ -615,8 +615,8 @@ def test_float_compressions_lie_within_tol_of_the_factor_solves(case):
     A = COMPRESSION_CASES[case]()
     An = to_numeric(A)
     for f in decompose(A).factors:
-        carrier = Subspace(A.dim, linalg.to_float_mat(f.carrier.basis), An.tol)
-        f_n = Factor(carrier, linalg.to_float_mat(f.projection), f.induced, {})
+        carrier = Subspace(A.dim, ref.to_float_mat(f.carrier.basis), An.tol)
+        f_n = Factor(carrier, ref.to_float_mat(f.projection), f.induced, {})
         for part in (centroid, symmetric_centroid, skew_centroid):
             want = part(_own_factor(f)).basis
             got = _compressions(part(An).basis, f_n)
@@ -721,6 +721,18 @@ def test_float_enumeration_in_a_dense_basis_agrees_or_refuses():
     assert got == (2, 4)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: the float centroid basis has entries up to 347 in this basis, and the metric-part "
+    "solve at the absolute tol 1e-9 finds S and K of dim 0; at 1e-7 both have dim 2"))
+def test_float_metric_parts_in_an_orthonormal_basis():
+    """h3c ⊕ h3c in the orthonormal basis of ``_cayley_orthogonal(12, 1)``
+    keeps the Gram I, and has k = 2 and a skew part of dim 2.  After
+    to_numeric the float symmetric and skew parts should have dim 2 too."""
+    h3c = get_example("h3c")
+    A = to_numeric(_in_basis(direct_sum(h3c, h3c), _cayley_orthogonal(12, 1)))
+    assert (symmetric_centroid(A).dim, skew_centroid(A).dim) == (2, 2)
+
+
 FLOAT_LIFT_ALGEBRAS = {key: get_example(key) for key in NONABELIAN}
 FLOAT_LIFT_ALGEBRAS["h3c+h3c-random"] = direct_sum(get_example("h3c"), get_example("h3c")).with_metric(
     random_gram(12, 5))
@@ -741,7 +753,7 @@ def test_float_metric_parts_equal_the_dense_lift(key):
             [[(type(x), x.hex()) for row in M for x in row] for M in want]
     entries = [[(t, u, b) for t, row in enumerate(B) for u, b in enumerate(row) if b]
                for B in A.algebra._centroid_basis]
-    assert A.algebra.__dict__["_float_centroid_entries"] == tuple(map(tuple, entries))
+    assert A.algebra.__dict__["_centroid_entries"] == (tuple(map(tuple, entries)), 1)
 
 
 def test_a_float_projection_on_an_exact_algebra_is_checked_on_its_float_copy():

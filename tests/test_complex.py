@@ -34,7 +34,7 @@ from metriclie.errors import (
 from metriclie.examples import ex48_j1, ex48_j2, get_example
 
 from bruteforce import oracle_complex_structures, same_sets
-from fraction_reference import basis_vec, mat_max_diff
+from fraction_reference import basis_vec, mat_max_diff, to_float_mat
 
 
 def perturbed_h3c():
@@ -320,7 +320,7 @@ def test_enumerate_numeric_backend_matches_exact():
     for s in numeric:
         assert s.backend == "numeric"
         best = min(
-            linalg.max_abs(linalg.mat_sub(s.J, linalg.to_float_mat(E))) for E in exact
+            linalg.max_abs(linalg.mat_sub(s.J, to_float_mat(E))) for E in exact
         )
         assert best < 1e-9
 
@@ -350,7 +350,7 @@ def test_enumerate_falls_back_to_float_j_on_irrational_normalizer():
     structures = enumerate_complex_structures(A)
     assert [s.signs for s in structures] == [(1,), (-1,)]
     assert all(s.backend == "numeric" and s.certificate.passed for s in structures)
-    J = linalg.mat_scale(1 / math.sqrt(2), linalg.to_float_mat(K))
+    J = linalg.mat_scale(1 / math.sqrt(2), to_float_mat(K))
     expected = [linalg.mat_scale(-1, J), J]  # the first nonzero entry, -2/√2 in K/√2, is made positive
     for s, E in zip(structures, expected):
         assert mat_max_diff(s.J, E) <= 1e-12
@@ -366,7 +366,7 @@ def test_a_float_gram_on_an_exact_algebra_is_refused():
 
     A, K = _h3_over_sqrt_minus2()
     G = linalg.mat_add(A.gram, linalg.mat_scale(0.1, linalg.identity(6)))
-    J = linalg.mat_scale(1 / math.sqrt(2), linalg.to_float_mat(K))
+    J = linalg.mat_scale(1 / math.sqrt(2), to_float_mat(K))
     calls = (
         lambda: A.with_metric(Metric(G)),
         lambda: make_algebra(6, {ij: list(terms) for ij, terms in A.algebra.structure}, G),
@@ -385,7 +385,7 @@ def test_a_float_gram_on_an_exact_algebra_is_refused_by_the_metric_parts(scale):
     floats' binary values."""
     h3c = get_example("h3c")
     with pytest.raises(TypeError):
-        MetricLieAlgebra(h3c.algebra, Metric(linalg.mat_scale(scale, linalg.to_float_mat(h3c.gram))))
+        MetricLieAlgebra(h3c.algebra, Metric(linalg.mat_scale(scale, to_float_mat(h3c.gram))))
 
 
 def test_float_j_on_an_exact_algebra_is_taken_on_the_float_backend():

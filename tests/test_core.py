@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import basis_vec
+from fraction_reference import basis_vec, to_float_mat
 from metriclie import linalg
 from metriclie.core import (
     DEFAULT_TOL,
@@ -409,7 +410,7 @@ def test_restrict_to_a_full_rank_non_standard_basis_reduces():
     algebra."""
     A = get_example("h3h3")
     T = _triangular(6)
-    for C, basis in ((A, T), (to_numeric(A), linalg.to_float_mat(T))):
+    for C, basis in ((A, T), (to_numeric(A), to_float_mat(T))):
         C.algebra._centroid_basis  # filled, so a wrongly taken shortcut would share it
         S = Subspace(6, basis, C.tol)
         B, ref = restrict(C, S), _restrict_per_pair(C, S)
@@ -487,6 +488,7 @@ def test_cayley_bases_are_orthonormal(seed):
     assert decompose(A).k == 2
 
 
+@functools.cache  # built once: the dense bases take about 0.2 s
 def _center_cases():
     from metriclie.examples import example_keys
 
@@ -499,6 +501,9 @@ def _center_cases():
     cases["ex48+ex48"] = direct_sum(get_example("ex48"), get_example("ex48"))
     for key in ("h3h3", "h3+abelian2n"):
         cases[key + "'"] = _in_basis(cases[key], _triangular(cases[key].dim))
+    # bases that are not coordinate-aligned: a dropped zero ad row could change a float pivot tie
+    cases["h3c+h3c-dense-0"] = _in_basis(cases["h3c+h3c"], _dense_rational(12, 0))
+    cases["h3c+h3c-cayley-1"] = _in_basis(cases["h3c+h3c"], _cayley_orthogonal(12, 1))
     return cases
 
 
@@ -610,7 +615,7 @@ def test_an_exact_record_refuses_a_float_when_it_is_built():
         LieAlgebra(4, (((0, 1), ((2, F(1)),)), ((0, 2), ((3, 1), (1, 0.5)))))
     h3 = get_example("h3")
     one_float = ((F(1), F(0), F(0)), (F(0), 2.0, F(0)), (F(0), F(0), F(1)))
-    for G in (linalg.to_float_mat(h3.gram), one_float):
+    for G in (to_float_mat(h3.gram), one_float):
         with pytest.raises(TypeError):
             MetricLieAlgebra(h3.algebra, Metric(G))
     with pytest.raises(TypeError):

@@ -96,8 +96,8 @@ def _unit_nullspace(rows, ncols):
 
 
 def _canonical_nullspace(rows, ncols):
-    """``linalg._int_canonical_nullspace`` as dense Fraction rows."""
-    return linalg._fraction_rows(*linalg._int_canonical_nullspace(rows, ncols), ncols)
+    """``linalg._canonical_nullspace`` at tol 0 as dense Fraction rows."""
+    return linalg._fraction_rows(*linalg._canonical_nullspace(rows, ncols, 0.0), ncols)
 
 
 def test_minimal_polynomial_annihilates():
@@ -395,7 +395,7 @@ def test_int_nullspace_equals_the_dense_back_substitution(system):
 def test_int_nullspace_of_a_full_rank_system_is_empty():
     rows = [{0: 2, 3: F(1, 3)}, {1: F(-5, 7)}, {2: 1, 1: 4}, {3: 9}, {0: 1, 1: 1, 2: 1, 3: 1}]
     assert linalg._int_nullspace(rows, 4) == []
-    assert linalg._int_canonical_nullspace(rows, 4) == ([], 1)
+    assert linalg._canonical_nullspace(rows, 4, 0.0) == ([], 1)
 
 
 # ---------------------------------------------------------------------------
